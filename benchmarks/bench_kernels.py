@@ -61,6 +61,7 @@ def main():
 
     data = make_inputs(args.size, args.classes)
     n = args.classes
+    evidence = kernels.sample_evidence(data["matrix"], data["sample_gt"], data["sample_probs"])
 
     cases = [
         (
@@ -83,15 +84,13 @@ def main():
         ),
         (
             "loss_value (1e5 samples)",
-            lambda f: f(data["matrix"], data["weights"], data["sample_gt"],
-                        data["sample_probs"], 1e-10),
+            lambda f: f(data["matrix"], data["weights"], data["sample_gt"], evidence, 1e-10),
             kernels.loss_value_numpy,
             kernels.loss_value_numba,
         ),
         (
             "loss_grad (1e5 samples)",
-            lambda f: f(data["matrix"], data["weights"], data["sample_gt"],
-                        data["sample_probs"], 1e-10),
+            lambda f: f(data["matrix"], data["weights"], data["sample_gt"], evidence, 1e-10),
             kernels.loss_grad_numpy,
             kernels.loss_grad_numba,
         ),

@@ -150,40 +150,52 @@ def _apply_refinement_loop(matrix, probs):
 # refinement log-loss and its prior gradient
 # ---------------------------------------------------------------------------
 
-def loss_value_numpy(matrix, weights, gt, probs, eps):
+def sample_evidence(matrix, gt, probs):
+    """Per-sample evidence A[i, c] = probs[i, c] * matrix[c, gt[i]], the part
+    of the loss that does not depend on the prior; build it once per solve.
+
+    Returns an (N, L) view of a label-major (L, N) contiguous array, which
+    makes the loss kernels' matrix-vector products up to about twice as
+    fast as on an (N, L) contiguous array.
+    """
+    return np.multiply(matrix[:, gt], probs.T, order="C").T
+
+
+def loss_value_numpy(matrix, weights, gt, evidence, eps, scores=None):
     """Negative log-loss of refined ground-truth probabilities.
 
     matrix[c, l] = P(C=c | l), weights = prior, gt = sample labels (N,),
-    probs = classifier outputs (N, L). Terms below eps are clamped.
+    evidence = sample_evidence(matrix, gt, probs) (N, L). With the output
+    marginal m = matrix @ weights, sample i's refined ground-truth
+    probability is weights[gt_i] * s_i, where s = evidence @ (1 / m). Terms
+    below eps are clamped. A float64 (N,) `scores` buffer, when given,
+    receives s.
     """
-    m = matrix @ weights
-    scores = (probs / m) @ matrix
-    s = scores[np.arange(gt.shape[0]), gt]
+    s = np.dot(evidence, 1.0 / (matrix @ weights), out=scores)
     refined = weights[gt] * s
     return float(-np.log(np.maximum(refined, eps)).sum())
 
 
-def loss_grad_numpy(matrix, weights, gt, probs, eps):
+def loss_grad_numpy(matrix, weights, gt, evidence, eps, scores=None):
     """Loss together with d(loss)/d(weights), including the dependence of
     the output marginal on the prior. Clamped samples contribute zero
-    gradient."""
+    gradient. `scores`, when given, holds s for these weights as filled in
+    by loss_value, and is not recomputed."""
     n_labels = weights.shape[0]
-    n = gt.shape[0]
     m = matrix @ weights
-    scores = (probs / m) @ matrix
-    s = scores[np.arange(n), gt]
+    s = np.dot(evidence, 1.0 / m) if scores is None else scores
     refined = weights[gt] * s
     loss = float(-np.log(np.maximum(refined, eps)).sum())
     live = refined > eps
     counts = np.bincount(gt[live], minlength=n_labels).astype(np.float64)
     direct = counts / np.maximum(weights, 1e-300)
-    col_of_gt = matrix[:, gt].T  # (N, L): row i = matrix[:, gt_i]
-    v = (probs[live] * col_of_gt[live] / s[live, None]).sum(axis=0) / (m * m)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=live)
+    v = (inv_s @ evidence) / (m * m)
     grad = -direct + matrix.T @ v
     return loss, grad
 
 
-def _loss_value_loop(matrix, weights, gt, probs, eps):
+def _loss_value_loop(matrix, weights, gt, evidence, eps, scores=None):
     n_labels = weights.shape[0]
     n = gt.shape[0]
     m = np.zeros(n_labels)
@@ -194,11 +206,12 @@ def _loss_value_loop(matrix, weights, gt, probs, eps):
         m[c] = acc
     loss = 0.0
     for i in range(n):
-        g = gt[i]
         s = 0.0
         for c in range(n_labels):
-            s += probs[i, c] * matrix[c, g] / m[c]
-        refined = weights[g] * s
+            s += evidence[i, c] / m[c]
+        if scores is not None:
+            scores[i] = s
+        refined = weights[gt[i]] * s
         if refined > eps:
             loss -= np.log(refined)
         else:
@@ -206,7 +219,7 @@ def _loss_value_loop(matrix, weights, gt, probs, eps):
     return loss
 
 
-def _loss_grad_loop(matrix, weights, gt, probs, eps):
+def _loss_grad_loop(matrix, weights, gt, evidence, eps, scores=None):
     n_labels = weights.shape[0]
     n = gt.shape[0]
     m = np.zeros(n_labels)
@@ -220,15 +233,18 @@ def _loss_grad_loop(matrix, weights, gt, probs, eps):
     v = np.zeros(n_labels)
     for i in range(n):
         g = gt[i]
-        s = 0.0
-        for c in range(n_labels):
-            s += probs[i, c] * matrix[c, g] / m[c]
+        if scores is None:
+            s = 0.0
+            for c in range(n_labels):
+                s += evidence[i, c] / m[c]
+        else:
+            s = scores[i]
         refined = weights[g] * s
         if refined > eps:
             loss -= np.log(refined)
             counts[g] += 1.0
             for c in range(n_labels):
-                v[c] += probs[i, c] * matrix[c, g] / s
+                v[c] += evidence[i, c] / s
         else:
             loss -= np.log(eps)
     grad = np.empty(n_labels)
@@ -318,8 +334,11 @@ def warmup():
     matrix = np.eye(2)
     apply_refinement(matrix, np.full((2, 2, 2), 0.5, dtype=np.float32))
     gt = np.zeros(4, dtype=np.int64)
-    probs = np.full((4, 2), 0.5)
+    evidence = sample_evidence(matrix, gt, np.full((4, 2), 0.5))
     weights = np.full(2, 0.5)
-    loss_value(matrix, weights, gt, probs, 1e-10)
-    loss_grad(matrix, weights, gt, probs, 1e-10)
+    scores = np.empty(4)
+    loss_value(matrix, weights, gt, evidence, 1e-10)
+    loss_value(matrix, weights, gt, evidence, 1e-10, scores)
+    loss_grad(matrix, weights, gt, evidence, 1e-10)
+    loss_grad(matrix, weights, gt, evidence, 1e-10, scores)
     nearest_seed(2, 2, np.array([0.5]), np.array([0.5]), np.array([0], dtype=np.int32))

@@ -4,6 +4,7 @@ the probability simplex by projected gradient descent."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -92,6 +93,7 @@ class PriorBank:
     ids: tuple[str, ...]
     weights: np.ndarray
     solver: dict | None = field(default=None)
+    _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in PRIOR_KINDS:
@@ -105,11 +107,15 @@ class PriorBank:
         object.__setattr__(self, "weights", arr)
         for row in arr:
             Prior(row)
+        rows = {image_id: idx for idx, image_id in enumerate(self.ids)}
+        if len(rows) != len(self.ids):
+            raise DataError("duplicate image ids in prior bank")
+        object.__setattr__(self, "_rows", rows)
 
     def get(self, image_id: str) -> Prior:
         try:
-            idx = self.ids.index(image_id)
-        except ValueError:
+            idx = self._rows[image_id]
+        except KeyError:
             raise DataError(f"no prior for image {image_id!r}") from None
         return Prior(self.weights[idx])
 
@@ -207,7 +213,8 @@ def refinement_loss(prior, confusion: ConfusionModel, samples: SampleSet,
     if len(samples) == 0:
         raise DataError("empty sample set")
     w = _as_weights(prior, confusion.n_labels)
-    return kernels.loss_value(confusion.matrix, w, samples.gt, samples.probs, epsilon)
+    evidence = kernels.sample_evidence(confusion.matrix, samples.gt, samples.probs)
+    return kernels.loss_value(confusion.matrix, w, samples.gt, evidence, epsilon)
 
 
 def refinement_loss_gradient(prior, confusion: ConfusionModel, samples: SampleSet,
@@ -216,31 +223,45 @@ def refinement_loss_gradient(prior, confusion: ConfusionModel, samples: SampleSe
     if len(samples) == 0:
         raise DataError("empty sample set")
     w = _as_weights(prior, confusion.n_labels)
-    _, grad = kernels.loss_grad(confusion.matrix, w, samples.gt, samples.probs, epsilon)
+    evidence = kernels.sample_evidence(confusion.matrix, samples.gt, samples.probs)
+    _, grad = kernels.loss_grad(confusion.matrix, w, samples.gt, evidence, epsilon)
     return grad
 
 
+@functools.lru_cache(maxsize=64)
+def _ranks(n: int) -> np.ndarray:
+    ranks = np.arange(1, n + 1, dtype=np.float64)
+    ranks.setflags(write=False)
+    return ranks
+
+
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based)."""
+    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based). The
+    solver calls it once per line-search step, on a vector of |L| entries,
+    so it keeps to array methods: numpy's function wrappers cost more than
+    the arithmetic at that size."""
     v = np.asarray(v, dtype=np.float64)
     u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u)
-    candidates = u + (1.0 - cumulative) / np.arange(1, v.size + 1)
-    rho = int(np.nonzero(candidates > 0)[0][-1])
+    cumulative = u.cumsum()
+    candidates = u + (1.0 - cumulative) / _ranks(v.size)
+    rho = (candidates > 0).nonzero()[0][-1]
     shift = (1.0 - cumulative[rho]) / (rho + 1)
     return np.maximum(v + shift, 0.0)
 
 
-def _descend(matrix, gt, probs, start, opts: SolverOptions):
-    """Monotone projected gradient descent with backtracking line search."""
+def _descend(matrix, gt, evidence, start, opts: SolverOptions):
+    """Monotone projected gradient descent with backtracking line search.
+    The accepted candidate's scores, kept by loss_value, spare loss_grad
+    from recomputing them."""
     w = start
-    loss, grad = kernels.loss_grad(matrix, w, gt, probs, opts.epsilon)
+    loss, grad = kernels.loss_grad(matrix, w, gt, evidence, opts.epsilon)
     step = 1.0 / max(gt.shape[0], 1)
+    scores = np.empty(gt.shape[0])
     for _ in range(opts.max_iters):
         accepted = False
         while step >= opts.step_tolerance:
             cand = project_to_simplex(w - step * grad)
-            cand_loss = kernels.loss_value(matrix, cand, gt, probs, opts.epsilon)
+            cand_loss = kernels.loss_value(matrix, cand, gt, evidence, opts.epsilon, scores)
             if cand_loss < loss:
                 accepted = True
                 break
@@ -249,7 +270,7 @@ def _descend(matrix, gt, probs, start, opts: SolverOptions):
             break
         drop = loss - cand_loss
         w = cand
-        loss, grad = kernels.loss_grad(matrix, w, gt, probs, opts.epsilon)
+        loss, grad = kernels.loss_grad(matrix, w, gt, evidence, opts.epsilon, scores)
         if drop < opts.loss_tolerance:
             break
         step *= 2.0
@@ -275,14 +296,15 @@ def solve_unconstrained_prior(
     hist = np.bincount(samples.gt, minlength=n).astype(np.float64)
     hist /= hist.sum()
     start = np.full(n, 1.0 / n) if opts.init == "uniform" else hist
-    start_loss = kernels.loss_value(matrix, start, samples.gt, samples.probs, opts.epsilon)
+    evidence = kernels.sample_evidence(matrix, samples.gt, samples.probs)
+    start_loss = kernels.loss_value(matrix, start, samples.gt, evidence, opts.epsilon)
     if not np.isfinite(start_loss):
         raise DataError("non-finite loss at solver init")
-    w, loss = _descend(matrix, samples.gt, samples.probs, start, opts)
+    w, loss = _descend(matrix, samples.gt, evidence, start, opts)
     uniform = np.full(n, 1.0 / n)
-    uniform_loss = kernels.loss_value(matrix, uniform, samples.gt, samples.probs, opts.epsilon)
+    uniform_loss = kernels.loss_value(matrix, uniform, samples.gt, evidence, opts.epsilon)
     if uniform_loss < loss:
-        w2, loss2 = _descend(matrix, samples.gt, samples.probs, uniform, opts)
+        w2, loss2 = _descend(matrix, samples.gt, evidence, uniform, opts)
         if loss2 < loss:
             w, loss = w2, loss2
     total = w.sum()

@@ -15,6 +15,23 @@ def mixed_confusion(n: int, diag: float = 0.7) -> np.ndarray:
     return T
 
 
+def dense_loss_grad(matrix, weights, gt, probs, eps):
+    """The O(N*L^2) loss and gradient that the evidence kernels replaced:
+    every call forms (probs / m) @ matrix and reads its ground-truth column.
+    Returns (loss, grad, number of clamped samples)."""
+    n_labels = weights.shape[0]
+    m = matrix @ weights
+    s = ((probs / m) @ matrix)[np.arange(gt.shape[0]), gt]
+    refined = weights[gt] * s
+    loss = float(-np.log(np.maximum(refined, eps)).sum())
+    live = refined > eps
+    counts = np.bincount(gt[live], minlength=n_labels).astype(np.float64)
+    direct = counts / np.maximum(weights, 1e-300)
+    col_of_gt = matrix[:, gt].T
+    v = (probs[live] * col_of_gt[live] / s[live, None]).sum(axis=0) / (m * m)
+    return loss, -direct + matrix.T @ v, int((~live).sum())
+
+
 @pytest.fixture(scope="session")
 def small_spec() -> SynthSpec:
     return SynthSpec(

@@ -1,9 +1,12 @@
-"""Backend agreement: every numba kernel must match its pure-numpy twin."""
+"""Backend agreement: every numba kernel must match its pure-numpy twin.
+The loss kernels' scalar loops also run as plain Python against the numpy
+kernels and the O(N*L^2) formula they replaced."""
 
 import numpy as np
 import pytest
 
 from conflens import kernels
+from tests.conftest import dense_loss_grad
 
 needs_numba = pytest.mark.skipif(
     not kernels.USE_NUMBA, reason="numba backend not active"
@@ -65,13 +68,20 @@ class TestBackendAgreement:
             probs /= probs.sum(axis=1, keepdims=True)
             gt = rng.integers(0, n, size=count)
             weights = rng.dirichlet(np.ones(n))
-            la = kernels.loss_value_numpy(matrix, weights, gt, probs, 1e-10)
-            lb = kernels.loss_value_numba(matrix, weights, gt, probs, 1e-10)
+            evidence = kernels.sample_evidence(matrix, gt, probs)
+            la = kernels.loss_value_numpy(matrix, weights, gt, evidence, 1e-10)
+            lb = kernels.loss_value_numba(matrix, weights, gt, evidence, 1e-10)
             assert la == pytest.approx(lb, rel=1e-12)
-            la2, ga = kernels.loss_grad_numpy(matrix, weights, gt, probs, 1e-10)
-            lb2, gb = kernels.loss_grad_numba(matrix, weights, gt, probs, 1e-10)
+            la2, ga = kernels.loss_grad_numpy(matrix, weights, gt, evidence, 1e-10)
+            lb2, gb = kernels.loss_grad_numba(matrix, weights, gt, evidence, 1e-10)
             assert la2 == pytest.approx(lb2, rel=1e-12)
             np.testing.assert_allclose(ga, gb, rtol=1e-10, atol=1e-12)
+            scores = np.empty(count)
+            assert kernels.loss_value_numba(
+                matrix, weights, gt, evidence, 1e-10, scores) == pytest.approx(la, rel=1e-12)
+            lb3, gb3 = kernels.loss_grad_numba(matrix, weights, gt, evidence, 1e-10, scores)
+            assert lb3 == pytest.approx(la2, rel=1e-12)
+            np.testing.assert_allclose(gb3, ga, rtol=1e-10, atol=1e-12)
 
     def test_nearest_seed(self):
         rng = np.random.default_rng(95)
@@ -100,3 +110,88 @@ class TestNumpyPath:
     def test_backend_reported(self):
         assert kernels.BACKEND in ("numba", "numpy")
         assert kernels.USE_NUMBA == (kernels.BACKEND == "numba")
+
+
+def loss_instances(seed, count=30):
+    """Random small instances; every third prior has zero entries, so
+    samples of those labels hit the clamp (refined <= eps)."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(2, 8))
+        matrix = rng.random((n, n)) + 0.05
+        matrix /= matrix.sum(axis=0, keepdims=True)
+        size = int(rng.integers(1, 60))
+        probs = rng.dirichlet(np.ones(n), size=size)
+        gt = rng.integers(0, n, size=size)
+        weights = rng.dirichlet(np.ones(n))
+        if k % 3 == 0:
+            weights[gt[0]] = 0.0
+            weights /= weights.sum()
+        yield matrix, weights, gt, probs
+
+
+class TestLossOracles:
+    """Runs on every backend: the scalar loops are called as plain Python."""
+
+    LOOPS = (kernels._loss_value_loop, kernels._loss_grad_loop)
+    NUMPY = (kernels.loss_value_numpy, kernels.loss_grad_numpy)
+
+    def test_sample_evidence_is_label_major(self):
+        rng = np.random.default_rng(96)
+        matrix = rng.random((4, 4))
+        gt = rng.integers(0, 4, size=9)
+        probs = rng.random((9, 4))
+        evidence = kernels.sample_evidence(matrix, gt, probs)
+        assert evidence.shape == (9, 4)
+        assert evidence.T.flags.c_contiguous
+        np.testing.assert_array_equal(evidence, probs * matrix[:, gt].T)
+
+    @pytest.mark.parametrize("impl", [LOOPS, NUMPY], ids=["loop", "numpy"])
+    def test_matches_dense_formula(self, impl):
+        value_fn, grad_fn = impl
+        clamped = 0
+        for matrix, weights, gt, probs in loss_instances(97):
+            evidence = kernels.sample_evidence(matrix, gt, probs)
+            want_loss, want_grad, n_clamped = dense_loss_grad(matrix, weights, gt, probs, 1e-10)
+            clamped += n_clamped
+            assert value_fn(matrix, weights, gt, evidence, 1e-10) == pytest.approx(
+                want_loss, rel=1e-12)
+            loss, grad = grad_fn(matrix, weights, gt, evidence, 1e-10)
+            assert loss == pytest.approx(want_loss, rel=1e-12)
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=1e-10)
+        assert clamped > 0
+
+    def test_loops_match_numpy_kernels(self):
+        for matrix, weights, gt, probs in loss_instances(98):
+            evidence = kernels.sample_evidence(matrix, gt, probs)
+            args = (matrix, weights, gt, evidence, 1e-10)
+            assert kernels._loss_value_loop(*args) == pytest.approx(
+                kernels.loss_value_numpy(*args), rel=1e-12)
+            la, ga = kernels._loss_grad_loop(*args)
+            lb, gb = kernels.loss_grad_numpy(*args)
+            assert la == pytest.approx(lb, rel=1e-12)
+            np.testing.assert_allclose(ga, gb, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("impl", [LOOPS, NUMPY], ids=["loop", "numpy"])
+    def test_scores_from_loss_value_feed_loss_grad(self, impl):
+        value_fn, grad_fn = impl
+        for matrix, weights, gt, probs in loss_instances(99):
+            evidence = kernels.sample_evidence(matrix, gt, probs)
+            args = (matrix, weights, gt, evidence, 1e-10)
+            scores = np.full(gt.shape[0], np.nan)
+            loss = value_fn(*args, scores)
+            assert loss == value_fn(*args)
+            assert np.isfinite(scores).all()
+            reused_loss, reused_grad = grad_fn(*args, scores)
+            fresh_loss, fresh_grad = grad_fn(*args)
+            assert reused_loss == loss == fresh_loss
+            np.testing.assert_array_equal(reused_grad, fresh_grad)
+
+    def test_row_major_evidence_gives_same_result(self):
+        for matrix, weights, gt, probs in loss_instances(100, count=10):
+            evidence = kernels.sample_evidence(matrix, gt, probs)
+            dense = np.ascontiguousarray(evidence)
+            a = kernels.loss_grad_numpy(matrix, weights, gt, evidence, 1e-10)
+            b = kernels.loss_grad_numpy(matrix, weights, gt, dense, 1e-10)
+            assert a[0] == pytest.approx(b[0], rel=1e-12)
+            np.testing.assert_allclose(a[1], b[1], rtol=1e-10, atol=1e-10)
