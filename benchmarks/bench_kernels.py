@@ -2,7 +2,7 @@
 
 Times each kernel backend on segmentation-scale inputs (512x512 images,
 20 classes) and prints a comparison table. Numba timings exclude JIT
-compilation (one warmup call per kernel).
+compilation (one warmup call per kernel). loss_hessian is numpy-only.
 
 Usage:
     python benchmarks/bench_kernels.py [--size 512] [--classes 20] [--repeats 5]
@@ -93,6 +93,12 @@ def main():
             lambda f: f(data["matrix"], data["weights"], data["sample_gt"], evidence, 1e-10),
             kernels.loss_grad_numpy,
             kernels.loss_grad_numba,
+        ),
+        (
+            "loss_hessian (1e5 samples)",
+            lambda f: f(data["matrix"], data["weights"], data["sample_gt"], evidence, 1e-10),
+            kernels.loss_hessian,
+            None,
         ),
         (
             "nearest_seed (256 seeds)",

@@ -76,8 +76,8 @@ class ConfusionModel:
         arr = _frozen_array(self.matrix, np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DataError(f"confusion matrix must be square, got {arr.shape}")
-        if (arr < 0).any():
-            raise DataError("confusion entries must be >= 0")
+        if not (arr >= 0).all():
+            raise DataError("confusion entries must be >= 0, not NaN")
         colsums = arr.sum(axis=0)
         if np.abs(colsums - 1.0).max() > COLUMN_SUM_TOL:
             worst = int(np.abs(colsums - 1.0).argmax())

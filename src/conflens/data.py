@@ -133,13 +133,14 @@ class Manifest:
 
 
 def validate_probability_map(probs: ProbabilityMap, tol: float) -> list[tuple[tuple[int, int], float]]:
-    """All sites whose channel sum deviates from 1 by more than tol, as
-    ((row, col), deviation) in row-major order. Empty list means valid."""
-    if tol <= 0:
+    """All sites whose channel sum deviates from 1 by more than tol or is
+    NaN, as ((row, col), deviation) in row-major order. Empty list means
+    valid."""
+    if not tol > 0:
         raise DataError(f"tolerance must be positive, got {tol}")
     sums = probs.values.astype(np.float64).sum(axis=2)
     dev = np.abs(sums - 1.0)
-    bad = np.argwhere(dev > tol)
+    bad = np.argwhere(~(dev <= tol))
     return [((int(i), int(j)), float(dev[i, j])) for i, j in bad]
 
 
@@ -184,8 +185,8 @@ def load_probability_map(
         raise DataError(
             f"{path}: {arr.shape[2]} channels, label set has {labels.size}"
         )
-    if float(arr.min()) < 0.0 or float(arr.max()) > 1.0 + 1e-6:
-        raise DataError(f"{path}: values outside [0, 1]")
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0 + 1e-6):
+        raise DataError(f"{path}: values outside [0, 1] or NaN")
     probs = ProbabilityMap(arr)
     bad = validate_probability_map(probs, tol)
     if bad:

@@ -195,6 +195,35 @@ def loss_grad_numpy(matrix, weights, gt, evidence, eps, scores=None):
     return loss, grad
 
 
+def loss_hessian(matrix, weights, gt, evidence, eps, scores=None):
+    """Second derivative of the loss in the prior, an (L, L) matrix over the
+    live (unclamped) samples:
+
+        H = diag(n / w^2) + Q^T Q - 2 M^T diag(v / m) M,
+
+    where n counts live samples per label (the diagonal term is 0 where
+    w = 0), Q[i, l] = sum_c A[i, c] M[c, l] / (s_i m_c^2) and v is the
+    vector loss_grad builds. With P = M^T / m^2 and B = A^T / s (live
+    samples only), Q^T = P @ B, so Q^T Q = P (B B^T) P^T: one O(N * L^2)
+    product on the label-major evidence, the rest is L x L. `scores` as in
+    loss_grad. The solver calls it once per Newton iteration, so it has no
+    jitted twin.
+    """
+    n_labels = weights.shape[0]
+    m = matrix @ weights
+    s = np.dot(evidence, 1.0 / m) if scores is None else scores
+    live = weights[gt] * s > eps
+    counts = np.bincount(gt[live], minlength=n_labels).astype(np.float64)
+    direct = np.divide(counts, weights * weights, out=np.zeros(n_labels), where=weights > 0)
+    scaled = evidence.T * np.divide(1.0, s, out=np.zeros_like(s), where=live)
+    inv_m2 = 1.0 / (m * m)
+    p = matrix.T * inv_m2
+    v = scaled.sum(axis=1) * inv_m2
+    hess = p @ (scaled @ scaled.T) @ p.T - 2.0 * ((matrix.T * (v / m)) @ matrix)
+    hess[np.diag_indices(n_labels)] += direct
+    return hess
+
+
 def _loss_value_loop(matrix, weights, gt, evidence, eps, scores=None):
     n_labels = weights.shape[0]
     n = gt.shape[0]

@@ -1,6 +1,6 @@
 """Label priors P(l): uniform, global, binary, histogram, and the solved
 (unconstrained) prior, which minimizes the refinement negative log-loss over
-the probability simplex by projected gradient descent."""
+the probability simplex by projected Newton descent."""
 
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ from .errors import DataError
 
 SUM_TOL = 1e-9
 EPSILON = 1e-10
+_NEWTON_MIN_STEP = 1e-6
+_ZERO_WEIGHT = 1e-12
 PRIOR_KINDS = ("uniform", "global", "binary", "histogram", "unconstrained")
 
 
@@ -31,10 +33,10 @@ class Prior:
         arr = _frozen_array(self.weights, np.float64)
         if arr.ndim != 1 or arr.shape[0] < 2:
             raise DataError(f"prior must be a vector of >= 2 weights, got {arr.shape}")
-        if (arr < 0).any():
-            raise DataError("prior weights must be >= 0")
+        if not (arr >= 0).all():
+            raise DataError("prior weights must be >= 0, not NaN")
         total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL:
+        if not abs(total - 1.0) <= SUM_TOL:
             raise DataError(f"prior sums to {total!r}, not 1")
         object.__setattr__(self, "weights", arr)
 
@@ -249,31 +251,99 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + shift, 0.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _sum_zero_basis(k: int) -> np.ndarray:
+    """Orthonormal (k, k - 1) basis of {x in R^k : sum x = 0}, the Helmert
+    contrasts: column j - 1 is (1, ..., 1, -j, 0, ..., 0) / sqrt(j (j + 1))
+    with j ones."""
+    rows = np.arange(k)[:, None]
+    cols = np.arange(1, k)[None, :]
+    basis = np.where(rows < cols, 1.0, np.where(rows == cols, -cols, 0.0))
+    basis /= np.sqrt(cols * (cols + 1.0))
+    basis.setflags(write=False)
+    return basis
+
+
+def _newton_direction(w, grad, hess):
+    """Projected-Newton direction (Bertsekas 1982) on the simplex, or None.
+
+    The free labels are the support of w plus the zero weights whose
+    gradient is below the support's mean, where moving mass in lowers the
+    loss; the rest stay fixed. Weights up to _ZERO_WEIGHT count as zero:
+    the simplex projection leaves rounding-level mass on labels a step did
+    not move, and freeing those would let their gradient, far above the
+    mean, swamp the direction. The Hessian is restricted to the sum-zero
+    subspace of the free labels. The loss is not convex, so each eigenvalue
+    is replaced by its magnitude, floored at 1e-8 of the largest, which
+    keeps the direction a descent direction.
+    """
+    support = w > _ZERO_WEIGHT
+    idx = (support | (grad < grad[support].mean())).nonzero()[0]
+    if idx.size < 2:
+        return None
+    basis = _sum_zero_basis(idx.size)
+    reduced = basis.T @ hess[np.ix_(idx, idx)] @ basis
+    if not np.isfinite(reduced).all():
+        return None
+    lam, vecs = np.linalg.eigh(reduced)
+    mag = np.abs(lam)
+    top = mag.max()
+    if not top > 0:
+        return None
+    coef = (vecs.T @ (basis.T @ grad[idx])) / np.maximum(mag, 1e-8 * top)
+    direction = np.zeros_like(w)
+    direction[idx] = -(basis @ (vecs @ coef))
+    return direction
+
+
+def _first_decrease(matrix, gt, evidence, opts, w, loss, direction, t, t_min, scores):
+    """Backtrack project_to_simplex(w + t * direction), halving t from the
+    given value while t >= t_min, to the first strict loss decrease.
+    Returns (candidate or None, its loss, the last t tried); `scores` keeps
+    the candidate's s for loss_grad."""
+    while t >= t_min:
+        cand = project_to_simplex(w + t * direction)
+        cand_loss = kernels.loss_value(matrix, cand, gt, evidence, opts.epsilon, scores)
+        if cand_loss < loss:
+            return cand, cand_loss, t
+        t *= 0.5
+    return None, loss, t
+
+
 def _descend(matrix, gt, evidence, start, opts: SolverOptions):
-    """Monotone projected gradient descent with backtracking line search.
-    The accepted candidate's scores, kept by loss_value, spare loss_grad
-    from recomputing them."""
+    """Monotone projected Newton descent.
+
+    Each iteration backtracks along the Newton direction from t = 1 down to
+    1e-6. If that gives no decrease, or there is no Newton direction, it
+    takes a projected-gradient step instead, backtracking from a step
+    length that halves on each rejection and doubles after each accepted
+    gradient step. It stops when no step decreases the loss, when the
+    decrease falls below loss_tolerance, or after max_iters iterations.
+    """
     w = start
     loss, grad = kernels.loss_grad(matrix, w, gt, evidence, opts.epsilon)
     step = 1.0 / max(gt.shape[0], 1)
     scores = np.empty(gt.shape[0])
+    known = None
     for _ in range(opts.max_iters):
-        accepted = False
-        while step >= opts.step_tolerance:
-            cand = project_to_simplex(w - step * grad)
-            cand_loss = kernels.loss_value(matrix, cand, gt, evidence, opts.epsilon, scores)
-            if cand_loss < loss:
-                accepted = True
+        hess = kernels.loss_hessian(matrix, w, gt, evidence, opts.epsilon, known)
+        direction = _newton_direction(w, grad, hess)
+        cand = None
+        if direction is not None:
+            cand, cand_loss, _ = _first_decrease(
+                matrix, gt, evidence, opts, w, loss, direction, 1.0, _NEWTON_MIN_STEP, scores)
+        if cand is None:
+            cand, cand_loss, step = _first_decrease(
+                matrix, gt, evidence, opts, w, loss, -grad, step, opts.step_tolerance, scores)
+            if cand is None:
                 break
-            step *= 0.5
-        if not accepted:
-            break
+            step *= 2.0
         drop = loss - cand_loss
         w = cand
         loss, grad = kernels.loss_grad(matrix, w, gt, evidence, opts.epsilon, scores)
+        known = scores
         if drop < opts.loss_tolerance:
             break
-        step *= 2.0
     return w, loss
 
 

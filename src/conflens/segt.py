@@ -7,6 +7,7 @@ row-major (last dim fastest). No padding, no footer.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from .errors import (
     DataError,
     DimOverflowError,
     InvalidDimensionsError,
+    SegtFormatError,
     TruncatedPayloadError,
     UnsupportedDtypeError,
     UnsupportedVersionError,
@@ -83,15 +85,20 @@ def read_header(path: str | Path) -> tuple[np.dtype, tuple[int, ...]]:
 
 
 def load_tensor(path: str | Path) -> np.ndarray:
-    """Read a SEGT file back into an array; bit-exact with store_tensor."""
+    """Read a SEGT file back into an array; bit-exact with store_tensor.
+    A file longer than its header and payload is rejected."""
     dtype, dims = read_header(path)
     count = int(np.prod(dims, dtype=np.int64))
     offset = 10 + 4 * len(dims)
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         fh.seek(offset)
         payload = fh.read(count * dtype.itemsize)
     if len(payload) < count * dtype.itemsize:
         raise TruncatedPayloadError(
             f"{path}: payload holds {len(payload)} bytes, expected {count * dtype.itemsize}"
         )
+    extra = size - offset - len(payload)
+    if extra > 0:
+        raise SegtFormatError(f"{path}: {extra} trailing byte(s) after the payload")
     return np.frombuffer(payload, dtype=dtype, count=count).reshape(dims).copy()

@@ -63,8 +63,9 @@ class TestSegtStore:
 class TestDataValidation:
     def test_validate_requires_positive_tol(self):
         probs = ProbabilityMap(np.full((1, 1, 2), 0.5, dtype=np.float32))
-        with pytest.raises(DataError):
-            validate_probability_map(probs, 0.0)
+        for tol in (0.0, np.nan):
+            with pytest.raises(DataError):
+                validate_probability_map(probs, tol)
 
     def test_load_probability_map_wrong_rank(self, tmp_path):
         path = tmp_path / "x.segt"
@@ -79,6 +80,20 @@ class TestDataValidation:
         store_tensor(path, arr)
         with pytest.raises(DataError):
             load_probability_map(path)
+
+    def test_load_probability_map_rejects_nan(self, tmp_path):
+        path = tmp_path / "x.segt"
+        arr = np.full((2, 2, 2), 0.5, dtype=np.float32)
+        arr[1, 0, 1] = np.nan
+        store_tensor(path, arr)
+        with pytest.raises(DataError, match="NaN"):
+            load_probability_map(path)
+
+    def test_validate_probability_map_reports_nan_site(self):
+        arr = np.full((2, 2, 2), 0.5, dtype=np.float32)
+        arr[1, 0, 1] = np.nan
+        bad = validate_probability_map(ProbabilityMap(arr), 1e-4)
+        assert [site for site, _ in bad] == [(1, 0)]
 
     def test_save_label_map_rejects_negative(self, tmp_path):
         with pytest.raises(DataError):
@@ -143,6 +158,10 @@ class TestConfusionValidation:
         with pytest.raises(DataError):
             ConfusionModel(matrix=np.array([[1.2, 0.0], [-0.2, 1.0]]))
 
+    def test_confusion_model_rejects_nan_column(self):
+        with pytest.raises(DataError, match="NaN"):
+            ConfusionModel(matrix=np.array([[0.7, np.nan], [0.3, np.nan]]))
+
     def test_count_matrix_rejects_negative(self):
         with pytest.raises(DataError):
             CountMatrix(np.array([[1, -1], [0, 0]]))
@@ -177,6 +196,11 @@ class TestPriorValidation:
             Prior(np.array([0.7, -0.1, 0.4]))
         with pytest.raises(DataError):
             Prior(np.array([0.7, 0.7]))
+
+    def test_prior_rejects_nan_and_inf(self):
+        for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [1.0, np.nan]):
+            with pytest.raises(DataError):
+                Prior(np.array(bad))
 
     def test_solver_options_validation(self):
         with pytest.raises(DataError):

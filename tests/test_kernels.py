@@ -1,6 +1,7 @@
 """Backend agreement: every numba kernel must match its pure-numpy twin.
 The loss kernels' scalar loops also run as plain Python against the numpy
-kernels and the O(N*L^2) formula they replaced."""
+kernels and the O(N*L^2) formula they replaced, and the numpy-only loss
+Hessian runs against a plain-Python loop and finite differences."""
 
 import numpy as np
 import pytest
@@ -112,12 +113,12 @@ class TestNumpyPath:
         assert kernels.USE_NUMBA == (kernels.BACKEND == "numba")
 
 
-def loss_instances(seed, count=30):
+def loss_instances(seed, count=30, max_labels=7):
     """Random small instances; every third prior has zero entries, so
     samples of those labels hit the clamp (refined <= eps)."""
     rng = np.random.default_rng(seed)
     for k in range(count):
-        n = int(rng.integers(2, 8))
+        n = int(rng.integers(2, max_labels + 1))
         matrix = rng.random((n, n)) + 0.05
         matrix /= matrix.sum(axis=0, keepdims=True)
         size = int(rng.integers(1, 60))
@@ -195,3 +196,67 @@ class TestLossOracles:
             b = kernels.loss_grad_numpy(matrix, weights, gt, dense, 1e-10)
             assert a[0] == pytest.approx(b[0], rel=1e-12)
             np.testing.assert_allclose(a[1], b[1], rtol=1e-10, atol=1e-10)
+
+
+def hessian_loop(matrix, weights, gt, evidence, eps):
+    """Second derivative of the loss as a plain double loop over samples
+    and label pairs, term by term from the chain rule."""
+    n = weights.shape[0]
+    m = [sum(matrix[c, l] * weights[l] for l in range(n)) for c in range(n)]
+    hess = np.zeros((n, n))
+    v = [0.0] * n
+    for i in range(gt.shape[0]):
+        g = gt[i]
+        s = sum(evidence[i, c] / m[c] for c in range(n))
+        if weights[g] * s <= eps:
+            continue
+        hess[g, g] += 1.0 / weights[g] ** 2
+        q = [sum(evidence[i, c] * matrix[c, l] / m[c] ** 2 for c in range(n)) / s
+             for l in range(n)]
+        for k in range(n):
+            for l in range(n):
+                hess[k, l] += q[k] * q[l]
+        for c in range(n):
+            v[c] += evidence[i, c] / (s * m[c] ** 2)
+    for k in range(n):
+        for l in range(n):
+            hess[k, l] -= 2.0 * sum(matrix[c, k] * matrix[c, l] * v[c] / m[c] for c in range(n))
+    return hess
+
+
+class TestLossHessian:
+    def test_matches_loop(self):
+        clamped = 0
+        for matrix, weights, gt, probs in loss_instances(101, max_labels=20):
+            evidence = kernels.sample_evidence(matrix, gt, probs)
+            clamped += dense_loss_grad(matrix, weights, gt, probs, 1e-10)[2]
+            got = kernels.loss_hessian(matrix, weights, gt, evidence, 1e-10)
+            want = hessian_loop(matrix, weights, gt, evidence, 1e-10)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+        assert clamped > 0
+
+    def test_matches_finite_differences_of_gradient(self):
+        """Central differences of loss_grad along each label with a positive
+        weight; a zero weight cannot step down, and its column follows from
+        the symmetry of H."""
+        for matrix, weights, gt, probs in loss_instances(102, max_labels=20):
+            evidence = kernels.sample_evidence(matrix, gt, probs)
+            hess = kernels.loss_hessian(matrix, weights, gt, evidence, 1e-10)
+            np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12 * np.abs(hess).max())
+            for j in np.flatnonzero(weights):
+                h = 1e-6 * weights[j]
+                step = np.zeros_like(weights)
+                step[j] = h
+                _, up = kernels.loss_grad(matrix, weights + step, gt, evidence, 1e-10)
+                _, down = kernels.loss_grad(matrix, weights - step, gt, evidence, 1e-10)
+                np.testing.assert_allclose((up - down) / (2 * h), hess[:, j], rtol=1e-5,
+                                           atol=1e-7 * np.abs(hess).max())
+
+    def test_scores_give_same_result(self):
+        for matrix, weights, gt, probs in loss_instances(103, max_labels=20):
+            evidence = kernels.sample_evidence(matrix, gt, probs)
+            args = (matrix, weights, gt, evidence, 1e-10)
+            scores = np.empty(gt.shape[0])
+            kernels.loss_value_numpy(*args, scores)
+            np.testing.assert_array_equal(kernels.loss_hessian(*args, scores),
+                                          kernels.loss_hessian(*args))

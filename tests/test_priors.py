@@ -31,6 +31,7 @@ from conflens import (
     solve_unconstrained_prior,
     uniform_prior,
 )
+from conflens import kernels, priors
 from conflens.errors import DataError
 from conflens.priors import PriorBank
 from tests.conftest import dense_loss_grad, mixed_confusion
@@ -54,9 +55,9 @@ def loss_oracle(matrix, weights, gt, probs, eps=EPS):
 
 
 def dense_solve(matrix, gt, probs, opts=SolverOptions()):
-    """The solver as it was before the evidence kernels: the same descent,
-    with every evaluation on dense_loss_grad. Returns (weights, whether the
-    uniform restart ran)."""
+    """The projected-gradient solver that the Newton solver replaced, with
+    every evaluation on dense_loss_grad: halve/double backtracking from a
+    step of 1/N. Returns (weights, whether the uniform restart ran)."""
     def value(w):
         return dense_loss_grad(matrix, w, gt, probs, opts.epsilon)[0]
 
@@ -491,21 +492,47 @@ class TestSolver:
             start, confusion, samples
         )
 
-    def assert_matches_dense_solver(self, matrix, gt, probs, opts):
-        want, restarted = dense_solve(matrix, gt, probs, opts)
-        got = solve_unconstrained_prior(
-            ConfusionModel(matrix=matrix, floor=1e-4), SampleSet(gt=gt, probs=probs), opts)
-        np.testing.assert_allclose(got.weights, want, rtol=0, atol=1e-9)
-        return restarted
+    @pytest.fixture
+    def descent_iters(self, monkeypatch):
+        """Newton iterations of each descent the solver runs, in order: the
+        solver evaluates one Hessian per iteration."""
+        iters, hessians = [], [0]
+        loss_hessian, descend = kernels.loss_hessian, priors._descend
 
-    def test_matches_dense_solver(self):
-        """Evidence kernels change only rounding: on seeded instances with
-        2-20 labels, 5-5000 samples and labels absent from the samples (zero
-        weights at the histogram init), the solved prior matches the dense
-        O(N*L^2) solver per weight. This holds for these instances, not for
-        every input: when a loss drop meets loss_tolerance at rounding
-        level, the two can stop one step apart. On the reference dataset
-        that happens for 2 of 200 images, whose weights differ by < 2e-7."""
+        def counting_hessian(*args):
+            hessians[0] += 1
+            return loss_hessian(*args)
+
+        def counting_descend(*args):
+            before = hessians[0]
+            result = descend(*args)
+            iters.append(hessians[0] - before)
+            return result
+
+        monkeypatch.setattr(kernels, "loss_hessian", counting_hessian)
+        monkeypatch.setattr(priors, "_descend", counting_descend)
+        return iters
+
+    def assert_no_worse_than_dense_solver(self, matrix, gt, probs, opts, descent_iters):
+        """The Newton solver ends no worse than the projected-gradient
+        solver it replaced, within 30 Newton iterations per descent.
+        Returns the solved weights and whether the old solver restarted."""
+        want, restarted = dense_solve(matrix, gt, probs, opts)
+        confusion = ConfusionModel(matrix=matrix, floor=1e-4)
+        samples = SampleSet(gt=gt, probs=probs)
+        del descent_iters[:]
+        got = solve_unconstrained_prior(confusion, samples, opts).weights
+        assert refinement_loss(got, confusion, samples) <= refinement_loss(
+            want, confusion, samples) + 1e-9
+        assert 1 <= len(descent_iters) <= 2
+        assert max(descent_iters) <= 30
+        return got, restarted
+
+    def test_no_worse_than_dense_solver(self, descent_iters):
+        """Seeded instances with 2-20 labels, 5-5000 samples and labels
+        absent from the samples (zero weights at the histogram init),
+        against the dense O(N*L^2) projected-gradient solver. Each endpoint
+        is also a KKT point: a projected-gradient step does not move it."""
         rng = np.random.default_rng(52)
         sizes = [5, 5000] + [int(x) for x in np.exp(rng.uniform(np.log(5), np.log(5000), 22))]
         for k, count in enumerate(sizes):
@@ -518,20 +545,27 @@ class TestSolver:
                 present = np.arange(n)[: max(1, n // 3)]
             gt = rng.choice(present, size=count)
             probs = rng.dirichlet(np.full(n, sharpness), size=count)
-            opts = SolverOptions(max_iters=(500, 100, 3)[k % 3],
+            opts = SolverOptions(max_iters=(500, 100)[k % 2],
                                  init="uniform" if k % 5 == 4 else "histogram")
-            self.assert_matches_dense_solver(matrix, gt, probs, opts)
+            got, _ = self.assert_no_worse_than_dense_solver(matrix, gt, probs, opts, descent_iters)
+            grad = refinement_loss_gradient(
+                got, ConfusionModel(matrix=matrix, floor=1e-4), SampleSet(gt=gt, probs=probs))
+            residual = got - project_to_simplex(got - grad / count)
+            assert np.abs(residual).max() <= 1e-6
 
-    def test_matches_dense_solver_through_uniform_restart(self):
+    def test_uniform_restart(self, descent_iters):
         """A one-iteration descent from the histogram that loses to the
-        uniform prior, so the solver descends again from uniform."""
+        uniform prior, so both solvers descend again from uniform."""
         rng = np.random.default_rng(30)
         n, count = int(rng.integers(2, 6)), int(rng.integers(5, 40))
         matrix = rng.dirichlet(np.full(n, 0.1), size=n).T + 1e-4
         matrix /= matrix.sum(axis=0, keepdims=True)
         gt = rng.choice(np.arange(n), size=count, p=rng.dirichlet(np.full(n, 0.3)))
         probs = rng.dirichlet(np.full(n, 0.05), size=count)
-        assert self.assert_matches_dense_solver(matrix, gt, probs, SolverOptions(max_iters=1))
+        _, restarted = self.assert_no_worse_than_dense_solver(
+            matrix, gt, probs, SolverOptions(max_iters=1), descent_iters)
+        assert restarted
+        assert len(descent_iters) == 2
 
     def test_solver_returns_simplex_prior(self):
         confusion, samples = two_class_instance()

@@ -11,6 +11,7 @@ from conflens.errors import (
     DataError,
     DimOverflowError,
     InvalidDimensionsError,
+    SegtFormatError,
     TruncatedPayloadError,
     UnsupportedDtypeError,
     UnsupportedVersionError,
@@ -103,6 +104,13 @@ class TestErrors:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(TruncatedPayloadError):
+            load_tensor(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.segt"
+        store_tensor(path, np.zeros((4, 4), dtype=np.float32))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(SegtFormatError, match="1 trailing byte"):
             load_tensor(path)
 
     def test_dim_overflow(self, tmp_path):
