@@ -110,6 +110,11 @@ class ManifestRecord:
     def __post_init__(self):
         if self.split not in SPLITS:
             raise DataError(f"unknown split {self.split!r}")
+        # ids become output file names, so one must not leave --out
+        if self.image_id in ("", ".", "..") or any(c in self.image_id for c in "/\\\0"):
+            raise DataError(
+                f"image id {self.image_id!r} is not a plain file name component"
+            )
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,7 @@ def validate_probability_map(probs: ProbabilityMap, tol: float) -> list[tuple[tu
     valid."""
     if not tol > 0:
         raise DataError(f"tolerance must be positive, got {tol}")
-    sums = probs.values.astype(np.float64).sum(axis=2)
+    sums = probs.values.sum(axis=2, dtype=np.float64)
     dev = np.abs(sums - 1.0)
     bad = np.argwhere(~(dev <= tol))
     return [((int(i), int(j)), float(dev[i, j])) for i, j in bad]

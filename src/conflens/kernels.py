@@ -121,16 +121,27 @@ def _pair_counts_loop(gt, pred, included, n_labels, void_id):
 # per-pixel refinement transform
 # ---------------------------------------------------------------------------
 
+# Pixels per block of a per-pixel pass: a 4096 x 20 float64 block (640 KiB)
+# stays in L2, where a whole-map float64 temporary of a 512x512x20 map
+# (40 MiB) does not. Shared by every blocked per-pixel pass.
+PIXEL_BLOCK = 4096
+
+
 def apply_refinement_numpy(matrix, probs):
     """Per-pixel linear transform: out[i, j] = matrix @ probs[i, j].
 
-    probs is HxWxL float32; computation runs in float64 and the result is
-    cast back to float32.
+    probs is HxWxL float32; computation runs in float64, PIXEL_BLOCK pixels
+    at a time, and the result is cast back to float32.
     """
     h, w, n = probs.shape
-    flat = probs.reshape(-1, n).astype(np.float64)
-    out = flat @ matrix.T
-    return out.reshape(h, w, n).astype(np.float32)
+    flat = probs.reshape(-1, n)
+    out = np.empty((h, w, n), dtype=np.float32)
+    flat_out = out.reshape(-1, n)
+    transform = matrix.T
+    for start in range(0, h * w, PIXEL_BLOCK):
+        stop = start + PIXEL_BLOCK
+        flat_out[start:stop] = flat[start:stop].astype(np.float64) @ transform
+    return out
 
 
 def _apply_refinement_loop(matrix, probs):

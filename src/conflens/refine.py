@@ -94,9 +94,16 @@ def labelbank_mask(probs: ProbabilityMap, present) -> ProbabilityMap:
         raise DataError(f"present classes {present} outside [0, {probs.channels})")
     keep = np.zeros(probs.channels, dtype=bool)
     keep[present] = True
-    vals = probs.values.astype(np.float64) * keep
-    sums = vals.sum(axis=2, keepdims=True)
-    degenerate = sums <= 0.0
     fallback = keep.astype(np.float64) / len(present)
-    out = np.where(degenerate, fallback, vals / np.where(degenerate, 1.0, sums))
-    return ProbabilityMap(out.astype(np.float32))
+    flat = probs.values.reshape(-1, probs.channels)
+    out = np.empty(probs.values.shape, dtype=np.float32)
+    flat_out = out.reshape(flat.shape)
+    for start in range(0, flat.shape[0], kernels.PIXEL_BLOCK):
+        stop = start + kernels.PIXEL_BLOCK
+        vals = flat[start:stop].astype(np.float64) * keep
+        sums = vals.sum(axis=1, keepdims=True)
+        degenerate = sums <= 0.0
+        flat_out[start:stop] = np.where(
+            degenerate, fallback, vals / np.where(degenerate, 1.0, sums)
+        )
+    return ProbabilityMap(out)

@@ -7,6 +7,7 @@ row-major (last dim fastest). No padding, no footer.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -29,6 +30,7 @@ VERSION = 1
 DTYPE_F32 = 0
 DTYPE_U16 = 1
 MAX_ELEMENTS = 1 << 40
+MAX_HEADER = 10 + 4 * 3
 
 _CODE_TO_DTYPE = {DTYPE_F32: np.dtype("<f4"), DTYPE_U16: np.dtype("<u2")}
 _KIND_TO_CODE = {"f4": DTYPE_F32, "u2": DTYPE_U16}
@@ -49,56 +51,70 @@ def store_tensor(path: str | Path, tensor: np.ndarray) -> None:
     code = _KIND_TO_CODE[key]
     header = MAGIC + struct.pack("<IBB", VERSION, code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = arr.astype(_CODE_TO_DTYPE[code], copy=False).tobytes()
+    payload = arr.astype(_CODE_TO_DTYPE[code], copy=False)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(memoryview(payload).cast("B"))
+
+
+def _parse_header(path: str | Path, head: bytes) -> tuple[np.dtype, tuple[int, ...]]:
+    """Validate the header at the start of `head`, the file's first
+    MAX_HEADER bytes or all of a shorter file; returns (dtype, dims)."""
+    if len(head) < 4 or head[:4] != MAGIC:
+        raise BadMagicError(f"{path}: not a SEGT file")
+    if len(head) < 10:
+        raise TruncatedPayloadError(f"{path}: truncated header")
+    version, code, ndim = struct.unpack_from("<IBB", head, 4)
+    if version != VERSION:
+        raise UnsupportedVersionError(f"{path}: unsupported version {version}")
+    if code not in _CODE_TO_DTYPE:
+        raise UnsupportedDtypeError(f"{path}: unsupported dtype code {code}")
+    if not 1 <= ndim <= 3:
+        raise InvalidDimensionsError(f"{path}: ndim {ndim} outside 1..3")
+    if len(head) < 10 + 4 * ndim:
+        raise TruncatedPayloadError(f"{path}: truncated dims")
+    dims = struct.unpack_from(f"<{ndim}I", head, 10)
+    if any(d == 0 for d in dims):
+        raise InvalidDimensionsError(f"{path}: zero-sized dim in {dims}")
+    count = math.prod(dims)
+    if count > MAX_ELEMENTS:
+        raise DimOverflowError(f"{path}: {count} elements exceed limit")
+    return _CODE_TO_DTYPE[code], dims
 
 
 def read_header(path: str | Path) -> tuple[np.dtype, tuple[int, ...]]:
     """Parse and validate only the header; returns (dtype, dims)."""
-    with open(path, "rb") as fh:
-        head = fh.read(10)
-        if len(head) < 4 or head[:4] != MAGIC:
-            raise BadMagicError(f"{path}: not a SEGT file")
-        if len(head) < 10:
-            raise TruncatedPayloadError(f"{path}: truncated header")
-        version, code, ndim = struct.unpack("<IBB", head[4:10])
-        if version != VERSION:
-            raise UnsupportedVersionError(f"{path}: unsupported version {version}")
-        if code not in _CODE_TO_DTYPE:
-            raise UnsupportedDtypeError(f"{path}: unsupported dtype code {code}")
-        if not 1 <= ndim <= 3:
-            raise InvalidDimensionsError(f"{path}: ndim {ndim} outside 1..3")
-        raw = fh.read(4 * ndim)
-        if len(raw) < 4 * ndim:
-            raise TruncatedPayloadError(f"{path}: truncated dims")
-        dims = struct.unpack(f"<{ndim}I", raw)
-        if any(d == 0 for d in dims):
-            raise InvalidDimensionsError(f"{path}: zero-sized dim in {dims}")
-        count = 1
-        for d in dims:
-            count *= d
-        if count > MAX_ELEMENTS:
-            raise DimOverflowError(f"{path}: {count} elements exceed limit")
-        return _CODE_TO_DTYPE[code], dims
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(MAX_HEADER)
+    return _parse_header(path, head)
 
 
 def load_tensor(path: str | Path) -> np.ndarray:
     """Read a SEGT file back into an array; bit-exact with store_tensor.
-    A file longer than its header and payload is rejected."""
-    dtype, dims = read_header(path)
-    count = int(np.prod(dims, dtype=np.int64))
-    offset = 10 + 4 * len(dims)
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+    The file size is checked against the header before the array is
+    allocated; a file longer than its header and payload is rejected."""
+    with open(path, "rb", buffering=0) as fh:
+        dtype, dims = _parse_header(path, fh.read(MAX_HEADER))
+        offset = 10 + 4 * len(dims)
+        nbytes = math.prod(dims) * dtype.itemsize
+        held = os.fstat(fh.fileno()).st_size - offset
+        if held < nbytes:
+            raise TruncatedPayloadError(
+                f"{path}: payload holds {held} bytes, expected {nbytes}"
+            )
+        if held > nbytes:
+            raise SegtFormatError(f"{path}: {held - nbytes} trailing byte(s) after the payload")
+        arr = np.empty(dims, dtype=dtype)
+        view = memoryview(arr).cast("B")
         fh.seek(offset)
-        payload = fh.read(count * dtype.itemsize)
-    if len(payload) < count * dtype.itemsize:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {len(payload)} bytes, expected {count * dtype.itemsize}"
-        )
-    extra = size - offset - len(payload)
-    if extra > 0:
-        raise SegtFormatError(f"{path}: {extra} trailing byte(s) after the payload")
-    return np.frombuffer(payload, dtype=dtype, count=count).reshape(dims).copy()
+        # one raw read returns at most ~2 GiB, and 0 if the file was cut
+        # after the size check
+        got = 0
+        while got < nbytes:
+            n = fh.readinto(view[got:])
+            if not n:
+                raise TruncatedPayloadError(
+                    f"{path}: payload holds {got} bytes, expected {nbytes}"
+                )
+            got += n
+    return arr

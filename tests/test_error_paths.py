@@ -146,6 +146,46 @@ class TestDataValidation:
             manifest.split_records("training")
 
 
+class TestImageIds:
+    """Ids become output file names, so each must be one plain path
+    component."""
+
+    BAD_IDS = {"parent-escape": "../escaped", "empty": "", "dot": ".", "dotdot": "..",
+               "slash": "a/b", "absolute": "/abs", "backslash": "a\\b", "nul": "a\0b"}
+
+    @staticmethod
+    def escaped_manifest(small_dataset, tmp_path, image_id):
+        """The shared small dataset's manifest with absolute tensor paths
+        and the first evaluation record renamed to `image_id`."""
+        _, _, data = small_dataset
+        obj = json.loads((data / "manifest.json").read_text())
+        for rec in obj["records"]:
+            rec["probs"] = str(data / rec["probs"])
+            rec["gt"] = str(data / rec["gt"])
+        next(r for r in obj["records"] if r["split"] == "evaluation")["id"] = image_id
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    @pytest.mark.parametrize("image_id", BAD_IDS.values(), ids=BAD_IDS.keys())
+    def test_load_manifest_rejects_path_like_id(self, small_dataset, tmp_path, image_id):
+        path = self.escaped_manifest(small_dataset, tmp_path, image_id)
+        with pytest.raises(DataError, match="plain file name"):
+            load_manifest(path, check_files=False)
+
+    def test_refine_writes_nothing_outside_out(self, small_dataset, tmp_path):
+        manifest = str(self.escaped_manifest(small_dataset, tmp_path, "../escaped"))
+        conf, priors = str(tmp_path / "c.segt"), str(tmp_path / "p.segt")
+        main(["confusion", "--manifest", manifest, "--out", conf])
+        main(["prior", "--manifest", manifest, "--kind", "binary", "--out", priors])
+        top = tmp_path / "out"
+        code = main(["refine", "--manifest", manifest, "--confusion", conf,
+                     "--priors", priors, "--out", str(top / "run")])
+        written = [p for p in top.rglob("*") if p.is_file()] if top.exists() else []
+        assert [p for p in written if (top / "run") not in p.parents] == []
+        assert code == 2
+
+
 class TestConfusionValidation:
     def test_negative_radius(self):
         gt = LabelMap(np.zeros((2, 2), dtype=np.int32))

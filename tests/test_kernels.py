@@ -1,7 +1,8 @@
 """Backend agreement: every numba kernel must match its pure-numpy twin.
-The loss kernels' scalar loops also run as plain Python against the numpy
-kernels and the O(N*L^2) formula they replaced, and the numpy-only loss
-Hessian runs against a plain-Python loop and finite differences."""
+The loss kernels' and the refinement transform's scalar loops also run as
+plain Python against the numpy kernels, next to the formulas the numpy
+kernels replaced, and the numpy-only loss Hessian runs against a
+plain-Python loop and finite differences."""
 
 import numpy as np
 import pytest
@@ -260,3 +261,44 @@ class TestLossHessian:
             kernels.loss_value_numpy(*args, scores)
             np.testing.assert_array_equal(kernels.loss_hessian(*args, scores),
                                           kernels.loss_hessian(*args))
+
+
+def whole_map_refinement(matrix, probs):
+    """The unblocked transform apply_refinement_numpy replaced: one float64
+    copy of the whole map, one product, one cast back."""
+    h, w, n = probs.shape
+    out = probs.reshape(-1, n).astype(np.float64) @ matrix.T
+    return out.reshape(h, w, n).astype(np.float32)
+
+
+class TestRefinementOracles:
+    """Runs on every backend. H*W is below, equal to, and one block plus a
+    ragged tail of kernels.PIXEL_BLOCK (4096) pixels."""
+
+    SHAPES = [(1, 1, 2), (64, 64, 8), (70, 70, 5)]
+
+    @staticmethod
+    def instance(shape, seed):
+        rng = np.random.default_rng(seed)
+        n = shape[2]
+        matrix = rng.random((n, n))
+        matrix /= matrix.sum(axis=0, keepdims=True)
+        probs = rng.dirichlet(np.ones(n), size=shape[:2]).astype(np.float32)
+        return matrix, probs
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_matches_loop(self, shape):
+        matrix, probs = self.instance(shape, 110)
+        got = kernels.apply_refinement_numpy(matrix, probs)
+        assert got.dtype == np.float32 and got.shape == shape
+        np.testing.assert_allclose(
+            got, kernels._apply_refinement_loop(matrix, probs), rtol=1e-6, atol=1e-6
+        )
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_byte_identical_to_whole_map_formula(self, shape):
+        for seed in range(111, 114):
+            matrix, probs = self.instance(shape, seed)
+            got = kernels.apply_refinement_numpy(matrix, probs)
+            want = whole_map_refinement(matrix, probs)
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))

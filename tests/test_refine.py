@@ -18,6 +18,7 @@ from conflens import (
     uniform_prior,
     validate_probability_map,
 )
+from conflens import kernels
 from conflens.errors import DataError
 
 
@@ -32,6 +33,19 @@ def refinement_oracle(matrix, weights, pixel):
             if marginal[c] > 0:
                 out[l] += matrix[c][l] * weights[l] * pixel[c] / marginal[c]
     return out
+
+
+def whole_map_labelbank(values, present):
+    """The unblocked mask labelbank_mask replaced: every expression over one
+    float64 copy of the whole map."""
+    keep = np.zeros(values.shape[2], dtype=bool)
+    keep[list(present)] = True
+    vals = values.astype(np.float64) * keep
+    sums = vals.sum(axis=2, keepdims=True)
+    degenerate = sums <= 0.0
+    fallback = keep.astype(np.float64) / len(present)
+    out = np.where(degenerate, fallback, vals / np.where(degenerate, 1.0, sums))
+    return out.astype(np.float32)
 
 
 def random_confusion(rng, n):
@@ -249,6 +263,29 @@ class TestLabelBank:
         probs = ProbabilityMap(np.array([[[1.0, 0.0, 0.0]]], dtype=np.float32))
         out = labelbank_mask(probs, {1})
         np.testing.assert_array_equal(out.values[0, 0], [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (64, 64, 8), (70, 70, 5)], ids=str)
+    def test_byte_identical_to_whole_map_formula(self, shape):
+        """H*W below, equal to, and one block plus a ragged tail of
+        PIXEL_BLOCK; pixels with no surviving mass sit on both sides of the
+        first block boundary."""
+        rng = np.random.default_rng(74)
+        n = shape[2]
+        present = (0, n - 1)
+        values = random_map(rng, *shape).values.copy()
+        flat = values.reshape(-1, n)
+        edge = kernels.PIXEL_BLOCK
+        placed = sorted({p for p in (0, edge - 2, edge - 1, edge, edge + 1, flat.shape[0] - 1)
+                         if p < flat.shape[0]})
+        flat[placed] = 0.0
+        if n > 2:
+            flat[placed, 1] = 1.0
+        got = labelbank_mask(ProbabilityMap(values), present).values
+        want = whole_map_labelbank(values, present)
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+        degenerate = values[..., list(present)].sum(axis=2) == 0
+        np.testing.assert_array_equal(np.flatnonzero(degenerate), placed)
+        np.testing.assert_array_equal(got[degenerate][:, list(present)], 0.5)
 
     def test_empty_present_rejected(self):
         probs = ProbabilityMap(np.array([[[0.5, 0.5]]], dtype=np.float32))

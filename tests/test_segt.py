@@ -1,9 +1,13 @@
 """SEGT tensor file format: round trips, header validation, error taxonomy."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conflens import load_tensor, read_header, store_tensor
 from conflens.errors import (
@@ -130,3 +134,64 @@ class TestErrors:
             InvalidDimensionsError, DimOverflowError, TruncatedPayloadError,
         }
         assert len(kinds) == 6
+
+
+segt_arrays = hnp.arrays(
+    dtype=st.sampled_from([np.dtype("<f4"), np.dtype("<u2")]),
+    shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9),
+)
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(segt_arrays)
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, arr):
+        path = tmp_path_factory.mktemp("rt") / "t.segt"
+        store_tensor(path, arr)
+        back = load_tensor(path)
+        assert back.dtype == arr.dtype and back.shape == arr.shape
+        assert back.tobytes() == arr.tobytes()  # NaN payloads included
+        assert read_header(path) == (arr.dtype, arr.shape)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(segt_arrays)
+    def test_every_strict_prefix_is_rejected(self, tmp_path_factory, arr):
+        work = tmp_path_factory.mktemp("prefix")
+        store_tensor(work / "full.segt", arr)
+        raw = (work / "full.segt").read_bytes()
+        path = work / "cut.segt"
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(SegtFormatError):
+                load_tensor(path)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(segt_arrays, st.binary(min_size=1, max_size=64))
+    def test_appended_bytes_are_rejected(self, tmp_path_factory, arr, extra):
+        path = tmp_path_factory.mktemp("tail") / "t.segt"
+        store_tensor(path, arr)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(SegtFormatError, match=f"{len(extra)} trailing byte"):
+            load_tensor(path)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(1 << 7, 1 << 9), min_size=3, max_size=3),
+        st.integers(0, 256),
+    )
+    def test_oversized_header_rejected_before_allocation(self, tmp_path_factory, dims, held):
+        """A header declaring 8-512 MiB over a file of at most 256 payload
+        bytes is refused without allocating anything near the declared
+        size (numpy and bytes allocations are both traced)."""
+        path = tmp_path_factory.mktemp("big") / "t.segt"
+        path.write_bytes(
+            b"SEGT" + struct.pack("<IBB3I", 1, 0, 3, *dims) + bytes(held)
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedPayloadError):
+                load_tensor(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
