@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,8 @@ from .confusion import (
     save_confusion,
 )
 from .data import (
+    _map_ordered,
+    _write_groups,
     load_label_map,
     load_manifest,
     load_probability_map,
@@ -72,15 +73,6 @@ def _add_threads(parser) -> None:
         "--threads", type=int, default=_default_threads(),
         help="worker cap for per-image stages (default: CONFLENS_THREADS or 1)",
     )
-
-
-def _map_ordered(fn, items, threads: int) -> list:
-    """Apply fn per item, parallel over a thread pool, results in order so
-    output never depends on the worker count."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,17 +276,39 @@ def cmd_prior(args) -> int:
     return 0
 
 
-def _load_eval_inputs(manifest, bank: PriorBank):
-    """Validate and load every evaluation record before anything writes."""
+def _refine_split(manifest, bank: PriorBank, out, transform, threads: int) -> int:
+    """Write transform(probs, prior) and its argmax for every evaluation
+    record; returns the image count. Every input is loaded and validated
+    before the first write, then outputs are computed and written one write
+    group at a time."""
+    labels = manifest.label_set
+    if bank.weights.shape[1] != labels.size:
+        raise DataError(
+            f"prior bank has {bank.weights.shape[1]} labels, manifest {labels.size}"
+        )
     records = manifest.split_records("evaluation")
     if not records:
         raise DataError("no evaluation records in manifest")
-    loaded = []
-    for rec in records:
-        probs = load_probability_map(rec.probs_path, manifest.label_set)
-        prior = bank.get(rec.image_id)
-        loaded.append((rec, probs, prior))
-    return loaded
+    loaded = [
+        (rec, load_probability_map(rec.probs_path, labels), bank.get(rec.image_id))
+        for rec in records
+    ]
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+
+    def per_image(item):
+        _, probs, prior = item
+        result = transform(probs, prior)
+        return result, argmax_labels(result)
+
+    def write_group(group):
+        for (rec, _, _), (result, pred) in zip(group, _map_ordered(per_image, group, threads)):
+            save_probability_map(result, out / f"{rec.image_id}_refined.segt")
+            save_label_map(pred, out / f"{rec.image_id}_pred.segt")
+
+    for group in _write_groups(loaded, lambda item: item[1].values.shape):
+        write_group(group)
+    return len(loaded)
 
 
 def cmd_refine(args) -> int:
@@ -304,42 +318,23 @@ def cmd_refine(args) -> int:
         raise DataError(
             f"confusion has {model.n_labels} labels, manifest {manifest.label_set.size}"
         )
-    bank = load_prior_bank(args.priors)
-    loaded = _load_eval_inputs(manifest, bank)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def per_image(item):
-        rec, probs, prior = item
-        matrix = build_refinement_matrix(model, prior)
-        refined = refine_map(matrix, probs)
-        return rec, refined, argmax_labels(refined)
-
-    results = _map_ordered(per_image, loaded, args.threads)
-    for rec, refined, pred in results:
-        save_probability_map(refined, out / f"{rec.image_id}_refined.segt")
-        save_label_map(pred, out / f"{rec.image_id}_pred.segt")
-    print(f"refine: {len(results)} images -> {out}")
+    n = _refine_split(
+        manifest, load_prior_bank(args.priors), args.out,
+        lambda probs, prior: refine_map(build_refinement_matrix(model, prior), probs),
+        args.threads,
+    )
+    print(f"refine: {n} images -> {Path(args.out)}")
     return 0
 
 
 def cmd_labelbank(args) -> int:
     manifest = load_manifest(args.manifest)
-    bank = load_prior_bank(args.priors)
-    loaded = _load_eval_inputs(manifest, bank)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def per_image(item):
-        rec, probs, prior = item
-        masked = labelbank_mask(probs, prior.support)
-        return rec, masked, argmax_labels(masked)
-
-    results = _map_ordered(per_image, loaded, args.threads)
-    for rec, masked, pred in results:
-        save_probability_map(masked, out / f"{rec.image_id}_refined.segt")
-        save_label_map(pred, out / f"{rec.image_id}_pred.segt")
-    print(f"labelbank: {len(results)} images -> {out}")
+    n = _refine_split(
+        manifest, load_prior_bank(args.priors), args.out,
+        lambda probs, prior: labelbank_mask(probs, prior.support),
+        args.threads,
+    )
+    print(f"labelbank: {n} images -> {Path(args.out)}")
     return 0
 
 

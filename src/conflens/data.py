@@ -4,6 +4,7 @@ and classifier-output preprocessing."""
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +18,12 @@ SPLIT_EVALUATION = "evaluation"
 SPLITS = (SPLIT_ESTIMATION, SPLIT_EVALUATION)
 
 DEFAULT_SUM_TOL = 1e-4
+
+# Computed output bytes a per-image producer holds before it writes them.
+# Writing each map as soon as it is computed would hold the least, but file
+# creates interleaved with compute cost more system time than the same
+# creates back to back, so small maps are written in a few long bursts.
+WRITE_BUDGET = 16 << 20
 
 
 def _frozen_array(values, dtype):
@@ -223,6 +230,41 @@ def load_label_map(path: str | Path, labels: LabelSet | None = None) -> LabelMap
             bad = out[~valid].flat[0]
             raise DataError(f"{path}: label {bad} outside the label set")
     return LabelMap(out)
+
+
+# ---------------------------------------------------------------------------
+# per-image producers
+# ---------------------------------------------------------------------------
+
+def _map_ordered(fn, items, threads: int) -> list:
+    """Apply fn per item, parallel over a thread pool, results in order so
+    output never depends on the worker count."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
+def _write_groups(items, map_shape):
+    """Consecutive groups of items for a producer that computes a group,
+    writes it, and only then computes the next. Each item yields a float32
+    probability map of shape map_shape(item) and its int32 label map; a
+    group closes once their bytes reach WRITE_BUDGET, so a map at least that
+    large is a group by itself.
+
+    Compute and write each group inside a function call: a loop variable
+    bound to computed maps would keep the last group alive while the next
+    one is computed."""
+    group, size = [], 0
+    for item in items:
+        height, width, channels = map_shape(item)
+        group.append(item)
+        size += height * width * (4 * channels + 4)
+        if size >= WRITE_BUDGET:
+            yield group
+            group, size = [], 0
+    if group:
+        yield group
 
 
 # ---------------------------------------------------------------------------

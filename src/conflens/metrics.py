@@ -50,13 +50,18 @@ class MetricAccumulator:
             keep &= include
         g = gt.labels[keep]
         p = pred.labels[keep]
-        self.scored += g.size
-        hit = p == g
-        self.correct += int(hit.sum())
         n = self.labels.size
-        self.tp += np.bincount(g[hit], minlength=n)
-        self.fp += np.bincount(p[~hit], minlength=n)
-        self.fn += np.bincount(g[~hit], minlength=n)
+        # a void id passes label-map loading, but may not be scored
+        if g.size and not (min(g.min(), p.min()) >= 0 and max(g.max(), p.max()) < n):
+            raise DataError(f"label outside [0, {n}) at a scored pixel")
+        # confusion[g, p]: pixels of true class g predicted as p
+        confusion = np.bincount(g.astype(np.intp) * n + p, minlength=n * n).reshape(n, n)
+        hits = confusion.diagonal()
+        self.scored += g.size
+        self.correct += int(hits.sum())
+        self.tp += hits
+        self.fp += confusion.sum(axis=0) - hits
+        self.fn += confusion.sum(axis=1) - hits
 
     def merge(self, other: "MetricAccumulator") -> None:
         self.correct += other.correct

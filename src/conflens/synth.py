@@ -23,6 +23,8 @@ from .data import (
     Manifest,
     ManifestRecord,
     ProbabilityMap,
+    _map_ordered,
+    _write_groups,
     save_label_map,
     save_manifest,
     save_probability_map,
@@ -199,7 +201,7 @@ def eval_confusion_matrix(spec: SynthSpec) -> np.ndarray:
 
 def _draw_hard_labels(matrix: np.ndarray, gt_flat: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw from matrix columns selected by gt_flat."""
-    cum = np.cumsum(matrix[:, gt_flat], axis=0)
+    cum = np.cumsum(matrix, axis=0)[:, gt_flat]
     h = (u[None, :] >= cum).sum(axis=0)
     return np.minimum(h, matrix.shape[0] - 1).astype(np.int32)
 
@@ -235,7 +237,8 @@ def _generate_image(spec: SynthSpec, rng: np.random.Generator, hard_matrix: np.n
 
     residual = rng.dirichlet(np.ones(n), size=n_px)
     beta = 0.5 / (1.0 + spec.sharpness)
-    soft = beta * residual
+    soft = residual
+    soft *= beta
     soft[np.arange(n_px), hard] += 1.0 - beta
     probs = ProbabilityMap(soft.reshape(height, width, n).astype(np.float32))
     return LabelMap(gt), probs
@@ -245,12 +248,13 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path, threads: int = 1) -> 
     """Write per-image SEGT tensors, manifest.json, and synthspec.json under
     out_dir; returns the manifest. Each image derives from its own spawned
     stream, so output is deterministic given spec.seed and invariant to the
-    worker count."""
+    worker count. Images are built and written one write group at a time."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     eval_matrix = eval_confusion_matrix(spec)
     true_matrix = np.asarray(spec.true_confusion, dtype=np.float64)
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_images)
+    records = []
 
     def build(idx):
         split = "estimation" if idx < spec.n_estimation else "evaluation"
@@ -259,29 +263,25 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path, threads: int = 1) -> 
         gt, probs = _generate_image(spec, rng, hard_matrix)
         return split, gt, probs
 
-    if threads > 1 and spec.n_images > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = list(pool.map(build, range(spec.n_images)))
-    else:
-        built = [build(idx) for idx in range(spec.n_images)]
-
-    records = []
-    for idx, (split, gt, probs) in enumerate(built):
-        image_id = f"img_{idx:04d}"
-        probs_path = out / f"{image_id}_probs.segt"
-        gt_path = out / f"{image_id}_gt.segt"
-        save_probability_map(probs, probs_path)
-        save_label_map(gt, gt_path)
-        records.append(
-            ManifestRecord(
-                image_id=image_id,
-                probs_path=probs_path,
-                gt_path=gt_path,
-                split=split,
+    def write_group(indices):
+        for idx, (split, gt, probs) in zip(indices, _map_ordered(build, indices, threads)):
+            image_id = f"img_{idx:04d}"
+            probs_path = out / f"{image_id}_probs.segt"
+            gt_path = out / f"{image_id}_gt.segt"
+            save_probability_map(probs, probs_path)
+            save_label_map(gt, gt_path)
+            records.append(
+                ManifestRecord(
+                    image_id=image_id,
+                    probs_path=probs_path,
+                    gt_path=gt_path,
+                    split=split,
+                )
             )
-        )
+
+    shape = (spec.height, spec.width, spec.n_classes)
+    for group in _write_groups(range(spec.n_images), lambda idx: shape):
+        write_group(group)
     manifest = Manifest(label_set=spec.label_set, records=tuple(records))
     save_manifest(manifest, out / MANIFEST_FILENAME)
     spec.save(out / SPEC_FILENAME)

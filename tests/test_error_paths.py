@@ -16,6 +16,7 @@ from conflens import (
     SampleSet,
     SolverOptions,
     border_mask,
+    identity_confusion,
     labelbank_mask,
     load_confusion,
     load_label_map,
@@ -26,7 +27,9 @@ from conflens import (
     output_marginal,
     render_matrix_heatmap,
     sample_set,
+    save_confusion,
     save_label_map,
+    save_prior_bank,
     store_tensor,
     validate_probability_map,
     write_pgm,
@@ -186,6 +189,30 @@ class TestImageIds:
         assert code == 2
 
 
+class TestPriorBankWidth:
+    """A bank whose rows do not cover the manifest's labels is rejected
+    before refine or labelbank writes any output."""
+
+    @pytest.mark.parametrize("command", ["refine", "labelbank"])
+    def test_narrow_bank_writes_nothing(self, small_dataset, tmp_path, command):
+        spec, manifest, data = small_dataset
+        ids = [r.image_id for r in manifest.split_records("evaluation")]
+        width = spec.n_classes - 1
+        bank = PriorBank(kind="histogram", ids=ids,
+                         weights=np.full((len(ids), width), 1.0 / width))
+        priors = tmp_path / "narrow.segt"
+        save_prior_bank(bank, priors)
+        conf = tmp_path / "ident.segt"
+        save_confusion(identity_confusion(manifest.label_set), conf, radius=0)
+        out = tmp_path / "out"
+        argv = [command, "--manifest", str(data / "manifest.json"),
+                "--priors", str(priors), "--out", str(out)]
+        if command == "refine":
+            argv += ["--confusion", str(conf)]
+        assert main(argv) == 2
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestConfusionValidation:
     def test_negative_radius(self):
         gt = LabelMap(np.zeros((2, 2), dtype=np.int32))
@@ -316,6 +343,25 @@ class TestMetricsValidation:
         with pytest.raises(DataError):
             acc.add(LabelMap(np.zeros((2, 2), dtype=np.int32)),
                     LabelMap(np.zeros((3, 3), dtype=np.int32)))
+
+    def test_eval_rejects_void_id_in_prediction(self, tmp_path, capsys):
+        from conflens import Manifest, ManifestRecord, save_manifest, save_probability_map
+
+        labels = LabelSet(size=2, void_id=255)
+        gt_path, probs_path = tmp_path / "a_gt.segt", tmp_path / "a_probs.segt"
+        save_label_map(LabelMap(np.array([[0, 1]], dtype=np.int32)), gt_path)
+        save_probability_map(ProbabilityMap(np.full((1, 2, 2), 0.5, dtype=np.float32)),
+                             probs_path)
+        save_manifest(Manifest(labels, (ManifestRecord("a", probs_path, gt_path,
+                                                        "evaluation"),)),
+                      tmp_path / "m.json")
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        save_label_map(LabelMap(np.array([[255, 1]], dtype=np.int32)),
+                       preds / "a_pred.segt")
+        assert main(["eval", "--manifest", str(tmp_path / "m.json"),
+                     "--pred-dir", str(preds), "--out", str(tmp_path / "r.json")]) == 2
+        assert "outside [0, 2)" in capsys.readouterr().err
 
 
 class TestSynthValidation:

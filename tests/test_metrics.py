@@ -120,6 +120,51 @@ class TestMeanIoU:
         assert a.mean_iou == b.mean_iou
 
 
+def three_bincount_tallies(pred, gt, labels, include=None):
+    """The per-class tallies as separate bincounts over hits and misses:
+    the formula the single confusion bincount replaced."""
+    keep = gt.labels != labels.void_sentinel
+    if include is not None:
+        keep &= include
+    g, p = gt.labels[keep], pred.labels[keep]
+    hit = p == g
+    n = labels.size
+    return (g.size, int(hit.sum()), np.bincount(g[hit], minlength=n),
+            np.bincount(p[~hit], minlength=n), np.bincount(g[~hit], minlength=n))
+
+
+class TestAccumulatorTallies:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_three_bincount_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        void = int(rng.choice([n, 255]))
+        labels = LabelSet(size=n, void_id=void)
+        shape = tuple(int(d) for d in rng.integers(1, 40, size=2))
+        gt_raw = rng.integers(0, n, size=shape)
+        gt_raw[rng.random(shape) < 0.2] = void
+        gt = lm(gt_raw)
+        # predictions agree more often than chance, as a classifier's do
+        pred = lm(np.where(rng.random(shape) < 0.5, gt_raw % n, rng.integers(0, n, size=shape)))
+        for include in (None, rng.random(shape) < 0.7):
+            acc = MetricAccumulator(labels)
+            acc.add(pred, gt, include=include)
+            scored, correct, tp, fp, fn = three_bincount_tallies(pred, gt, labels, include)
+            assert (acc.scored, acc.correct) == (scored, correct)
+            np.testing.assert_array_equal(acc.tp, tp)
+            np.testing.assert_array_equal(acc.fp, fp)
+            np.testing.assert_array_equal(acc.fn, fn)
+
+    def test_rejects_prediction_outside_label_set_at_scored_pixel(self):
+        labels = LabelSet(size=2, void_id=255)
+        acc = MetricAccumulator(labels)
+        with pytest.raises(DataError):
+            acc.add(lm([[255, 1]]), lm([[0, 1]]))
+        # the same label at a pixel that is not scored counts for nothing
+        acc.add(lm([[255, 1]]), lm([[0, 1]]), include=np.array([[False, True]]))
+        assert (acc.scored, acc.correct) == (1, 1)
+
+
 class TestHeatmap:
     def read_pgm(self, path):
         raw = path.read_bytes()

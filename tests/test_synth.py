@@ -3,6 +3,8 @@ the refinement-improvement property."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conflens import (
     LabelSet,
@@ -21,6 +23,7 @@ from conflens import (
     validate_probability_map,
 )
 from conflens.errors import DataError
+from conflens.synth import _draw_hard_labels
 from tests.conftest import mixed_confusion
 
 
@@ -159,6 +162,25 @@ class TestGeneration:
         # 4-sigma binomial envelope per cell
         bound = 4 * np.sqrt(T * (1 - T) / per_class[None, :]) + 1e-12
         assert (np.abs(empirical - T) <= bound).all()
+
+
+class TestHardLabelDraw:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(2, 20), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_bit_exact_against_gather_then_cumsum(self, n, n_px, seed):
+        """Summing each column before the gather is the same sequential sum
+        as gathering first: every draw matches, including uniforms placed
+        exactly on a cumulative boundary."""
+        rng = np.random.default_rng(seed)
+        raw = rng.random((n, n)) ** 3  # uneven columns, some near-zero cells
+        matrix = raw / raw.sum(axis=0, keepdims=True)
+        gt_flat = rng.integers(0, n, size=n_px)
+        cum = np.cumsum(matrix[:, gt_flat], axis=0)
+        u = rng.random(n_px)
+        on_edge = rng.random(n_px) < 0.5
+        u[on_edge] = cum[rng.integers(0, n, size=n_px), np.arange(n_px)][on_edge]
+        want = np.minimum((u[None, :] >= cum).sum(axis=0), n - 1).astype(np.int32)
+        np.testing.assert_array_equal(_draw_hard_labels(matrix, gt_flat, u), want)
 
 
 class TestDrift:
