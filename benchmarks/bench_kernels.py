@@ -1,8 +1,8 @@
-"""Numba vs NumPy benchmark for the hot kernels.
+"""Timing benchmark for the numpy kernels.
 
-Times each kernel backend on segmentation-scale inputs (512x512 images,
-20 classes) and prints a comparison table. Numba timings exclude JIT
-compilation (one warmup call per kernel). loss_hessian is numpy-only.
+Times each kernel in conflens.kernels on segmentation-scale inputs (512x512
+images, 20 classes) and prints the best of N runs per kernel.
+perfbench/harness.py imports make_inputs for its per-kernel metrics.
 
 Usage:
     python benchmarks/bench_kernels.py [--size 512] [--classes 20] [--repeats 5]
@@ -63,66 +63,25 @@ def main():
     n = args.classes
     evidence = kernels.sample_evidence(data["matrix"], data["sample_gt"], data["sample_probs"])
 
+    loss_args = (data["matrix"], data["weights"], data["sample_gt"], evidence, 1e-10)
     cases = [
-        (
-            "border_excluded (r=2)",
-            lambda f: f(data["labels"], 2),
-            kernels.border_excluded_numpy,
-            kernels.border_excluded_numba,
-        ),
-        (
-            "pair_counts",
-            lambda f: f(data["pred"], data["labels"], data["included"], n, -1),
-            kernels.pair_counts_numpy,
-            kernels.pair_counts_numba,
-        ),
-        (
-            "apply_refinement",
-            lambda f: f(data["matrix"], data["probs"]),
-            kernels.apply_refinement_numpy,
-            kernels.apply_refinement_numba,
-        ),
-        (
-            "loss_value (1e5 samples)",
-            lambda f: f(data["matrix"], data["weights"], data["sample_gt"], evidence, 1e-10),
-            kernels.loss_value_numpy,
-            kernels.loss_value_numba,
-        ),
-        (
-            "loss_grad (1e5 samples)",
-            lambda f: f(data["matrix"], data["weights"], data["sample_gt"], evidence, 1e-10),
-            kernels.loss_grad_numpy,
-            kernels.loss_grad_numba,
-        ),
-        (
-            "loss_hessian (1e5 samples)",
-            lambda f: f(data["matrix"], data["weights"], data["sample_gt"], evidence, 1e-10),
-            kernels.loss_hessian,
-            None,
-        ),
-        (
-            "nearest_seed (256 seeds)",
-            lambda f: f(args.size, args.size, *data["seeds"]),
-            kernels.nearest_seed_numpy,
-            kernels.nearest_seed_numba,
-        ),
+        ("border_excluded (r=2)", lambda: kernels.border_excluded(data["labels"], 2)),
+        ("pair_counts", lambda: kernels.pair_counts(
+            data["pred"], data["labels"], data["included"], n, -1)),
+        ("apply_refinement", lambda: kernels.apply_refinement(data["matrix"], data["probs"])),
+        ("loss_value (1e5 samples)", lambda: kernels.loss_value(*loss_args)),
+        ("loss_grad (1e5 samples)", lambda: kernels.loss_grad(*loss_args)),
+        ("loss_hessian (1e5 samples)", lambda: kernels.loss_hessian(*loss_args)),
+        ("nearest_seed (256 seeds)",
+         lambda: kernels.nearest_seed(args.size, args.size, *data["seeds"])),
     ]
 
-    print(f"size={args.size} classes={args.classes} repeats={args.repeats} "
-          f"(best of N, numba available: {kernels.HAVE_NUMBA})")
-    header = f"{'kernel':<26} {'numpy':>10} {'numba':>10} {'speedup':>8}"
+    print(f"size={args.size} classes={args.classes} repeats={args.repeats} (best of N)")
+    header = f"{'kernel':<26} {'time':>10}"
     print(header)
     print("-" * len(header))
-    for name, call, numpy_fn, numba_fn in cases:
-        t_numpy = timeit(lambda: call(numpy_fn), args.repeats)
-        if numba_fn is not None:
-            call(numba_fn)  # JIT warmup
-            t_numba = timeit(lambda: call(numba_fn), args.repeats)
-            ratio = t_numpy / t_numba
-            print(f"{name:<26} {t_numpy * 1e3:>8.2f}ms {t_numba * 1e3:>8.2f}ms "
-                  f"{ratio:>7.1f}x")
-        else:
-            print(f"{name:<26} {t_numpy * 1e3:>8.2f}ms {'n/a':>10} {'':>8}")
+    for name, call in cases:
+        print(f"{name:<26} {timeit(call, args.repeats) * 1e3:>8.2f}ms")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from .data import (
     validate_probability_map,
 )
 from .errors import ConflensError, DataError, SegtFormatError, UsageError
-from .kernels import BACKEND
 from .metrics import (
     EvalReport,
     MetricAccumulator,

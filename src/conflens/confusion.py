@@ -112,7 +112,8 @@ def accumulate_counts(
         )
     if labels.void_id is not None and (pred.labels == labels.void_id).any():
         raise DataError("predictions contain void labels")
-    # range checks guard the jitted counting loop, which indexes unchecked
+    # pair_counts bins each pair at p * L + g, so an out-of-range label would
+    # be counted in another cell instead of failing
     gt_ok = (gt.labels >= 0) & (gt.labels < labels.size)
     if labels.void_id is not None:
         gt_ok |= gt.labels == labels.void_id
@@ -186,13 +187,18 @@ def load_confusion(path: str | Path) -> tuple[ConfusionModel, dict]:
     if (sums <= 0).any():
         raise DataError(f"{path}: empty confusion column")
     matrix /= sums
+    side = sidecar_path(path)
     try:
-        with open(sidecar_path(path)) as fh:
+        with open(side) as fh:
             meta = json.load(fh)
     except FileNotFoundError:
         meta = {}
     except json.JSONDecodeError as exc:
-        raise DataError(f"{sidecar_path(path)}: invalid JSON ({exc})") from exc
-    floor = float(meta.get("floor", DEFAULT_FLOOR))
-    model = ConfusionModel(matrix=matrix, source_counts=None, floor=floor)
+        raise DataError(f"{side}: invalid JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise DataError(f"{side}: sidecar must be a JSON object")
+    floor = meta.get("floor", DEFAULT_FLOOR)
+    if isinstance(floor, bool) or not isinstance(floor, (int, float)):
+        raise DataError(f"{side}: floor must be a number, got {floor!r}")
+    model = ConfusionModel(matrix=matrix, source_counts=None, floor=float(floor))
     return model, meta

@@ -328,7 +328,7 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
             )
             for r in obj["records"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed manifest ({exc})") from exc
     manifest = Manifest(label_set=labels, records=records)
     if check_files:

@@ -139,12 +139,12 @@ def render_matrix_heatmap(
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise DataError(f"heatmap input must be 2-d, got {arr.shape}")
-    if gamma <= 0:
+    if not gamma > 0:
         raise DataError(f"gamma must be positive, got {gamma}")
     if block < 1:
         raise DataError(f"block must be >= 1, got {block}")
-    if float(arr.min()) < 0.0 or float(arr.max()) > 1.0:
-        raise DataError("heatmap entries must lie in [0, 1]")
+    if not (float(arr.min()) >= 0.0 and float(arr.max()) <= 1.0):
+        raise DataError("heatmap entries must lie in [0, 1], not NaN")
     intensity = np.floor(255.0 * np.power(arr, gamma) + 0.5).astype(np.uint8)
     if block > 1:
         intensity = np.kron(intensity, np.ones((block, block), dtype=np.uint8))

@@ -405,14 +405,22 @@ def load_prior_bank(path: str | Path) -> PriorBank:
     arr = segt.load_tensor(path)
     if arr.ndim != 2 or arr.dtype != np.float32:
         raise DataError(f"{path}: expected 2-d float32 tensor")
+    side = bank_sidecar_path(path)
     try:
-        with open(bank_sidecar_path(path)) as fh:
+        with open(side) as fh:
             meta = json.load(fh)
     except FileNotFoundError as exc:
         raise DataError(f"{path}: missing prior-bank sidecar") from exc
     except json.JSONDecodeError as exc:
-        raise DataError(f"{bank_sidecar_path(path)}: invalid JSON ({exc})") from exc
-    ids = tuple(str(i) for i in meta.get("ids", ()))
+        raise DataError(f"{side}: invalid JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise DataError(f"{side}: sidecar must be a JSON object")
+    ids = meta.get("ids", [])
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise DataError(f"{side}: ids must be a list of strings")
+    solver = meta.get("solver")
+    if solver is not None and not isinstance(solver, dict):
+        raise DataError(f"{side}: solver must be an object or null")
     weights = arr.astype(np.float64)
     sums = weights.sum(axis=1, keepdims=True)
     if (sums <= 0).any():
@@ -422,5 +430,5 @@ def load_prior_bank(path: str | Path) -> PriorBank:
         kind=str(meta.get("kind", "")),
         ids=ids,
         weights=weights,
-        solver=meta.get("solver"),
+        solver=solver,
     )

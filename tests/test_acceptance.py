@@ -56,7 +56,6 @@ def _run(argv):
 @pytest.fixture(scope="module")
 def ref(tmp_path_factory):
     """Reference dataset and the full pipeline over it, timed per stage."""
-    kernels.warmup()
     root = tmp_path_factory.mktemp("acceptance")
     spec = reference_spec()
     spec.save(root / "spec.json")

@@ -121,6 +121,13 @@ class TestDataValidation:
         with pytest.raises(DataError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("size", ["abc", float("nan"), float("inf")], ids=str)
+    def test_load_manifest_malformed_size(self, tmp_path, size):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"labels": {"size": size}, "records": []}))
+        with pytest.raises(DataError, match="malformed manifest"):
+            load_manifest(path)
+
     def test_manifest_names_round_trip(self, tmp_path):
         from conflens import Manifest, ManifestRecord, save_manifest, save_probability_map
 
@@ -308,6 +315,35 @@ class TestPriorValidation:
             load_prior_bank(path)
 
 
+class TestSidecars:
+    """A sidecar that is not a JSON object, or holds a field of the wrong
+    type, is a DataError from either loader."""
+
+    CASES = {
+        "confusion-list": ("confusion", [1, 2]),
+        "confusion-floor-str": ("confusion", {"floor": "abc"}),
+        "confusion-floor-null": ("confusion", {"floor": None}),
+        "confusion-floor-bool": ("confusion", {"floor": True}),
+        "bank-list": ("bank", [1]),
+        "bank-ids-int": ("bank", {"kind": "uniform", "ids": 5}),
+        "bank-ids-not-str": ("bank", {"kind": "uniform", "ids": [1]}),
+        "bank-solver-int": ("bank", {"kind": "uniform", "ids": ["a"], "solver": 7}),
+    }
+
+    @pytest.mark.parametrize("loader, sidecar", CASES.values(), ids=CASES.keys())
+    def test_malformed_sidecar(self, tmp_path, loader, sidecar):
+        path = tmp_path / "x.segt"
+        if loader == "confusion":
+            store_tensor(path, np.eye(2, dtype=np.float32))
+            load = load_confusion
+        else:
+            store_tensor(path, np.full((1, 2), 0.5, dtype=np.float32))
+            load = load_prior_bank
+        path.with_suffix(".json").write_text(json.dumps(sidecar))
+        with pytest.raises(DataError):
+            load(path)
+
+
 class TestRefineValidation:
     def test_output_marginal_size_mismatch(self):
         confusion = ConfusionModel(matrix=np.eye(3), floor=0.0)
@@ -430,6 +466,29 @@ class TestCliFlagValidation:
         manifest = str(out / "manifest.json")
         assert main(["confusion", "--manifest", manifest, "--floor", "0",
                      "--out", str(tmp_path / "c.segt")]) == 1
+
+    def test_confusion_rejects_malformed_manifest_field(self, small_dataset, tmp_path):
+        _, _, out = small_dataset
+        obj = json.loads((out / "manifest.json").read_text())
+        obj["labels"]["size"] = "abc"
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(obj))
+        assert main(["confusion", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "c.segt")]) == 2
+        assert not (tmp_path / "c.segt").exists()
+
+    def test_render_rejects_nan_matrix(self, tmp_path):
+        matrix = tmp_path / "m.segt"
+        store_tensor(matrix, np.array([[0.5, np.nan], [0.5, 1.0]], dtype=np.float32))
+        assert main(["render", "--matrix", str(matrix), "--out", str(tmp_path / "x.pgm")]) == 2
+        assert not (tmp_path / "x.pgm").exists()
+
+    def test_render_rejects_nan_gamma(self, tmp_path):
+        matrix = tmp_path / "m.segt"
+        store_tensor(matrix, np.eye(2, dtype=np.float32))
+        assert main(["render", "--matrix", str(matrix), "--out", str(tmp_path / "x.pgm"),
+                     "--gamma", "nan"]) == 2
+        assert not (tmp_path / "x.pgm").exists()
 
     def test_render_rejects_3d_matrix(self, small_dataset, tmp_path):
         _, manifest, out = small_dataset

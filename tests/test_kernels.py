@@ -1,29 +1,24 @@
-"""Backend agreement: every numba kernel must match its pure-numpy twin.
-The loss kernels' and the refinement transform's scalar loops also run as
-plain Python against the numpy kernels, next to the formulas the numpy
-kernels replaced, and the numpy-only loss Hessian runs against a
-plain-Python loop and finite differences."""
+"""Every kernel against a plain-Python loop oracle (tests/oracles.py) on
+small random inputs; the loss kernels and the refinement transform also
+against the formulas the current kernels replaced, and the loss Hessian
+against a plain-Python loop and finite differences."""
 
 import numpy as np
 import pytest
 
 from conflens import kernels
+from tests import oracles
 from tests.conftest import dense_loss_grad
 
-needs_numba = pytest.mark.skipif(
-    not kernels.USE_NUMBA, reason="numba backend not active"
-)
 
-
-@needs_numba
-class TestBackendAgreement:
+class TestLoopOracles:
     def test_border_excluded(self):
         rng = np.random.default_rng(90)
         for _ in range(20):
             labels = rng.integers(0, 3, size=(11, 9)).astype(np.int32)
             for radius in (0, 1, 2, 3):
-                a = kernels.border_excluded_numpy(labels, radius)
-                b = kernels.border_excluded_numba(labels, radius)
+                a = kernels.border_excluded(labels, radius)
+                b = oracles.border_excluded_loop(labels, radius)
                 np.testing.assert_array_equal(a, b)
 
     def test_pair_counts(self):
@@ -33,8 +28,8 @@ class TestBackendAgreement:
             gt[rng.random((10, 10)) < 0.15] = 9
             pred = rng.integers(0, 4, size=(10, 10)).astype(np.int32)
             included = rng.random((10, 10)) < 0.8
-            a = kernels.pair_counts_numpy(gt, pred, included, 4, 9)
-            b = kernels.pair_counts_numba(gt, pred, included, 4, 9)
+            a = kernels.pair_counts(gt, pred, included, 4, 9)
+            b = oracles.pair_counts_loop(gt, pred, included, 4, 9)
             np.testing.assert_array_equal(a, b)
 
     def test_apply_refinement(self):
@@ -44,20 +39,16 @@ class TestBackendAgreement:
             matrix = rng.random((n, n))
             matrix /= matrix.sum(axis=0, keepdims=True)
             probs = rng.random((7, 6, n)).astype(np.float32)
-            a = kernels.apply_refinement_numpy(matrix, probs)
-            b = kernels.apply_refinement_numba(matrix, probs)
+            a = kernels.apply_refinement(matrix, probs)
+            b = oracles.apply_refinement_loop(matrix, probs)
             np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-7)
 
     def test_apply_refinement_identity_exact(self):
         rng = np.random.default_rng(93)
         probs = rng.random((5, 5, 4)).astype(np.float32)
         eye = np.eye(4)
-        np.testing.assert_array_equal(
-            kernels.apply_refinement_numpy(eye, probs), probs
-        )
-        np.testing.assert_array_equal(
-            kernels.apply_refinement_numba(eye, probs), probs
-        )
+        np.testing.assert_array_equal(kernels.apply_refinement(eye, probs), probs)
+        np.testing.assert_array_equal(oracles.apply_refinement_loop(eye, probs), probs)
 
     def test_loss_and_grad(self):
         rng = np.random.default_rng(94)
@@ -71,19 +62,25 @@ class TestBackendAgreement:
             gt = rng.integers(0, n, size=count)
             weights = rng.dirichlet(np.ones(n))
             evidence = kernels.sample_evidence(matrix, gt, probs)
-            la = kernels.loss_value_numpy(matrix, weights, gt, evidence, 1e-10)
-            lb = kernels.loss_value_numba(matrix, weights, gt, evidence, 1e-10)
+            la = kernels.loss_value(matrix, weights, gt, evidence, 1e-10)
+            lb = oracles.loss_value_loop(matrix, weights, gt, evidence, 1e-10)
             assert la == pytest.approx(lb, rel=1e-12)
-            la2, ga = kernels.loss_grad_numpy(matrix, weights, gt, evidence, 1e-10)
-            lb2, gb = kernels.loss_grad_numba(matrix, weights, gt, evidence, 1e-10)
+            la2, ga = kernels.loss_grad(matrix, weights, gt, evidence, 1e-10)
+            lb2, gb = oracles.loss_grad_loop(matrix, weights, gt, evidence, 1e-10)
             assert la2 == pytest.approx(lb2, rel=1e-12)
             np.testing.assert_allclose(ga, gb, rtol=1e-10, atol=1e-12)
             scores = np.empty(count)
-            assert kernels.loss_value_numba(
+            assert oracles.loss_value_loop(
                 matrix, weights, gt, evidence, 1e-10, scores) == pytest.approx(la, rel=1e-12)
-            lb3, gb3 = kernels.loss_grad_numba(matrix, weights, gt, evidence, 1e-10, scores)
+            lb3, gb3 = oracles.loss_grad_loop(matrix, weights, gt, evidence, 1e-10, scores)
             assert lb3 == pytest.approx(la2, rel=1e-12)
             np.testing.assert_allclose(gb3, ga, rtol=1e-10, atol=1e-12)
+            scores = np.empty(count)
+            assert kernels.loss_value(
+                matrix, weights, gt, evidence, 1e-10, scores) == pytest.approx(lb, rel=1e-12)
+            la3, ga3 = kernels.loss_grad(matrix, weights, gt, evidence, 1e-10, scores)
+            assert la3 == pytest.approx(lb2, rel=1e-12)
+            np.testing.assert_allclose(ga3, gb, rtol=1e-10, atol=1e-12)
 
     def test_nearest_seed(self):
         rng = np.random.default_rng(95)
@@ -92,26 +89,46 @@ class TestBackendAgreement:
             seed_r = rng.random(k) * 16
             seed_c = rng.random(k) * 12
             seed_class = rng.integers(0, 5, size=k).astype(np.int32)
-            a = kernels.nearest_seed_numpy(16, 12, seed_r, seed_c, seed_class)
-            b = kernels.nearest_seed_numba(16, 12, seed_r, seed_c, seed_class)
+            a = kernels.nearest_seed(16, 12, seed_r, seed_c, seed_class)
+            b = oracles.nearest_seed_loop(16, 12, seed_r, seed_c, seed_class)
             np.testing.assert_array_equal(a, b)
+
+    def test_nearest_seed_exact_ties(self):
+        """Integer seeds, some of them duplicates, put pixels at exactly
+        equal distances from seeds of different classes; the lowest seed
+        index must win in both."""
+        rng = np.random.default_rng(96)
+        tied = 0
+        for _ in range(10):
+            k = int(rng.integers(2, 30))
+            seed_r = rng.integers(0, 16, size=k).astype(np.float64)
+            seed_c = rng.integers(0, 12, size=k).astype(np.float64)
+            seed_r[-1], seed_c[-1] = seed_r[0], seed_c[0]
+            seed_class = rng.integers(0, 5, size=k).astype(np.int32)
+            seed_class[-1] = (seed_class[0] + 1) % 5
+            a = kernels.nearest_seed(16, 12, seed_r, seed_c, seed_class)
+            b = oracles.nearest_seed_loop(16, 12, seed_r, seed_c, seed_class)
+            np.testing.assert_array_equal(a, b)
+            rows, cols = np.mgrid[0:16, 0:12]
+            d2 = (rows[..., None] - seed_r) ** 2 + (cols[..., None] - seed_c) ** 2
+            nearest = d2 == d2.min(axis=2, keepdims=True)
+            lo = np.where(nearest, seed_class, 99).min(axis=2)
+            hi = np.where(nearest, seed_class, -1).max(axis=2)
+            tied += int((lo != hi).sum())
+        assert tied > 0
 
 
 class TestNumpyPath:
     def test_border_excluded_radius_zero_is_border_set(self):
         labels = np.zeros((4, 4), dtype=np.int32)
         labels[2:, :] = 1
-        out = kernels.border_excluded_numpy(labels, 0)
+        out = kernels.border_excluded(labels, 0)
         expected = np.zeros((4, 4), dtype=bool)
         expected[1:3, :] = True
         np.testing.assert_array_equal(out, expected)
 
-    def test_warmup_runs(self):
-        kernels.warmup()
-
     def test_backend_reported(self):
-        assert kernels.BACKEND in ("numba", "numpy")
-        assert kernels.USE_NUMBA == (kernels.BACKEND == "numba")
+        assert kernels.BACKEND == "numpy"
 
 
 def loss_instances(seed, count=30, max_labels=7):
@@ -133,10 +150,8 @@ def loss_instances(seed, count=30, max_labels=7):
 
 
 class TestLossOracles:
-    """Runs on every backend: the scalar loops are called as plain Python."""
-
-    LOOPS = (kernels._loss_value_loop, kernels._loss_grad_loop)
-    NUMPY = (kernels.loss_value_numpy, kernels.loss_grad_numpy)
+    LOOPS = (oracles.loss_value_loop, oracles.loss_grad_loop)
+    NUMPY = (kernels.loss_value, kernels.loss_grad)
 
     def test_sample_evidence_is_label_major(self):
         rng = np.random.default_rng(96)
@@ -167,10 +182,10 @@ class TestLossOracles:
         for matrix, weights, gt, probs in loss_instances(98):
             evidence = kernels.sample_evidence(matrix, gt, probs)
             args = (matrix, weights, gt, evidence, 1e-10)
-            assert kernels._loss_value_loop(*args) == pytest.approx(
-                kernels.loss_value_numpy(*args), rel=1e-12)
-            la, ga = kernels._loss_grad_loop(*args)
-            lb, gb = kernels.loss_grad_numpy(*args)
+            assert oracles.loss_value_loop(*args) == pytest.approx(
+                kernels.loss_value(*args), rel=1e-12)
+            la, ga = oracles.loss_grad_loop(*args)
+            lb, gb = kernels.loss_grad(*args)
             assert la == pytest.approx(lb, rel=1e-12)
             np.testing.assert_allclose(ga, gb, rtol=1e-10, atol=1e-10)
 
@@ -193,8 +208,8 @@ class TestLossOracles:
         for matrix, weights, gt, probs in loss_instances(100, count=10):
             evidence = kernels.sample_evidence(matrix, gt, probs)
             dense = np.ascontiguousarray(evidence)
-            a = kernels.loss_grad_numpy(matrix, weights, gt, evidence, 1e-10)
-            b = kernels.loss_grad_numpy(matrix, weights, gt, dense, 1e-10)
+            a = kernels.loss_grad(matrix, weights, gt, evidence, 1e-10)
+            b = kernels.loss_grad(matrix, weights, gt, dense, 1e-10)
             assert a[0] == pytest.approx(b[0], rel=1e-12)
             np.testing.assert_allclose(a[1], b[1], rtol=1e-10, atol=1e-10)
 
@@ -258,13 +273,13 @@ class TestLossHessian:
             evidence = kernels.sample_evidence(matrix, gt, probs)
             args = (matrix, weights, gt, evidence, 1e-10)
             scores = np.empty(gt.shape[0])
-            kernels.loss_value_numpy(*args, scores)
+            kernels.loss_value(*args, scores)
             np.testing.assert_array_equal(kernels.loss_hessian(*args, scores),
                                           kernels.loss_hessian(*args))
 
 
 def whole_map_refinement(matrix, probs):
-    """The unblocked transform apply_refinement_numpy replaced: one float64
+    """The unblocked transform apply_refinement replaced: one float64
     copy of the whole map, one product, one cast back."""
     h, w, n = probs.shape
     out = probs.reshape(-1, n).astype(np.float64) @ matrix.T
@@ -272,8 +287,8 @@ def whole_map_refinement(matrix, probs):
 
 
 class TestRefinementOracles:
-    """Runs on every backend. H*W is below, equal to, and one block plus a
-    ragged tail of kernels.PIXEL_BLOCK (4096) pixels."""
+    """H*W is below, equal to, and one block plus a ragged tail of
+    kernels.PIXEL_BLOCK (4096) pixels."""
 
     SHAPES = [(1, 1, 2), (64, 64, 8), (70, 70, 5)]
 
@@ -289,16 +304,16 @@ class TestRefinementOracles:
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_matches_loop(self, shape):
         matrix, probs = self.instance(shape, 110)
-        got = kernels.apply_refinement_numpy(matrix, probs)
+        got = kernels.apply_refinement(matrix, probs)
         assert got.dtype == np.float32 and got.shape == shape
         np.testing.assert_allclose(
-            got, kernels._apply_refinement_loop(matrix, probs), rtol=1e-6, atol=1e-6
+            got, oracles.apply_refinement_loop(matrix, probs), rtol=1e-6, atol=1e-6
         )
 
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_byte_identical_to_whole_map_formula(self, shape):
         for seed in range(111, 114):
             matrix, probs = self.instance(shape, seed)
-            got = kernels.apply_refinement_numpy(matrix, probs)
+            got = kernels.apply_refinement(matrix, probs)
             want = whole_map_refinement(matrix, probs)
             np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
