@@ -1,7 +1,8 @@
 """Timing benchmark for the numpy kernels.
 
-Times each kernel in conflens.kernels on segmentation-scale inputs (512x512
-images, 20 classes) and prints the best of N runs per kernel.
+Times each kernel in conflens.kernels, and the probability-map sum check
+that every map load runs, on segmentation-scale inputs (512x512 images, 20
+classes) and prints the best of N runs per kernel.
 perfbench/harness.py imports make_inputs for its per-kernel metrics.
 
 Usage:
@@ -13,7 +14,7 @@ import time
 
 import numpy as np
 
-from conflens import kernels
+from conflens import ProbabilityMap, kernels, validate_probability_map
 
 
 def timeit(fn, repeats):
@@ -64,6 +65,7 @@ def main():
     evidence = kernels.sample_evidence(data["matrix"], data["sample_gt"], data["sample_probs"])
 
     loss_args = (data["matrix"], data["weights"], data["sample_gt"], evidence, 1e-10)
+    probs = ProbabilityMap(data["probs"])
     cases = [
         ("border_excluded (r=2)", lambda: kernels.border_excluded(data["labels"], 2)),
         ("pair_counts", lambda: kernels.pair_counts(
@@ -74,6 +76,7 @@ def main():
         ("loss_hessian (1e5 samples)", lambda: kernels.loss_hessian(*loss_args)),
         ("nearest_seed (256 seeds)",
          lambda: kernels.nearest_seed(args.size, args.size, *data["seeds"])),
+        ("validate_probability_map", lambda: validate_probability_map(probs, 1e-4)),
     ]
 
     print(f"size={args.size} classes={args.classes} repeats={args.repeats} (best of N)")

@@ -159,8 +159,8 @@ def cmd_confusion(args) -> int:
         raise DataError("no estimation records in manifest")
     if args.radius < 0:
         raise UsageError("--radius must be >= 0")
-    if args.floor <= 0:
-        raise UsageError("--floor must be positive")
+    if not 0 < args.floor < np.inf:
+        raise UsageError("--floor must be finite and positive")
     labels = manifest.label_set
 
     def per_image(rec):

@@ -4,6 +4,7 @@ annotated data: border exclusion, count accumulation, floored normalization."""
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,8 +137,8 @@ def merge_counts(a: CountMatrix, b: CountMatrix) -> CountMatrix:
 def normalize_confusion(counts: CountMatrix, floor: float = DEFAULT_FLOOR) -> ConfusionModel:
     """Columns to probabilities: zero cells take the value `floor` as a
     fractional pseudo-count, then each column is L1-normalized."""
-    if floor <= 0:
-        raise DataError(f"floor must be positive, got {floor}")
+    if not 0 < floor < np.inf:
+        raise DataError(f"floor must be finite and positive, got {floor}")
     raw = counts.counts.astype(np.float64)
     floored = np.where(raw == 0.0, floor, raw)
     matrix = floored / floored.sum(axis=0, keepdims=True)
@@ -200,5 +201,7 @@ def load_confusion(path: str | Path) -> tuple[ConfusionModel, dict]:
     floor = meta.get("floor", DEFAULT_FLOOR)
     if isinstance(floor, bool) or not isinstance(floor, (int, float)):
         raise DataError(f"{side}: floor must be a number, got {floor!r}")
+    if not abs(floor) <= sys.float_info.max:
+        raise DataError(f"{side}: floor must be finite, got {floor!r}")
     model = ConfusionModel(matrix=matrix, source_counts=None, floor=float(floor))
     return model, meta

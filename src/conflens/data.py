@@ -147,13 +147,54 @@ class Manifest:
 def validate_probability_map(probs: ProbabilityMap, tol: float) -> list[tuple[tuple[int, int], float]]:
     """All sites whose channel sum deviates from 1 by more than tol or is
     NaN, as ((row, col), deviation) in row-major order. Empty list means
-    valid."""
+    valid.
+
+    The float64 deviation decides every site, but it is only computed for
+    the sites that a float32 screen of the channel sums cannot clear."""
+    values = probs.values
+    return _sum_failures(values, tol, nonnegative=bool(values.min() >= 0))
+
+
+def _sum_failures(values: np.ndarray, tol: float, nonnegative: bool):
+    """validate_probability_map on an H x W x L float32 array; `nonnegative`
+    says that no value is negative or NaN."""
     if not tol > 0:
         raise DataError(f"tolerance must be positive, got {tol}")
-    sums = probs.values.sum(axis=2, dtype=np.float64)
-    dev = np.abs(sums - 1.0)
-    bad = np.argwhere(~(dev <= tol))
-    return [((int(i), int(j)), float(dev[i, j])) for i, j in bad]
+    _, width, channels = values.shape
+    flat = values.reshape(-1, channels)
+    # Why a cleared site passes the float64 check: take values x_1..x_L >= 0
+    # with exact sum S, u = 2^-24 and g = (L-1)u / (1 - (L-1)u).
+    # - The float32 sum s has |s - S| <= g*S in any summation order (Higham,
+    #   Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 4.2),
+    #   so the order BLAS picks does not matter.
+    # - d = fl32(|s - 1|) >= (1 - u)|s - 1|. The threshold T = tol - margin
+    #   is compared in float64, so it is not rounded.
+    # - A cleared site (d <= T) has |s - 1| <= (1 + 2u)T, and so
+    #   S <= (1 + |s - 1|) / (1 - g) <= (1 + tol)(1 + 2u) / (1 - g).
+    # - The float64 formula sums with error at most g64*S < u*S (L < 2^28)
+    #   and rounds its subtraction by 2^-53 relative.
+    # Its deviation is then at most |s - 1| + g*S + u*S, all times (1 + u):
+    # T + 3u*tol + (g + u)S(1 + 3u). With (L-1)u <= 1/5, g <= 1/4 and this
+    # is below T + 2(g + 4u)(1 + tol) = tol. This holds for any T >= 0; with
+    # tol < margin no site is cleared. The bound needs every value >= 0: if
+    # one is negative or NaN, the threshold is -inf and every site takes the
+    # float64 check.
+    nu = (channels - 1) * 2.0**-24
+    margin = 2 * (nu / (1 - nu) + 4 * 2.0**-24) * (1 + tol) if nu <= 0.2 else np.inf
+    threshold = np.float64(tol - margin) if nonnegative else -np.inf
+    # inf and NaN sums fail the screen; the float64 check reports them
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev32 = flat @ np.ones(channels, np.float32)
+        dev32 -= 1
+        np.abs(dev32, out=dev32)
+    candidates = np.flatnonzero(~(dev32 <= threshold))
+    dev = np.abs(flat[candidates].sum(axis=-1, dtype=np.float64) - 1.0)
+    bad = ~(dev <= tol)
+    rows, cols = np.divmod(candidates[bad], width)
+    return [
+        ((i, j), d)
+        for i, j, d in zip(rows.tolist(), cols.tolist(), dev[bad].tolist())
+    ]
 
 
 def strip_class_and_renormalize(probs: ProbabilityMap, class_id: int) -> ProbabilityMap:
@@ -200,7 +241,8 @@ def load_probability_map(
     if not (arr.min() >= 0.0 and arr.max() <= 1.0 + 1e-6):
         raise DataError(f"{path}: values outside [0, 1] or NaN")
     probs = ProbabilityMap(arr)
-    bad = validate_probability_map(probs, tol)
+    # the range check leaves no negative or NaN value, so skip the minimum
+    bad = _sum_failures(probs.values, tol, nonnegative=True)
     if bad:
         (i, j), dev = bad[0]
         raise DataError(
@@ -313,10 +355,15 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
     try:
+        size, void_id = obj["labels"]["size"], obj["labels"].get("void_id")
+        if not _is_json_int(size):
+            raise ValueError(f"label size {size!r} is not an integer")
+        if void_id is not None and not _is_json_int(void_id):
+            raise ValueError(f"void_id {void_id!r} is not an integer or null")
         labels = LabelSet(
-            size=int(obj["labels"]["size"]),
+            size=size,
             names=tuple(obj["labels"]["names"]) if obj["labels"].get("names") else None,
-            void_id=obj["labels"].get("void_id"),
+            void_id=void_id,
         )
         base = path.resolve().parent
         records = tuple(
@@ -328,12 +375,16 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
             )
             for r in obj["records"]
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed manifest ({exc})") from exc
     manifest = Manifest(label_set=labels, records=records)
     if check_files:
         _check_record_files(manifest)
     return manifest
+
+
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_record_files(manifest: Manifest) -> None:

@@ -1,8 +1,10 @@
-"""Plain-Python loop oracles for the numpy kernels in conflens.kernels.
+"""Plain-Python loop oracles for the numpy kernels in conflens.kernels, and
+the whole-map formula of the probability-map sum check.
 
 Each loop computes its kernel one pixel, pair or sample at a time, in the
 most direct form of its definition. tests/test_kernels.py compares every
-kernel with its loop on small random inputs.
+kernel with its loop on small random inputs, and tests/test_data.py compares
+validate_probability_map with sum_check_formula.
 """
 
 import numpy as np
@@ -143,3 +145,13 @@ def nearest_seed_loop(height, width, seed_r, seed_c, seed_class):
                     arg = s
             out[i, j] = seed_class[arg]
     return out
+
+
+def sum_check_formula(values, tol):
+    """Every site of an H x W x L map whose float64 channel sum deviates
+    from 1 by more than tol, or is NaN, as ((row, col), deviation) in
+    row-major order, computed over the whole map at once."""
+    sums = values.sum(axis=2, dtype=np.float64)
+    dev = np.abs(sums - 1.0)
+    bad = np.argwhere(~(dev <= tol))
+    return [((int(i), int(j)), float(dev[i, j])) for i, j in bad]

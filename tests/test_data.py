@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conflens import (
     LabelMap,
@@ -19,6 +21,7 @@ from conflens import (
     validate_probability_map,
 )
 from conflens.errors import DataError
+from tests.oracles import sum_check_formula
 
 
 def one_pixel(values) -> ProbabilityMap:
@@ -62,6 +65,105 @@ class TestValidateProbabilityMap:
         bad = validate_probability_map(ProbabilityMap(values), 1e-4)
         assert len(bad) == 6
         assert all(dev == pytest.approx(1.0) for _, dev in bad)
+
+
+def crafted_map(seed, height, width, channels, tol, specials):
+    """A float32 map whose sites sit near the tolerance boundary.
+
+    Each site is one of: a Dirichlet draw scaled to sum 1 + delta with
+    |delta| <= 2*tol; a site whose values are multiples of 2^-24, so that its
+    float64 sum is exact and equals 1 +- tol rounded to float32, or one
+    float32 ulp either side of that; or an exact one-hot site. `specials`
+    adds NaN, +inf, -inf and negative entries at random sites."""
+    rng = np.random.default_rng(seed)
+    n = height * width
+    base = rng.dirichlet(np.ones(channels), size=n)
+    delta = rng.uniform(-2 * tol, 2 * tol, size=(n, 1))
+    out = (base * (1 + delta)).astype(np.float32)
+    kind = rng.integers(0, 3, size=n)
+    for k in np.flatnonzero(kind == 1):
+        target = np.float32(1 + rng.choice([-1, 1]) * tol)
+        step = int(rng.integers(-1, 2))
+        if step:
+            target = np.nextafter(target, np.float32(2 * step))
+        rest = np.floor(base[k, 1:] * 0.9 * 2**24) / 2**24
+        out[k, 1:] = rest
+        out[k, 0] = float(target) - rest.sum()
+    for k in np.flatnonzero(kind == 2):
+        out[k] = 0
+        out[k, rng.integers(channels)] = 1
+    if specials:
+        for value in (np.nan, np.inf, -np.inf, -0.25):
+            hits = rng.random(n) < 0.05
+            out[hits, rng.integers(channels)] = value
+    return out.reshape(height, width, channels)
+
+
+def assert_same_failures(got, expected):
+    assert [site for site, _ in got] == [site for site, _ in expected]
+    np.testing.assert_array_equal([d for _, d in got], [d for _, d in expected])
+
+
+class TestValidateMatchesFormula:
+    """validate_probability_map screens in float32 and rechecks in float64;
+    it must return exactly what the whole-map float64 formula returns."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(2, 24),
+        st.floats(np.log(3e-7), np.log(1e-3)),
+        st.booleans(),
+    )
+    def test_same_sites_and_deviations(self, seed, height, width, channels, log_tol, specials):
+        tol = float(np.exp(log_tol))
+        values = crafted_map(seed, height, width, channels, tol, specials)
+        assert_same_failures(
+            validate_probability_map(ProbabilityMap(values), tol),
+            sum_check_formula(values, tol),
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tol_below_margin_rechecks_every_site(self, seed):
+        """At L = 20 the screen's margin (about 2.7e-6) exceeds tol, so no
+        site may be cleared: every site takes the float64 check."""
+        tol = 1e-7
+        values = crafted_map(seed, 16, 16, 20, tol, specials=False)
+        expected = sum_check_formula(values, tol)
+        assert expected
+        assert_same_failures(validate_probability_map(ProbabilityMap(values), tol), expected)
+
+    def test_negative_values_are_not_screened(self):
+        """In float32, 1 + 1.1e-4 is lost when it is added to 3000 or to
+        -3000 first, and the site's sum reads exactly 1; its float64
+        deviation is 1.1e-4. The small term sits in each position once, so
+        in whatever order BLAS sums, a screen that trusted its error bound
+        for negative values would clear at least one failing site."""
+        big, near = 3000.0, 1 + 1.1e-4
+        values = np.array(
+            [[[big, near, -big], [near, big, -big], [big, -big, near]]],
+            dtype=np.float32,
+        )
+        expected = sum_check_formula(values, 1e-4)
+        assert len(expected) == 3
+        assert_same_failures(validate_probability_map(ProbabilityMap(values), 1e-4), expected)
+
+    def test_load_message_names_count_and_first_site(self, tmp_path):
+        values = crafted_map(3, 8, 8, 6, 1e-4, specials=False)
+        values[2, 5] *= 1.5
+        values[6, 1] *= 0.5
+        path = tmp_path / "p.segt"
+        save_probability_map(ProbabilityMap(values), path)
+        expected = sum_check_formula(values, 1e-4)
+        (i, j), dev = expected[0]
+        with pytest.raises(DataError) as info:
+            load_probability_map(path, LabelSet(size=6))
+        assert str(info.value) == (
+            f"{path}: {len(expected)} sites fail sum check at tol 0.0001, "
+            f"first ({i},{j}) deviates by {dev:.2e}"
+        )
 
 
 class TestStripClass:

@@ -121,10 +121,21 @@ class TestDataValidation:
         with pytest.raises(DataError):
             load_manifest(path)
 
-    @pytest.mark.parametrize("size", ["abc", float("nan"), float("inf")], ids=str)
+    @pytest.mark.parametrize(
+        "size", ["abc", float("nan"), float("inf"), 3.9, 3.0, True, "3"], ids=str
+    )
     def test_load_manifest_malformed_size(self, tmp_path, size):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"labels": {"size": size}, "records": []}))
+        with pytest.raises(DataError, match="malformed manifest"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("void_id", [255.5, 255.0, "255", True, [255]], ids=str)
+    def test_load_manifest_malformed_void_id(self, tmp_path, void_id):
+        path = tmp_path / "m.json"
+        path.write_text(
+            json.dumps({"labels": {"size": 3, "void_id": void_id}, "records": []})
+        )
         with pytest.raises(DataError, match="malformed manifest"):
             load_manifest(path)
 
@@ -257,6 +268,14 @@ class TestConfusionValidation:
         with pytest.raises(DataError):
             normalize_confusion(counts, floor=0.0)
 
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf")], ids=str)
+    def test_normalize_rejects_non_finite_floor(self, floor):
+        """Counts with no zero cell never use the floor, so only the check
+        itself can stop a NaN or inf floor from reaching the model."""
+        counts = CountMatrix(np.ones((2, 2), dtype=np.int64))
+        with pytest.raises(DataError, match="floor"):
+            normalize_confusion(counts, floor=floor)
+
     def test_load_confusion_rejects_non_square(self, tmp_path):
         path = tmp_path / "c.segt"
         store_tensor(path, np.full((2, 3), 0.5, dtype=np.float32))
@@ -324,6 +343,9 @@ class TestSidecars:
         "confusion-floor-str": ("confusion", {"floor": "abc"}),
         "confusion-floor-null": ("confusion", {"floor": None}),
         "confusion-floor-bool": ("confusion", {"floor": True}),
+        "confusion-floor-nan": ("confusion", {"floor": float("nan")}),
+        "confusion-floor-inf": ("confusion", {"floor": float("-inf")}),
+        "confusion-floor-huge-int": ("confusion", {"floor": 10**400}),
         "bank-list": ("bank", [1]),
         "bank-ids-int": ("bank", {"kind": "uniform", "ids": 5}),
         "bank-ids-not-str": ("bank", {"kind": "uniform", "ids": [1]}),
@@ -466,6 +488,14 @@ class TestCliFlagValidation:
         manifest = str(out / "manifest.json")
         assert main(["confusion", "--manifest", manifest, "--floor", "0",
                      "--out", str(tmp_path / "c.segt")]) == 1
+
+    @pytest.mark.parametrize("floor", ["nan", "inf"])
+    def test_non_finite_floor_rejected(self, small_dataset, tmp_path, floor):
+        _, _, out = small_dataset
+        manifest = str(out / "manifest.json")
+        assert main(["confusion", "--manifest", manifest, "--floor", floor,
+                     "--out", str(tmp_path / "c.segt")]) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_confusion_rejects_malformed_manifest_field(self, small_dataset, tmp_path):
         _, _, out = small_dataset

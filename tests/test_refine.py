@@ -3,9 +3,12 @@ LabelBank masking baseline."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conflens import (
     ConfusionModel,
+    CountMatrix,
     LabelSet,
     Prior,
     ProbabilityMap,
@@ -13,6 +16,7 @@ from conflens import (
     build_refinement_matrix,
     identity_confusion,
     labelbank_mask,
+    normalize_confusion,
     output_marginal,
     refine_map,
     uniform_prior,
@@ -20,6 +24,7 @@ from conflens import (
 )
 from conflens import kernels
 from conflens.errors import DataError
+from conflens.refine import COLUMN_SUM_TOL
 
 
 def refinement_oracle(matrix, weights, pixel):
@@ -146,6 +151,29 @@ class TestBuildRefinementMatrix:
         R = build_refinement_matrix(identity_confusion(labels), prior)
         np.testing.assert_array_equal(R.matrix[:, 1], 0.0)
         assert R.marginal[1] == 0.0
+
+
+class TestRefinementMatrixProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 20),
+        st.floats(np.log(1e-8), np.log(1e-2)),
+        st.floats(0.05, 0.6),
+    )
+    def test_floored_models_stay_column_stochastic(self, seed, n, log_floor, density):
+        """Sparse counts, floored and normalized, with a prior that has zero
+        entries: R is non-negative and every live column sums to 1."""
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 10**6, size=(n, n)) * (rng.random((n, n)) < density)
+        confusion = normalize_confusion(CountMatrix(counts), floor=float(np.exp(log_floor)))
+        weights = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.6)
+        weights[rng.integers(n)] += 0.5
+        R = build_refinement_matrix(confusion, Prior(weights / weights.sum()))
+        assert (R.matrix >= 0).all()
+        # a floored model is strictly positive, so every column is live
+        assert (R.marginal > 0).all()
+        np.testing.assert_allclose(R.matrix.sum(axis=0), 1.0, rtol=0, atol=COLUMN_SUM_TOL)
 
 
 class TestRefineMap:
