@@ -278,9 +278,11 @@ def cmd_prior(args) -> int:
 
 def _refine_split(manifest, bank: PriorBank, out, transform, threads: int) -> int:
     """Write transform(probs, prior) and its argmax for every evaluation
-    record; returns the image count. Every input is loaded and validated
-    before the first write, then outputs are computed and written one write
-    group at a time."""
+    record; returns the image count. A first pass loads and validates every
+    input before the first write and keeps only its shape; the second pass
+    re-reads and re-validates each map inside its write group, so memory
+    does not grow with the split and a file changed between the passes still
+    fails before its own outputs are written."""
     labels = manifest.label_set
     if bank.weights.shape[1] != labels.size:
         raise DataError(
@@ -289,16 +291,17 @@ def _refine_split(manifest, bank: PriorBank, out, transform, threads: int) -> in
     records = manifest.split_records("evaluation")
     if not records:
         raise DataError("no evaluation records in manifest")
-    loaded = [
-        (rec, load_probability_map(rec.probs_path, labels), bank.get(rec.image_id))
+    checked = [
+        (rec, load_probability_map(rec.probs_path, labels).values.shape,
+         bank.get(rec.image_id))
         for rec in records
     ]
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
 
     def per_image(item):
-        _, probs, prior = item
-        result = transform(probs, prior)
+        rec, _, prior = item
+        result = transform(load_probability_map(rec.probs_path, labels), prior)
         return result, argmax_labels(result)
 
     def write_group(group):
@@ -306,9 +309,9 @@ def _refine_split(manifest, bank: PriorBank, out, transform, threads: int) -> in
             save_probability_map(result, out / f"{rec.image_id}_refined.segt")
             save_label_map(pred, out / f"{rec.image_id}_pred.segt")
 
-    for group in _write_groups(loaded, lambda item: item[1].values.shape):
+    for group in _write_groups(checked, lambda item: item[1]):
         write_group(group)
-    return len(loaded)
+    return len(checked)
 
 
 def cmd_refine(args) -> int:

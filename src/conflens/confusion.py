@@ -194,7 +194,7 @@ def load_confusion(path: str | Path) -> tuple[ConfusionModel, dict]:
             meta = json.load(fh)
     except FileNotFoundError:
         meta = {}
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise DataError(f"{side}: invalid JSON ({exc})") from exc
     if not isinstance(meta, dict):
         raise DataError(f"{side}: sidecar must be a JSON object")

@@ -352,17 +352,22 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
     try:
         size, void_id = obj["labels"]["size"], obj["labels"].get("void_id")
+        names = obj["labels"].get("names")
         if not _is_json_int(size):
             raise ValueError(f"label size {size!r} is not an integer")
         if void_id is not None and not _is_json_int(void_id):
             raise ValueError(f"void_id {void_id!r} is not an integer or null")
+        if names is not None and not (
+            isinstance(names, list) and all(isinstance(name, str) for name in names)
+        ):
+            raise ValueError(f"names {names!r} is not a list of strings or null")
         labels = LabelSet(
             size=size,
-            names=tuple(obj["labels"]["names"]) if obj["labels"].get("names") else None,
+            names=tuple(names) if names is not None else None,
             void_id=void_id,
         )
         base = path.resolve().parent

@@ -164,13 +164,19 @@ def loss_hessian(matrix, weights, gt, evidence, eps, scores=None):
 # Voronoi fill for the synthesizer
 # ---------------------------------------------------------------------------
 
+# Elements of a float64 row block of pixel x seed distances: at 2 MiB the
+# block and its argmin pass stay in cache.
+SEED_BLOCK = 1 << 18
+
+
 def nearest_seed(height, width, seed_r, seed_c, seed_class):
     """Label each pixel by the class of its nearest seed (squared Euclidean,
-    lowest seed index on ties). Row blocks bound the distance matrix size."""
+    lowest seed index on ties). Row blocks bound the distance matrix to
+    SEED_BLOCK elements (or one row, if that is larger)."""
     out = np.empty((height, width), dtype=np.int32)
     cols = np.arange(width, dtype=np.float64)
     dc2 = (cols[:, None] - seed_c[None, :]) ** 2
-    block = max(1, int(2**22 // max(width * seed_r.shape[0], 1)))
+    block = max(1, SEED_BLOCK // max(width * seed_r.shape[0], 1))
     for r0 in range(0, height, block):
         r1 = min(r0 + block, height)
         rows = np.arange(r0, r1, dtype=np.float64)

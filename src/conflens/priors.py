@@ -411,7 +411,7 @@ def load_prior_bank(path: str | Path) -> PriorBank:
             meta = json.load(fh)
     except FileNotFoundError as exc:
         raise DataError(f"{path}: missing prior-bank sidecar") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise DataError(f"{side}: invalid JSON ({exc})") from exc
     if not isinstance(meta, dict):
         raise DataError(f"{side}: sidecar must be a JSON object")

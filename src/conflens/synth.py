@@ -148,9 +148,10 @@ class SynthSpec:
     def load(cls, path: str | Path) -> "SynthSpec":
         try:
             with open(path) as fh:
-                return cls.from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
+                obj = json.load(fh)
+        except ValueError as exc:  # also an integer past Python's digit limit
             raise DataError(f"{path}: invalid JSON ({exc})") from exc
+        return cls.from_dict(obj)
 
     def save(self, path: str | Path) -> None:
         with open(path, "w") as fh:
@@ -200,10 +201,15 @@ def eval_confusion_matrix(spec: SynthSpec) -> np.ndarray:
 
 
 def _draw_hard_labels(matrix: np.ndarray, gt_flat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw from matrix columns selected by gt_flat."""
-    cum = np.cumsum(matrix, axis=0)[:, gt_flat]
-    h = (u[None, :] >= cum).sum(axis=0)
-    return np.minimum(h, matrix.shape[0] - 1).astype(np.int32)
+    """Inverse-CDF draw from matrix columns selected by gt_flat, one pixel
+    block at a time so the L x block cumulative table stays small."""
+    cum = np.cumsum(matrix, axis=0)
+    hard = np.empty(gt_flat.shape, dtype=np.int32)
+    for start in range(0, gt_flat.size, kernels.PIXEL_BLOCK):
+        block = slice(start, start + kernels.PIXEL_BLOCK)
+        h = (u[None, block] >= cum[:, gt_flat[block]]).sum(axis=0)
+        hard[block] = np.minimum(h, matrix.shape[0] - 1)
+    return hard
 
 
 def _generate_image(spec: SynthSpec, rng: np.random.Generator, hard_matrix: np.ndarray):
@@ -211,7 +217,9 @@ def _generate_image(spec: SynthSpec, rng: np.random.Generator, hard_matrix: np.n
     seed classes, hard-label uniforms, corruption coin, corruption
     replacement, soft residuals) and does not depend on knob values, so
     datasets differing only in border_noise are identical off the corrupted
-    pixels."""
+    pixels. The soft residuals are drawn and written into the float32 map
+    one pixel block at a time: block-wise Dirichlet draws consume the
+    stream exactly as one whole-image draw does."""
     height, width, n = spec.height, spec.width, spec.n_classes
     n_px = height * width
     k = int(rng.integers(spec.min_classes_per_image, spec.max_classes_per_image + 1))
@@ -235,13 +243,17 @@ def _generate_image(spec: SynthSpec, rng: np.random.Generator, hard_matrix: np.n
         corrupt = zone & (coin < spec.border_noise)
         hard = np.where(corrupt, wrong, hard)
 
-    residual = rng.dirichlet(np.ones(n), size=n_px)
     beta = 0.5 / (1.0 + spec.sharpness)
-    soft = residual
-    soft *= beta
-    soft[np.arange(n_px), hard] += 1.0 - beta
-    probs = ProbabilityMap(soft.reshape(height, width, n).astype(np.float32))
-    return LabelMap(gt), probs
+    values = np.empty((height, width, n), dtype=np.float32)
+    flat = values.reshape(-1, n)
+    for start in range(0, n_px, kernels.PIXEL_BLOCK):
+        stop = min(start + kernels.PIXEL_BLOCK, n_px)
+        soft = rng.dirichlet(np.ones(n), size=stop - start)
+        soft *= beta
+        soft[np.arange(stop - start), hard[start:stop]] += 1.0 - beta
+        flat[start:stop] = soft
+    # values owns its buffer, so the map takes it without a copy
+    return LabelMap(gt), ProbabilityMap(values)
 
 
 def generate_dataset(spec: SynthSpec, out_dir: str | Path, threads: int = 1) -> Manifest:

@@ -2,6 +2,8 @@
 malformed files, and CLI flag validation."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from conflens import (
     validate_probability_map,
     write_pgm,
 )
+from conflens import cli
 from conflens.cli import main
 from conflens.errors import DataError
 from conflens.metrics import MetricAccumulator
@@ -139,6 +142,18 @@ class TestDataValidation:
         with pytest.raises(DataError, match="malformed manifest"):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "size, names", [(3, "abc"), (2, [1, [2]]), (2, ["sky", 2]), (2, {"a": 1, "b": 2})],
+        ids=["string", "nested", "non-string", "object"],
+    )
+    def test_load_manifest_malformed_names(self, tmp_path, size, names):
+        path = tmp_path / "m.json"
+        path.write_text(
+            json.dumps({"labels": {"size": size, "names": names}, "records": []})
+        )
+        with pytest.raises(DataError, match="malformed manifest"):
+            load_manifest(path)
+
     def test_manifest_names_round_trip(self, tmp_path):
         from conflens import Manifest, ManifestRecord, save_manifest, save_probability_map
 
@@ -229,6 +244,126 @@ class TestPriorBankWidth:
             argv += ["--confusion", str(conf)]
         assert main(argv) == 2
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestValidateBeforeWrite:
+    """refine and labelbank check every input before their first write, and
+    re-check each map in the write pass before its own outputs are written,
+    here with every map in a write group of its own."""
+
+    @pytest.fixture
+    def split(self, small_dataset, tmp_path, monkeypatch):
+        """A private copy of the shared small dataset with the identity
+        confusion and a uniform prior bank; returns (evaluation records,
+        argv for a command and an --out directory)."""
+        spec, _, data = small_dataset
+        monkeypatch.setattr(
+            "conflens.data.WRITE_BUDGET", spec.height * spec.width * (4 * spec.n_classes + 4)
+        )
+        shutil.copytree(data, tmp_path / "data")
+        manifest = str(tmp_path / "data" / "manifest.json")
+        conf, priors = str(tmp_path / "ident.segt"), str(tmp_path / "uniform.segt")
+        save_confusion(identity_confusion(spec.label_set), conf, radius=0)
+        assert main(["prior", "--manifest", manifest, "--kind", "uniform",
+                     "--out", priors]) == 0
+
+        def argv(command, out):
+            args = [command, "--manifest", manifest, "--priors", priors, "--out", str(out)]
+            return args + ["--confusion", conf] if command == "refine" else args
+
+        return load_manifest(manifest).split_records("evaluation"), argv
+
+    @staticmethod
+    def corrupt(path, defect):
+        values = load_probability_map(path).values.copy()
+        if defect == "sum":
+            values[3, 5] *= 0.5
+        else:
+            values[3, 5, 0] = np.nan
+        store_tensor(path, values)
+
+    @pytest.mark.parametrize("defect", ["sum", "nan"])
+    @pytest.mark.parametrize("command", ["refine", "labelbank"])
+    def test_bad_last_map_writes_nothing(self, split, tmp_path, command, defect):
+        records, argv = split
+        self.corrupt(records[-1].probs_path, defect)
+        out = tmp_path / "out"
+        assert main(argv(command, out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["refine", "labelbank"])
+    def test_map_changed_between_passes(self, small_dataset, split, tmp_path, monkeypatch,
+                                        command):
+        records, argv = split
+        labels = small_dataset[0].label_set
+        target = records[len(records) // 2]
+        load = cli.load_probability_map
+
+        def load_then_corrupt(path, *args, **kwargs):
+            probs = load(path, *args, **kwargs)
+            if Path(path) == target.probs_path:
+                self.corrupt(path, "sum")
+            return probs
+
+        monkeypatch.setattr(cli, "load_probability_map", load_then_corrupt)
+        out = tmp_path / "out"
+        assert main(argv(command, out)) == 2
+        written = sorted(p.name for p in out.iterdir())
+        before = records[:records.index(target)]
+        assert written == sorted(
+            f"{r.image_id}_{kind}.segt" for r in before for kind in ("pred", "refined")
+        )
+        # each file written is whole
+        for path in out.iterdir():
+            if path.name.endswith("_refined.segt"):
+                load(path, labels)
+            else:
+                load_label_map(path, labels)
+
+
+class TestHugeJsonIntegers:
+    """An integer literal longer than Python's 4300-digit conversion limit
+    makes json.load raise a plain ValueError; every JSON loader reports it
+    as invalid JSON."""
+
+    HUGE = "9" * 5000
+
+    def manifest(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"labels": {"size": %s}, "records": []}' % self.HUGE)
+        return path
+
+    def test_manifest(self, tmp_path):
+        with pytest.raises(DataError, match="invalid JSON"):
+            load_manifest(self.manifest(tmp_path))
+
+    def test_confusion_sidecar(self, tmp_path):
+        path = tmp_path / "c.segt"
+        store_tensor(path, np.eye(2, dtype=np.float32))
+        path.with_suffix(".json").write_text('{"floor": %s}' % self.HUGE)
+        with pytest.raises(DataError, match="invalid JSON"):
+            load_confusion(path)
+
+    def test_prior_bank_sidecar(self, tmp_path):
+        path = tmp_path / "p.segt"
+        store_tensor(path, np.full((1, 2), 0.5, dtype=np.float32))
+        path.with_suffix(".json").write_text(
+            '{"kind": "uniform", "ids": ["a"], "n": %s}' % self.HUGE
+        )
+        with pytest.raises(DataError, match="invalid JSON"):
+            load_prior_bank(path)
+
+    def test_synth_spec(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"n_classes": %s}' % self.HUGE)
+        with pytest.raises(DataError, match="invalid JSON"):
+            SynthSpec.load(path)
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        argv = ["confusion", "--manifest", str(self.manifest(tmp_path)),
+                "--out", str(tmp_path / "c.segt")]
+        assert main(argv) == 2
+        assert "invalid JSON" in capsys.readouterr().err
 
 
 class TestConfusionValidation:

@@ -118,6 +118,23 @@ class TestLoopOracles:
         assert tied > 0
 
 
+    def test_nearest_seed_spans_row_blocks(self):
+        """A map of many row blocks, with integer and duplicate seeds among
+        random ones, against the unblocked distance formula."""
+        rng = np.random.default_rng(97)
+        height, width, k = 300, 200, 40
+        seed_r = rng.random(k) * height
+        seed_c = rng.random(k) * width
+        seed_r[:10] = rng.integers(0, height, size=10)
+        seed_c[:10] = rng.integers(0, width, size=10)
+        seed_r[10:15], seed_c[10:15] = seed_r[:5], seed_c[:5]
+        seed_class = rng.integers(0, 7, size=k).astype(np.int32)
+        got = kernels.nearest_seed(height, width, seed_r, seed_c, seed_class)
+        rows, cols = np.mgrid[0:height, 0:width].astype(np.float64)
+        d2 = (rows[..., None] - seed_r) ** 2 + (cols[..., None] - seed_c) ** 2
+        np.testing.assert_array_equal(got, seed_class[d2.argmin(axis=2)])
+
+
 class TestNumpyPath:
     def test_border_excluded_radius_zero_is_border_set(self):
         labels = np.zeros((4, 4), dtype=np.int32)

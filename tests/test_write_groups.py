@@ -5,6 +5,7 @@ where groups close."""
 import hashlib
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conflens import (
@@ -16,6 +17,7 @@ from conflens import (
     save_confusion,
 )
 from conflens.cli import main
+from conflens.synth import _generate_image
 from tests.conftest import mixed_confusion
 
 SIDE, CLASSES = 128, 20
@@ -97,9 +99,10 @@ class TestWriteGroups:
 
 class TestMemoryBound:
     """With room for about two maps per group, doubling the image count
-    raises a producer's peak by less than one output map, plus the inputs
-    refine and labelbank load and validate before they write anything. A
-    producer that wrote after computing everything would grow by eight."""
+    raises a producer's peak by less than one output map (refine and
+    labelbank: plus one input map). A producer that wrote after computing
+    everything, or held every input until its last write, would grow by
+    eight."""
 
     @pytest.fixture(autouse=True)
     def two_map_budget(self, monkeypatch):
@@ -114,6 +117,14 @@ class TestMemoryBound:
         }
         assert peaks[16] - peaks[8] < OUTPUT_BYTES, peaks
 
+    def test_generate_image_peak(self):
+        """One image is built in pixel blocks straight into its float32 map,
+        so the whole-image float64 draw and label table are never held."""
+        spec = large_spec(1, height=256, width=256)
+        rng = np.random.default_rng(0)
+        peak = traced_peak(lambda: _generate_image(spec, rng, spec.true_confusion))
+        assert peak < 2 * 256 * 256 * CLASSES * 4, peak
+
     @pytest.mark.parametrize("command", ["refine", "labelbank"])
     def test_refine_split_peak(self, tmp_path, command):
         peaks = {}
@@ -121,7 +132,7 @@ class TestMemoryBound:
             root = tmp_path / str(n)
             argv = split_commands(*refine_inputs(root, n), root)[command]
             peaks[n] = traced_peak(lambda: main(argv))
-        assert peaks[16] - peaks[8] < 8 * MAP_BYTES + OUTPUT_BYTES, peaks
+        assert peaks[16] - peaks[8] < MAP_BYTES + OUTPUT_BYTES, peaks
 
 
 class TestGroupInvariance:
