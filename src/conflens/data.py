@@ -47,7 +47,11 @@ class LabelSet:
         if self.size < 2:
             raise DataError(f"label set needs >= 2 classes, got {self.size}")
         if self.names is not None:
+            if isinstance(self.names, str):
+                raise DataError(f"names {self.names!r} is a string, not a sequence of names")
             object.__setattr__(self, "names", tuple(self.names))
+            if not all(isinstance(name, str) for name in self.names):
+                raise DataError(f"names {self.names!r} are not all strings")
             if len(self.names) != self.size:
                 raise DataError(
                     f"{len(self.names)} names for {self.size} classes"
@@ -361,13 +365,11 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
             raise ValueError(f"label size {size!r} is not an integer")
         if void_id is not None and not _is_json_int(void_id):
             raise ValueError(f"void_id {void_id!r} is not an integer or null")
-        if names is not None and not (
-            isinstance(names, list) and all(isinstance(name, str) for name in names)
-        ):
-            raise ValueError(f"names {names!r} is not a list of strings or null")
+        if names is not None and not isinstance(names, list):
+            raise ValueError(f"names {names!r} is not a list or null")
         labels = LabelSet(
             size=size,
-            names=tuple(names) if names is not None else None,
+            names=names,
             void_id=void_id,
         )
         base = path.resolve().parent
@@ -380,7 +382,7 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
             )
             for r in obj["records"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"{path}: malformed manifest ({exc})") from exc
     manifest = Manifest(label_set=labels, records=records)
     if check_files:

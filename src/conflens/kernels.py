@@ -1,8 +1,9 @@
 """The numpy kernels behind the pipeline's array passes: border
 exclusion, confusion pair counting, the per-pixel refinement transform, the
 prior solver's loss, gradient and Hessian, and the synthesizer's Voronoi
-fill. benchmarks/bench_kernels.py times them at segmentation scale; tests
-check each against a plain-Python loop oracle.
+fill, an exact nearest-seed search pruned tile by tile.
+benchmarks/bench_kernels.py times them at segmentation scale; tests check
+each against a plain-Python loop oracle.
 """
 
 from __future__ import annotations
@@ -164,23 +165,49 @@ def loss_hessian(matrix, weights, gt, evidence, eps, scores=None):
 # Voronoi fill for the synthesizer
 # ---------------------------------------------------------------------------
 
-# Elements of a float64 row block of pixel x seed distances: at 2 MiB the
-# block and its argmin pass stay in cache.
+# Elements of a float64 pixel x seed distance block: at 2 MiB the block and
+# its argmin pass stay in cache.
 SEED_BLOCK = 1 << 18
+
+# Edge in pixels of a nearest_seed tile. Tiles of 16 and 64 were slower at
+# 512x512 with 114 seeds.
+SEED_TILE = 32
 
 
 def nearest_seed(height, width, seed_r, seed_c, seed_class):
     """Label each pixel by the class of its nearest seed (squared Euclidean,
-    lowest seed index on ties). Row blocks bound the distance matrix to
-    SEED_BLOCK elements (or one row, if that is larger)."""
+    lowest seed index on ties).
+
+    The map goes in SEED_TILE x SEED_TILE tiles, each searched over the
+    seeds that can win in it. Over a tile, a seed's computed distance
+    dr2 + dc2 is at least the sum of its smallest row and column terms and
+    at most the sum of its largest: the bounds add the same float64 terms,
+    and rounding is monotone. The seed with the smallest upper bound is
+    within that bound at every pixel, so a seed whose lower bound exceeds it
+    is strictly farther everywhere and never even ties. argmin over the
+    other seeds, in ascending index order, gives the labels of the whole
+    matrix bit for bit. A tile's rows are split to keep its block within
+    SEED_BLOCK elements (or one tile row, if that is larger). Seed
+    coordinates must be finite.
+    """
     out = np.empty((height, width), dtype=np.int32)
+    rows = np.arange(height, dtype=np.float64)
     cols = np.arange(width, dtype=np.float64)
     dc2 = (cols[:, None] - seed_c[None, :]) ** 2
-    block = max(1, SEED_BLOCK // max(width * seed_r.shape[0], 1))
-    for r0 in range(0, height, block):
-        r1 = min(r0 + block, height)
-        rows = np.arange(r0, r1, dtype=np.float64)
-        dr2 = (rows[:, None] - seed_r[None, :]) ** 2
-        d2 = dr2[:, None, :] + dc2[None, :, :]
-        out[r0:r1] = seed_class[d2.argmin(axis=2)]
+    col_starts = np.arange(0, width, SEED_TILE)
+    col_lo = np.minimum.reduceat(dc2, col_starts, axis=0)
+    col_hi = np.maximum.reduceat(dc2, col_starts, axis=0)
+    for r0 in range(0, height, SEED_TILE):
+        dr2 = (rows[r0:r0 + SEED_TILE, None] - seed_r[None, :]) ** 2
+        lower = dr2.min(axis=0) + col_lo
+        upper = (dr2.max(axis=0) + col_hi).min(axis=1)
+        keep = lower <= upper[:, None]
+        for t, c0 in enumerate(col_starts):
+            idx = np.flatnonzero(keep[t])
+            tile_dc2 = dc2[c0:c0 + SEED_TILE, idx]
+            step = max(1, SEED_BLOCK // (tile_dc2.shape[0] * idx.size))
+            for i0 in range(0, dr2.shape[0], step):
+                i1 = min(i0 + step, dr2.shape[0])
+                d2 = dr2[i0:i1, idx][:, None, :] + tile_dc2[None, :, :]
+                out[r0 + i0:r0 + i1, c0:c0 + SEED_TILE] = seed_class[idx[d2.argmin(axis=2)]]
     return out

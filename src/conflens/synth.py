@@ -23,6 +23,7 @@ from .data import (
     Manifest,
     ManifestRecord,
     ProbabilityMap,
+    _is_json_int,
     _map_ordered,
     _write_groups,
     save_label_map,
@@ -70,6 +71,8 @@ class SynthSpec:
             raise DataError(
                 f"true_confusion {T.shape} does not match {self.n_classes} classes"
             )
+        if not np.isfinite(T).all():
+            raise DataError("true_confusion must be finite")
         if (T < 0).any() or np.abs(T.sum(axis=0) - 1.0).max() > 1e-9:
             raise DataError("true_confusion columns must be stochastic")
         T = T.copy()
@@ -81,9 +84,9 @@ class SynthSpec:
             raise DataError("image size must be positive")
         if self.n_estimation < 0 or self.n_evaluation < 0:
             raise DataError("split sizes must be >= 0")
-        if self.region_scale <= 0:
+        if not self.region_scale > 0:
             raise DataError("region_scale must be positive")
-        if self.sharpness <= 0:
+        if not self.sharpness > 0:
             raise DataError("sharpness must be positive")
         if not 0.0 <= self.border_noise <= 1.0:
             raise DataError("border_noise must lie in [0, 1]")
@@ -125,23 +128,23 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthSpec":
+        """Build a spec from its JSON object. Count, size, seed and class
+        bound fields must be JSON integers, and the other scalars and the
+        matrix entries JSON numbers: nothing is truncated or coerced."""
         try:
-            return cls(
-                n_classes=int(obj["n_classes"]),
-                height=int(obj["height"]),
-                width=int(obj["width"]),
-                n_estimation=int(obj["n_estimation"]),
-                n_evaluation=int(obj["n_evaluation"]),
-                region_scale=float(obj["region_scale"]),
-                true_confusion=np.asarray(obj["true_confusion"], dtype=np.float64),
-                sharpness=float(obj["sharpness"]),
-                seed=int(obj["seed"]),
-                border_noise=float(obj.get("border_noise", 0.0)),
-                min_classes_per_image=obj.get("min_classes_per_image"),
-                max_classes_per_image=obj.get("max_classes_per_image"),
-                eval_confusion_drift=float(obj.get("eval_confusion_drift", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            ints = {key: _json_int(obj, key) for key in _INT_FIELDS}
+            bounds = {key: _json_int(obj, key, optional=True) for key in _BOUND_FIELDS}
+            floats = {key: _json_number(obj, key) for key in _FLOAT_FIELDS}
+            floats.update((key, _json_number(obj, key, 0.0)) for key in _OPTIONAL_FLOAT_FIELDS)
+            matrix = obj["true_confusion"]
+            if not (isinstance(matrix, list) and all(
+                isinstance(row, list) and all(_is_json_number(v) for v in row)
+                for row in matrix
+            )):
+                raise ValueError(f"true_confusion {matrix!r} is not a list of number rows")
+            return cls(true_confusion=np.asarray(matrix, dtype=np.float64),
+                       **ints, **bounds, **floats)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed synth spec ({exc})") from exc
 
     @classmethod
@@ -157,6 +160,35 @@ class SynthSpec:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+_INT_FIELDS = ("n_classes", "height", "width", "n_estimation", "n_evaluation", "seed")
+_BOUND_FIELDS = ("min_classes_per_image", "max_classes_per_image")
+_FLOAT_FIELDS = ("region_scale", "sharpness")
+_OPTIONAL_FLOAT_FIELDS = ("border_noise", "eval_confusion_drift")
+
+
+def _is_json_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_int(obj: dict, key: str, optional: bool = False):
+    """obj[key] as a JSON integer; with optional, a missing key or null is
+    None."""
+    value = obj.get(key) if optional else obj[key]
+    if value is None and optional:
+        return None
+    if not _is_json_int(value):
+        raise ValueError(f"{key} {value!r} is not an integer")
+    return value
+
+
+def _json_number(obj: dict, key: str, default=None) -> float:
+    """obj[key] as a float from a JSON number; default if it is missing."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not _is_json_number(value):
+        raise ValueError(f"{key} {value!r} is not a number")
+    return float(value)
 
 
 def true_confusion(spec: SynthSpec, floor: float = DEFAULT_FLOOR) -> ConfusionModel:

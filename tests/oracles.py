@@ -4,7 +4,8 @@ the whole-map formula of the probability-map sum check.
 Each loop computes its kernel one pixel, pair or sample at a time, in the
 most direct form of its definition. tests/test_kernels.py compares every
 kernel with its loop on small random inputs, and tests/test_data.py compares
-validate_probability_map with sum_check_formula.
+validate_probability_map with sum_check_formula. nearest_seed_formula is the
+unpruned distance matrix that the tiled kernels.nearest_seed must reproduce.
 """
 
 import numpy as np
@@ -145,6 +146,14 @@ def nearest_seed_loop(height, width, seed_r, seed_c, seed_class):
                     arg = s
             out[i, j] = seed_class[arg]
     return out
+
+
+def nearest_seed_formula(height, width, seed_r, seed_c, seed_class):
+    """Class of the nearest seed at every pixel from the whole pixel x seed
+    matrix of float64 (row - r)**2 + (col - c)**2, lowest index on ties."""
+    rows, cols = np.mgrid[0:height, 0:width].astype(np.float64)
+    d2 = (rows[..., None] - seed_r) ** 2 + (cols[..., None] - seed_c) ** 2
+    return seed_class[d2.argmin(axis=2)].astype(np.int32)
 
 
 def sum_check_formula(values, tol):

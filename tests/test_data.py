@@ -38,6 +38,13 @@ class TestLabelSet:
         with pytest.raises(DataError):
             LabelSet(size=3, names=("a", "b"))
 
+    def test_names_must_be_strings(self):
+        with pytest.raises(DataError):
+            LabelSet(size=2, names="ab")
+        with pytest.raises(DataError):
+            LabelSet(size=2, names=("sky", 2))
+        assert LabelSet(size=2, names=["sky", "road"]).names == ("sky", "road")
+
     def test_void_outside_range(self):
         with pytest.raises(DataError):
             LabelSet(size=3, void_id=1)

@@ -578,6 +578,44 @@ class TestSynthValidation:
             with pytest.raises(DataError):
                 SynthSpec(**self.base(**bad))
 
+    def test_non_finite_fields(self):
+        nan_matrix = mixed_confusion(3)
+        nan_matrix[0, 0] = np.nan
+        for bad in (
+            dict(region_scale=float("nan")),
+            dict(sharpness=float("nan")),
+            dict(true_confusion=nan_matrix),
+        ):
+            with pytest.raises(DataError):
+                SynthSpec(**self.base(**bad))
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_classes", 3.9), ("height", "8"), ("seed", True), ("n_evaluation", 1.0),
+        ("min_classes_per_image", 1.7), ("max_classes_per_image", "3"),
+        ("region_scale", "4.0"), ("sharpness", True), ("border_noise", "0"),
+        ("eval_confusion_drift", False), ("true_confusion", [["1", 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ])
+    def test_from_dict_rejects_coercible_types(self, key, value):
+        obj = SynthSpec(**self.base()).to_dict()
+        SynthSpec.from_dict(obj)
+        obj[key] = value
+        with pytest.raises(DataError, match="malformed synth spec"):
+            SynthSpec.from_dict(obj)
+
+    @pytest.mark.parametrize("key", ["region_scale", "sharpness", "true_confusion"])
+    def test_cli_synth_rejects_nan_spec(self, tmp_path, capsys, key):
+        obj = SynthSpec(**self.base()).to_dict()
+        if key == "true_confusion":
+            obj[key][1][2] = float("nan")
+        else:
+            obj[key] = float("nan")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(obj))
+        out = tmp_path / "data"
+        assert main(["synth", "--spec", str(spec_path), "--out-dir", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_load_invalid_json(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text("[1, 2")

@@ -5,10 +5,71 @@ against a plain-Python loop and finite differences."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conflens import kernels
 from tests import oracles
 from tests.conftest import dense_loss_grad
+
+
+@st.composite
+def voronoi_cases(draw):
+    """(height, width, seed_r, seed_c, seed_class) for nearest_seed: map
+    sizes below one tile, on and off multiples of the tile edge; seeds drawn
+    at random, on integer pixels (exact ties), on tile edges (ties across
+    them), outside the map, or one seed."""
+    tile = kernels.SEED_TILE
+    k = draw(st.integers(1, 60))
+    height = draw(st.integers(1, 3 * tile + 5))
+    width = draw(st.integers(1, 3 * tile + 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["random", "integer", "tile_edge", "outside"]))
+    if layout == "random":
+        seed_r, seed_c = rng.random(k) * height, rng.random(k) * width
+    elif layout == "integer":
+        seed_r = rng.integers(0, height, size=k).astype(np.float64)
+        seed_c = rng.integers(0, width, size=k).astype(np.float64)
+    elif layout == "tile_edge":
+        offsets = np.array([-1.0, -0.5, 0.0, 0.5])
+        seed_r = tile * rng.integers(0, height // tile + 2, size=k) + rng.choice(offsets, k)
+        seed_c = tile * rng.integers(0, width // tile + 2, size=k) + rng.choice(offsets, k)
+    else:
+        seed_r = rng.uniform(-height, 2 * height, size=k)
+        seed_c = rng.uniform(-width, 2 * width, size=k)
+    n_dup = draw(st.integers(0, k // 2))
+    seed_r[k - n_dup:], seed_c[k - n_dup:] = seed_r[:n_dup], seed_c[:n_dup]
+    seed_class = rng.integers(0, 6, size=k).astype(np.int32)
+    seed_class[k - n_dup:] = (seed_class[:n_dup] + 1) % 6
+    return height, width, seed_r, seed_c, seed_class
+
+
+class TestNearestSeedPruning:
+    """The tile-pruned nearest_seed against the unpruned distance matrix."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(voronoi_cases())
+    def test_matches_unpruned_formula(self, case):
+        got = kernels.nearest_seed(*case)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, oracles.nearest_seed_formula(*case))
+
+    def test_tile_rows_split_when_many_seeds_survive(self):
+        """300 coincident seeds survive in every tile, more than one
+        SEED_BLOCK of a whole tile holds, so the tiles are split by rows;
+        the lowest of the tied indices must still win."""
+        rng = np.random.default_rng(98)
+        k = 300
+        assert k * kernels.SEED_TILE**2 > kernels.SEED_BLOCK
+        seed_r = np.full(k, 40.0)
+        seed_c = np.full(k, 33.0)
+        seed_r[-20:] = rng.random(20) * 70
+        seed_c[-20:] = rng.random(20) * 75
+        seed_class = np.arange(k, dtype=np.int32)
+        got = kernels.nearest_seed(70, 75, seed_r, seed_c, seed_class)
+        np.testing.assert_array_equal(
+            got, oracles.nearest_seed_formula(70, 75, seed_r, seed_c, seed_class))
+        assert (got == 0).any()
 
 
 class TestLoopOracles:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conflens import kernels
 from conflens import (
     LabelSet,
     SynthSpec,
@@ -24,6 +25,7 @@ from conflens import (
 )
 from conflens.errors import DataError
 from conflens.synth import _draw_hard_labels
+from tests import oracles
 from tests.conftest import mixed_confusion
 
 
@@ -78,6 +80,17 @@ class TestGeneration:
         generate_dataset(spec, tmp_path / "a")
         generate_dataset(spec, tmp_path / "b")
         assert hash_tree(tmp_path / "a") == hash_tree(tmp_path / "b")
+
+    def test_tiled_voronoi_fill_matches_unpruned_formula(self, tmp_path, monkeypatch):
+        """A spec whose maps take many nearest_seed tiles, some of them
+        partial, gives the same bytes as with the unpruned distance matrix."""
+        spec = base_spec(height=160, width=130, region_scale=8.0,
+                         n_estimation=2, n_evaluation=2)
+        assert spec.width % kernels.SEED_TILE != 0
+        generate_dataset(spec, tmp_path / "tiled")
+        monkeypatch.setattr(kernels, "nearest_seed", oracles.nearest_seed_formula)
+        generate_dataset(spec, tmp_path / "formula")
+        assert hash_tree(tmp_path / "tiled") == hash_tree(tmp_path / "formula")
 
     def test_different_seeds_differ(self, tmp_path):
         generate_dataset(base_spec(seed=1), tmp_path / "a")
