@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -193,10 +195,10 @@ def _parse_solver_opts(raw: str) -> tuple[SolverOptions, int, int]:
             raise UsageError(f"bad --solver-opts token {token!r}; expected k=v")
         key, value = token.split("=", 1)
         fields[key.strip()] = value.strip()
-    subsample = int(fields.pop("subsample", DEFAULT_SUBSAMPLE))
-    seed = int(fields.pop("seed", 0))
     kwargs = {}
     try:
+        subsample = int(fields.pop("subsample", DEFAULT_SUBSAMPLE))
+        seed = int(fields.pop("seed", 0))
         if "max_iters" in fields:
             kwargs["max_iters"] = int(fields.pop("max_iters"))
         if "step_tolerance" in fields:
@@ -209,6 +211,10 @@ def _parse_solver_opts(raw: str) -> tuple[SolverOptions, int, int]:
         raise UsageError(f"bad --solver-opts value ({exc})") from exc
     if fields:
         raise UsageError(f"unknown --solver-opts keys: {sorted(fields)}")
+    if subsample < 1:
+        raise UsageError(f"--solver-opts subsample must be >= 1, got {subsample}")
+    if seed < 0:
+        raise UsageError(f"--solver-opts seed must be >= 0, got {seed}")
     return SolverOptions(**kwargs), subsample, seed
 
 
@@ -278,11 +284,13 @@ def cmd_prior(args) -> int:
 
 def _refine_split(manifest, bank: PriorBank, out, transform, threads: int) -> int:
     """Write transform(probs, prior) and its argmax for every evaluation
-    record; returns the image count. A first pass loads and validates every
-    input before the first write and keeps only its shape; the second pass
-    re-reads and re-validates each map inside its write group, so memory
-    does not grow with the split and a file changed between the passes still
-    fails before its own outputs are written."""
+    record; returns the image count. The bank width, a prior for every id
+    and every map's header are checked before --out is touched. Each map is
+    then read and validated once, inside its write group, and its outputs go
+    to a hidden staging directory in --out; they move to their final names
+    only after the last map has passed. So memory does not grow with the
+    split, and a failed run publishes nothing: it removes what it staged,
+    and --out too if the run created it."""
     labels = manifest.label_set
     if bank.weights.shape[1] != labels.size:
         raise DataError(
@@ -291,13 +299,16 @@ def _refine_split(manifest, bank: PriorBank, out, transform, threads: int) -> in
     records = manifest.split_records("evaluation")
     if not records:
         raise DataError("no evaluation records in manifest")
-    checked = [
-        (rec, load_probability_map(rec.probs_path, labels).values.shape,
-         bank.get(rec.image_id))
-        for rec in records
-    ]
-    out = Path(out)
+    checked = []
+    for rec in records:
+        dtype, dims = segt.read_header(rec.probs_path)
+        if dtype != np.float32 or len(dims) != 3:
+            raise DataError(f"{rec.probs_path}: expected 3-d float32 tensor")
+        checked.append((rec, dims, bank.get(rec.image_id)))
+    out = Path(out).resolve()
+    created = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".conflens-", dir=out))
 
     def per_image(item):
         rec, _, prior = item
@@ -306,11 +317,18 @@ def _refine_split(manifest, bank: PriorBank, out, transform, threads: int) -> in
 
     def write_group(group):
         for (rec, _, _), (result, pred) in zip(group, _map_ordered(per_image, group, threads)):
-            save_probability_map(result, out / f"{rec.image_id}_refined.segt")
-            save_label_map(pred, out / f"{rec.image_id}_pred.segt")
+            save_probability_map(result, stage / f"{rec.image_id}_refined.segt")
+            save_label_map(pred, stage / f"{rec.image_id}_pred.segt")
 
-    for group in _write_groups(checked, lambda item: item[1]):
-        write_group(group)
+    try:
+        for group in _write_groups(checked, lambda item: item[1]):
+            write_group(group)
+        for path in stage.iterdir():
+            os.replace(path, out / path.name)
+        stage.rmdir()
+    except BaseException:
+        shutil.rmtree(created[-1] if created else stage, ignore_errors=True)
+        raise
     return len(checked)
 
 

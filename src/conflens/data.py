@@ -18,6 +18,8 @@ SPLIT_EVALUATION = "evaluation"
 SPLITS = (SPLIT_ESTIMATION, SPLIT_EVALUATION)
 
 DEFAULT_SUM_TOL = 1e-4
+# bit pattern of the largest float32 value load_probability_map accepts
+_RANGE_BITS = np.float32(1.0 + 1e-6).view(np.uint32)
 
 # Computed output bytes a per-image producer holds before it writes them.
 # Writing each map as soon as it is computed would hold the least, but file
@@ -242,7 +244,13 @@ def load_probability_map(
         raise DataError(
             f"{path}: {arr.shape[2]} channels, label set has {labels.size}"
         )
-    if not (arr.min() >= 0.0 and arr.max() <= 1.0 + 1e-6):
+    # One pass clears most maps: as unsigned integers, the float32 bit
+    # patterns of [+0, 1 + 1e-6] are exactly those up to the bound's, and
+    # negative values (-0.0 too), inf and NaN all lie above it. Only a map
+    # that fails takes the min/max test, which accepts -0.0.
+    if arr.view(np.uint32).max() > _RANGE_BITS and not (
+        arr.min() >= 0.0 and arr.max() <= 1.0 + 1e-6
+    ):
         raise DataError(f"{path}: values outside [0, 1] or NaN")
     probs = ProbabilityMap(arr)
     # the range check leaves no negative or NaN value, so skip the minimum

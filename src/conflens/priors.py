@@ -56,8 +56,9 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise DataError("max_iters must be >= 1")
-        if min(self.step_tolerance, self.loss_tolerance, self.epsilon) <= 0:
-            raise DataError("solver tolerances must be positive")
+        if not all(0 < tol < np.inf for tol in (self.step_tolerance, self.loss_tolerance,
+                                                 self.epsilon)):
+            raise DataError("solver tolerances must be finite and positive")
         if self.init not in ("uniform", "histogram"):
             raise DataError(f"unknown solver init {self.init!r}")
 

@@ -30,11 +30,13 @@ class RefinementMatrix:
             raise DataError(f"refinement matrix must be square, got {mat.shape}")
         if marg.shape != (mat.shape[0],):
             raise DataError("marginal length does not match matrix")
-        if (mat < 0).any():
-            raise DataError("refinement entries must be >= 0")
+        if not (mat >= 0).all():
+            raise DataError("refinement entries must be >= 0, not NaN")
+        if not np.isfinite(marg).all():
+            raise DataError("marginal must be finite")
         live = marg > 0
         colsums = mat.sum(axis=0)
-        if live.any() and np.abs(colsums[live] - 1.0).max() > COLUMN_SUM_TOL:
+        if not (np.abs(colsums[live] - 1.0) <= COLUMN_SUM_TOL).all():
             raise DataError("live refinement columns must sum to 1")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "marginal", marg)
@@ -100,10 +102,11 @@ def labelbank_mask(probs: ProbabilityMap, present) -> ProbabilityMap:
     flat_out = out.reshape(flat.shape)
     for start in range(0, flat.shape[0], kernels.PIXEL_BLOCK):
         stop = start + kernels.PIXEL_BLOCK
-        vals = flat[start:stop].astype(np.float64) * keep
+        vals = flat[start:stop].astype(np.float64)
+        vals *= keep
         sums = vals.sum(axis=1, keepdims=True)
         degenerate = sums <= 0.0
-        flat_out[start:stop] = np.where(
-            degenerate, fallback, vals / np.where(degenerate, 1.0, sums)
-        )
+        vals /= np.where(degenerate, 1.0, sums)
+        vals[degenerate[:, 0]] = fallback
+        flat_out[start:stop] = vals
     return ProbabilityMap(out)

@@ -66,7 +66,20 @@ class SynthSpec:
     eval_confusion_drift: float = 0.0
 
     def __post_init__(self):
-        T = np.asarray(self.true_confusion, dtype=np.float64)
+        # the JSON path's type rules, so a library caller gets a DataError
+        # rather than a TypeError deep inside generation
+        for key in _INT_FIELDS + _BOUND_FIELDS:
+            value = getattr(self, key)
+            if not (_is_json_int(value) or (value is None and key in _BOUND_FIELDS)):
+                raise DataError(f"{key} {value!r} is not an integer")
+        for key in _FLOAT_FIELDS + _OPTIONAL_FLOAT_FIELDS:
+            value = getattr(self, key)
+            if not _is_json_number(value):
+                raise DataError(f"{key} {value!r} is not a number")
+        T = np.asarray(self.true_confusion)
+        if T.dtype.kind not in "iuf":
+            raise DataError(f"true_confusion entries are {T.dtype}, not numbers")
+        T = np.asarray(T, dtype=np.float64)
         if T.shape != (self.n_classes, self.n_classes):
             raise DataError(
                 f"true_confusion {T.shape} does not match {self.n_classes} classes"
@@ -94,8 +107,8 @@ class SynthSpec:
             raise DataError("eval_confusion_drift must lie in [0, 1)")
         lo = self.min_classes_per_image
         hi = self.max_classes_per_image
-        lo = self.n_classes if lo is None else int(lo)
-        hi = self.n_classes if hi is None else int(hi)
+        lo = self.n_classes if lo is None else lo
+        hi = self.n_classes if hi is None else hi
         if not 1 <= lo <= hi <= self.n_classes:
             raise DataError(f"bad class subset bounds [{lo}, {hi}]")
         object.__setattr__(self, "min_classes_per_image", lo)

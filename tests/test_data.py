@@ -17,6 +17,7 @@ from conflens import (
     save_label_map,
     save_manifest,
     save_probability_map,
+    store_tensor,
     strip_class_and_renormalize,
     validate_probability_map,
 )
@@ -237,6 +238,30 @@ class TestTensorWrappers:
         save_probability_map(ProbabilityMap(values), path)
         with pytest.raises(DataError):
             load_probability_map(path, LabelSet(size=2))
+
+    # float32 bit patterns at the edges of the accepted range [-0, 1 + 1e-6]
+    RANGE_EDGES = {
+        "+0": 0x00000000, "-0": 0x80000000, "-denormal": 0x80000001,
+        "1+8ulp": 0x3F800008, "1+9ulp": 0x3F800009, "+inf": 0x7F800000,
+        "-inf": 0xFF800000, "+nan": 0x7FC00000, "-nan": 0xFFC00000,
+    }
+
+    @pytest.mark.parametrize("bits", RANGE_EDGES.values(), ids=RANGE_EDGES.keys())
+    def test_range_check_matches_min_max(self, tmp_path, bits):
+        """The one-pass range check accepts exactly the maps that the
+        min/max expression accepts."""
+        value = np.array([bits], dtype=np.uint32).view(np.float32)[0]
+        values = np.full((2, 2, 2), 0.5, dtype=np.float32)
+        values[1, 0] = [value, 1.0 if abs(value) < 0.5 else 0.0]
+        path = tmp_path / "edge.segt"
+        store_tensor(path, values)
+        in_range = bool(values.min() >= 0.0 and values.max() <= 1.0 + 1e-6)
+        assert in_range == (bits in (0x00000000, 0x80000000, 0x3F800008))
+        if in_range:
+            np.testing.assert_array_equal(load_probability_map(path).values, values)
+        else:
+            with pytest.raises(DataError, match=r"outside \[0, 1\] or NaN"):
+                load_probability_map(path)
 
     def test_label_map_round_trip_and_void(self, tmp_path):
         labels = LabelSet(size=3, void_id=255)

@@ -1,6 +1,7 @@
 """Error branches and edge cases across modules: invalid constructions,
 malformed files, and CLI flag validation."""
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -247,9 +248,10 @@ class TestPriorBankWidth:
 
 
 class TestValidateBeforeWrite:
-    """refine and labelbank check every input before their first write, and
-    re-check each map in the write pass before its own outputs are written,
-    here with every map in a write group of its own."""
+    """refine and labelbank read and validate each map once, inside its
+    write group, and publish their outputs only after the last map has
+    passed: a failed run leaves --out as it found it, here with every map in
+    a write group of its own."""
 
     @pytest.fixture
     def split(self, small_dataset, tmp_path, monkeypatch):
@@ -292,33 +294,72 @@ class TestValidateBeforeWrite:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["refine", "labelbank"])
-    def test_map_changed_between_passes(self, small_dataset, split, tmp_path, monkeypatch,
-                                        command):
+    def test_bad_middle_map_publishes_nothing(self, split, tmp_path, command):
         records, argv = split
-        labels = small_dataset[0].label_set
-        target = records[len(records) // 2]
-        load = cli.load_probability_map
-
-        def load_then_corrupt(path, *args, **kwargs):
-            probs = load(path, *args, **kwargs)
-            if Path(path) == target.probs_path:
-                self.corrupt(path, "sum")
-            return probs
-
-        monkeypatch.setattr(cli, "load_probability_map", load_then_corrupt)
+        self.corrupt(records[len(records) // 2].probs_path, "sum")
         out = tmp_path / "out"
         assert main(argv(command, out)) == 2
-        written = sorted(p.name for p in out.iterdir())
-        before = records[:records.index(target)]
-        assert written == sorted(
-            f"{r.image_id}_{kind}.segt" for r in before for kind in ("pred", "refined")
+        assert not out.exists()
+
+    @staticmethod
+    def fail_third_save(monkeypatch):
+        calls = []
+        save = cli.save_probability_map
+
+        def save_or_fail(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return save(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "save_probability_map", save_or_fail)
+
+    @pytest.mark.parametrize("failure", ["bad_middle_map", "write_error"])
+    @pytest.mark.parametrize("command", ["refine", "labelbank"])
+    def test_failed_run_leaves_existing_out_unchanged(self, split, tmp_path, monkeypatch,
+                                                      command, failure):
+        records, argv = split
+        out = tmp_path / "out"
+        assert main(argv(command, out)) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        # a binary bank changes every output, so an overwrite would show
+        args = argv(command, out)
+        priors = args[args.index("--priors") + 1]
+        assert main(["prior", "--manifest", args[args.index("--manifest") + 1],
+                     "--kind", "binary", "--out", priors]) == 0
+        if failure == "bad_middle_map":
+            self.corrupt(records[len(records) // 2].probs_path, "sum")
+        else:
+            self.fail_third_save(monkeypatch)
+        assert main(args) == (2 if failure == "bad_middle_map" else 3)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["refine", "labelbank"])
+    def test_write_error_publishes_nothing(self, split, tmp_path, monkeypatch, command):
+        _, argv = split
+        self.fail_third_save(monkeypatch)
+        out = tmp_path / "out"
+        assert main(argv(command, out)) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["refine", "labelbank"])
+    def test_each_map_read_once(self, split, tmp_path, monkeypatch, command):
+        records, argv = split
+        reads = []
+        load = cli.load_probability_map
+
+        def counted(path, *args, **kwargs):
+            reads.append(Path(path))
+            return load(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_probability_map", counted)
+        out = tmp_path / "out"
+        assert main(argv(command, out)) == 0
+        assert sorted(reads) == sorted(r.probs_path for r in records)
+        # a successful run leaves only the final files
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"{r.image_id}_{kind}.segt" for r in records for kind in ("pred", "refined")
         )
-        # each file written is whole
-        for path in out.iterdir():
-            if path.name.endswith("_refined.segt"):
-                load(path, labels)
-            else:
-                load_label_map(path, labels)
 
 
 class TestHugeJsonIntegers:
@@ -438,6 +479,12 @@ class TestPriorValidation:
         with pytest.raises(DataError):
             SolverOptions(init="midpoint")
 
+    @pytest.mark.parametrize("field", ["step_tolerance", "loss_tolerance", "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_solver_options_reject_non_finite(self, field, value):
+        with pytest.raises(DataError):
+            SolverOptions(**{field: value})
+
     def test_sample_set_shape_checks(self):
         with pytest.raises(DataError):
             SampleSet(gt=np.zeros(3, dtype=np.int64), probs=np.zeros((2, 2)))
@@ -513,6 +560,16 @@ class TestRefineValidation:
                              marginal=np.array([0.5, 0.5]))
         with pytest.raises(DataError):
             RefinementMatrix(matrix=-np.eye(2), marginal=np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("matrix, marginal", [
+        (np.full((3, 3), np.nan), np.full(3, np.nan)),
+        (np.where(np.eye(3) > 0, np.nan, 0.0), np.full(3, 1 / 3)),
+        (np.eye(3), np.array([np.nan, 0.5, 0.5])),
+        (np.eye(3), np.array([np.inf, 0.5, 0.5])),
+    ], ids=["all-nan", "nan-entries", "nan-marginal", "inf-marginal"])
+    def test_refinement_matrix_rejects_non_finite(self, matrix, marginal):
+        with pytest.raises(DataError):
+            RefinementMatrix(matrix=matrix, marginal=marginal)
 
     def test_labelbank_rejects_out_of_range(self):
         probs = ProbabilityMap(np.full((1, 1, 3), 1 / 3, dtype=np.float32))
@@ -590,6 +647,17 @@ class TestSynthValidation:
                 SynthSpec(**self.base(**bad))
 
     @pytest.mark.parametrize("key, value", [
+        ("height", 8.5), ("seed", 1.5), ("n_classes", 3.0), ("n_evaluation", True),
+        ("min_classes_per_image", 1.5), ("max_classes_per_image", "3"),
+        ("region_scale", "4.0"), ("sharpness", True), ("border_noise", None),
+        ("true_confusion", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+    ])
+    def test_constructor_rejects_wrong_types(self, key, value):
+        spec = SynthSpec(**self.base())
+        with pytest.raises(DataError, match=key):
+            dataclasses.replace(spec, **{key: value})
+
+    @pytest.mark.parametrize("key, value", [
         ("n_classes", 3.9), ("height", "8"), ("seed", True), ("n_evaluation", 1.0),
         ("min_classes_per_image", 1.7), ("max_classes_per_image", "3"),
         ("region_scale", "4.0"), ("sharpness", True), ("border_noise", "0"),
@@ -639,6 +707,19 @@ class TestCliFlagValidation:
                      "--confusion", "whatever.segt",
                      "--solver-opts", "max_iters",
                      "--out", "/tmp/x.segt"]) == 1
+
+    @pytest.mark.parametrize("opts, code", [
+        ("subsample=abc", 1), ("seed=x", 1), ("subsample=-1", 1), ("subsample=0", 1),
+        ("seed=-1", 1), ("step_tolerance=nan", 2), ("loss_tolerance=inf", 2),
+    ])
+    def test_bad_solver_opts_value(self, small_dataset, tmp_path, capsys, opts, code):
+        _, _, data = small_dataset
+        out = tmp_path / "x.segt"
+        assert main(["prior", "--manifest", str(data / "manifest.json"),
+                     "--kind", "unconstrained", "--confusion", "whatever.segt",
+                     "--solver-opts", opts, "--out", str(out)]) == code
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_solver_opts_key(self, small_dataset, tmp_path):
         _, _, out = small_dataset
