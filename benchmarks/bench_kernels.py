@@ -2,7 +2,9 @@
 
 Times each kernel in conflens.kernels, and the probability-map sum check
 that every map load runs, on segmentation-scale inputs (512x512 images, 20
-classes) and prints the best of N runs per kernel.
+classes), plus the solver's loss on 64 stacked 576-sample, 8-class images in
+one call against one call per image, and prints the best of N runs per
+case.
 perfbench/harness.py imports make_inputs for its per-kernel metrics.
 
 Usage:
@@ -53,6 +55,31 @@ def make_inputs(size, n_classes, seed=0):
     )
 
 
+def batched_loss_cases(n_images=64, n_samples=576, n_classes=8, seed=0):
+    """loss_value on n_images stacked images in one call, and the same
+    images one call each: the prior solver's lockstep form against its
+    sequential one."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.random((n_classes, n_classes)) + 0.05
+    matrix /= matrix.sum(axis=0, keepdims=True)
+    gt = rng.integers(0, n_classes, size=(n_images, n_samples))
+    weights = rng.dirichlet(np.ones(n_classes), size=n_images)
+    singles = [
+        kernels.sample_evidence(matrix, g, rng.dirichlet(np.ones(n_classes), size=n_samples))
+        for g in gt
+    ]
+    stacked = np.swapaxes(np.stack([np.swapaxes(e, 0, 1) for e in singles]), 1, 2)
+    floor = np.full(gt.shape, 1e-10)
+    label = f"loss_value ({n_images}x{n_samples}x{n_classes}"
+    return [
+        (f"{label}, 1 call)",
+         lambda: kernels.loss_value(matrix, weights, gt, stacked, floor)),
+        (f"{label}, {n_images} calls)",
+         lambda: [kernels.loss_value(matrix, w, g, e, 1e-10)
+                  for w, g, e in zip(weights, gt, singles)]),
+    ]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", type=int, default=512)
@@ -77,14 +104,15 @@ def main():
         ("nearest_seed (256 seeds)",
          lambda: kernels.nearest_seed(args.size, args.size, *data["seeds"])),
         ("validate_probability_map", lambda: validate_probability_map(probs, 1e-4)),
+        *batched_loss_cases(),
     ]
 
     print(f"size={args.size} classes={args.classes} repeats={args.repeats} (best of N)")
-    header = f"{'kernel':<26} {'time':>10}"
+    header = f"{'kernel':<36} {'time':>10}"
     print(header)
     print("-" * len(header))
     for name, call in cases:
-        print(f"{name:<26} {timeit(call, args.repeats) * 1e3:>8.2f}ms")
+        print(f"{name:<36} {timeit(call, args.repeats) * 1e3:>8.2f}ms")
 
 
 if __name__ == "__main__":

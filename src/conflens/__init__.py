@@ -25,7 +25,6 @@ from .data import (
     save_label_map,
     save_manifest,
     save_probability_map,
-    strip_class_and_renormalize,
     validate_probability_map,
 )
 from .errors import ConflensError, DataError, SegtFormatError, UsageError
@@ -41,6 +40,7 @@ from .priors import (
     Prior,
     PriorBank,
     SampleSet,
+    SolveReport,
     SolverOptions,
     binary_prior,
     global_prior,

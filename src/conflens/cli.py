@@ -27,6 +27,7 @@ from .confusion import (
     save_confusion,
 )
 from .data import (
+    _load_groups,
     _map_ordered,
     _write_groups,
     load_label_map,
@@ -38,6 +39,7 @@ from .data import (
 from .errors import ConflensError, DataError, UsageError
 from .metrics import MetricAccumulator, render_matrix_heatmap, save_report
 from .priors import (
+    SOLVE_BUDGET,
     PriorBank,
     SolverOptions,
     binary_prior,
@@ -155,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def cmd_confusion(args) -> int:
-    manifest = load_manifest(args.manifest)
+    manifest = load_manifest(args.manifest, check_files=False)
     records = manifest.split_records("estimation")
     if not records:
         raise DataError("no estimation records in manifest")
@@ -219,7 +221,7 @@ def _parse_solver_opts(raw: str) -> tuple[SolverOptions, int, int]:
 
 
 def cmd_prior(args) -> int:
-    manifest = load_manifest(args.manifest)
+    manifest = load_manifest(args.manifest, check_files=False)
     labels = manifest.label_set
     eval_records = manifest.split_records("evaluation")
     if not eval_records:
@@ -250,7 +252,7 @@ def cmd_prior(args) -> int:
                 f"confusion has {model.n_labels} labels, manifest {labels.size}"
             )
 
-        def per_image(item):
+        def load(item):
             # fit on every annotated, classified site of the image; the
             # evaluation scores all pixels, so masked fitting skews the
             # solved weights off the image's true composition
@@ -262,9 +264,14 @@ def cmd_prior(args) -> int:
                                  max_samples=subsample, rng=rng)
             if len(samples) == 0:
                 raise DataError(f"{rec.image_id}: no usable solver samples")
-            return solve_unconstrained_prior(model, samples, opts).weights
+            return samples
 
-        rows = _map_ordered(per_image, list(enumerate(eval_records)), args.threads)
+        rows = []
+        for group in _load_groups(list(enumerate(eval_records)), load,
+                                  lambda samples: samples.probs.nbytes, SOLVE_BUDGET,
+                                  args.threads):
+            rows += [prior.weights for prior in solve_unconstrained_prior(model, group, opts)]
+            del group  # free its samples before the next group loads
         weights = np.stack(rows)
         solver_meta = {
             "max_iters": opts.max_iters,
@@ -333,7 +340,7 @@ def _refine_split(manifest, bank: PriorBank, out, transform, threads: int) -> in
 
 
 def cmd_refine(args) -> int:
-    manifest = load_manifest(args.manifest)
+    manifest = load_manifest(args.manifest, check_files=False)
     model, _ = load_confusion(args.confusion)
     if model.n_labels != manifest.label_set.size:
         raise DataError(
@@ -349,7 +356,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_labelbank(args) -> int:
-    manifest = load_manifest(args.manifest)
+    manifest = load_manifest(args.manifest, check_files=False)
     n = _refine_split(
         manifest, load_prior_bank(args.priors), args.out,
         lambda probs, prior: labelbank_mask(probs, prior.support),
@@ -360,7 +367,7 @@ def cmd_labelbank(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest = load_manifest(args.manifest)
+    manifest = load_manifest(args.manifest, check_files=False)
     labels = manifest.label_set
     records = manifest.split_records("evaluation")
     if not records:

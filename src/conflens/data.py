@@ -1,5 +1,5 @@
-"""Domain containers: label sets, probability/label maps, dataset manifest,
-and classifier-output preprocessing."""
+"""Domain containers: label sets, probability/label maps and the dataset
+manifest, with their validation, file I/O and per-image grouping."""
 
 from __future__ import annotations
 
@@ -203,25 +203,6 @@ def _sum_failures(values: np.ndarray, tol: float, nonnegative: bool):
     ]
 
 
-def strip_class_and_renormalize(probs: ProbabilityMap, class_id: int) -> ProbabilityMap:
-    """Drop one channel and rescale the remainder to sum to 1 per pixel.
-
-    Pixels left with no mass (<= 1e-12) become uniform over the surviving
-    channels.
-    """
-    n = probs.channels
-    if n < 3:
-        raise DataError(f"need >= 3 channels to strip one, got {n}")
-    if not 0 <= class_id < n:
-        raise DataError(f"class_id {class_id} outside [0, {n})")
-    kept = np.delete(probs.values.astype(np.float64), class_id, axis=2)
-    sums = kept.sum(axis=2, keepdims=True)
-    degenerate = sums <= 1e-12
-    uniform = 1.0 / (n - 1)
-    out = np.where(degenerate, uniform, kept / np.where(degenerate, 1.0, sums))
-    return ProbabilityMap(out.astype(np.float32))
-
-
 # ---------------------------------------------------------------------------
 # tensor-file wrappers
 # ---------------------------------------------------------------------------
@@ -297,6 +278,27 @@ def _map_ordered(fn, items, threads: int) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
+
+
+def _load_groups(items, load, size, budget, threads: int):
+    """Consecutive groups of load(item), in item order, for a consumer that
+    works on a whole group and then drops it; a group closes once the
+    size() of its values reaches budget. Items load `threads` at a time, so
+    up to threads - 1 loaded values wait for the next group. The groups do
+    not depend on `threads`.
+
+    The consumer must drop each group before asking for the next: a loop
+    variable still bound to it keeps it alive while the next one loads."""
+    group, total = [], 0
+    for start in range(0, len(items), max(threads, 1)):
+        for value in _map_ordered(load, items[start:start + max(threads, 1)], threads):
+            group.append(value)
+            total += size(value)
+            if total >= budget:
+                yield group
+                group, total = [], 0
+    if group:
+        yield group
 
 
 def _write_groups(items, map_shape):

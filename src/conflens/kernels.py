@@ -99,6 +99,36 @@ def sample_evidence(matrix, gt, probs):
     return np.multiply(matrix[:, gt], probs.T, order="C").T
 
 
+# The loss kernels take one image, or images stacked on leading axes:
+# weights (..., L), gt (..., N) and evidence (..., N, L), a view of
+# label-major (..., L, N) evidence like sample_evidence's, where gt's and
+# evidence's leading axes broadcast against weights'. So (B, L) weights take
+# one prior per image, and (B, K, L) weights with (B, 1, N) gt and
+# (B, 1, N, L) evidence try K priors on each image. Images with fewer samples
+# are padded with zero evidence, and eps is then an array of clamp floors,
+# broadcast like gt, that is 1 at the padding: a padded sample adds
+# -log(1) = 0 to its image's loss and, never above its floor, nothing to the
+# gradient or Hessian.
+
+def _scores(matrix, weights, evidence, out=None):
+    """s = evidence @ (1 / m) per image, with m = matrix @ weights; returns
+    (m, s)."""
+    m = weights @ matrix.T
+    if weights.ndim == 1:
+        return m, np.dot(evidence, 1.0 / m, out=out)
+    s = np.matmul(evidence, (1.0 / m)[..., None], out=None if out is None else out[..., None])
+    return m, s[..., 0]
+
+
+def _flat_labels(gt, weights):
+    """gt as indices into the flattened weights: label l of the prior at
+    flat position p is p * L + l."""
+    if weights.ndim == 1:
+        return gt
+    n_labels = weights.shape[-1]
+    return gt + n_labels * np.arange(weights.size // n_labels).reshape(weights.shape[:-1] + (1,))
+
+
 def loss_value(matrix, weights, gt, evidence, eps, scores=None):
     """Negative log-loss of refined ground-truth probabilities.
 
@@ -107,11 +137,12 @@ def loss_value(matrix, weights, gt, evidence, eps, scores=None):
     marginal m = matrix @ weights, sample i's refined ground-truth
     probability is weights[gt_i] * s_i, where s = evidence @ (1 / m). Terms
     below eps are clamped. A float64 (N,) `scores` buffer, when given,
-    receives s.
+    receives s. Stacked images give an array of losses, one per prior.
     """
-    s = np.dot(evidence, 1.0 / (matrix @ weights), out=scores)
-    refined = weights[gt] * s
-    return float(-np.log(np.maximum(refined, eps)).sum())
+    _, s = _scores(matrix, weights, evidence, scores)
+    refined = weights.take(_flat_labels(gt, weights)) * s
+    loss = -np.log(np.maximum(refined, eps)).sum(axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def loss_grad(matrix, weights, gt, evidence, eps, scores=None):
@@ -119,18 +150,23 @@ def loss_grad(matrix, weights, gt, evidence, eps, scores=None):
     the output marginal on the prior. Clamped samples contribute zero
     gradient. `scores`, when given, holds s for these weights as filled in
     by loss_value, and is not recomputed."""
-    n_labels = weights.shape[0]
-    m = matrix @ weights
-    s = np.dot(evidence, 1.0 / m) if scores is None else scores
-    refined = weights[gt] * s
-    loss = float(-np.log(np.maximum(refined, eps)).sum())
+    m, s = _scores(matrix, weights, evidence) if scores is None else (weights @ matrix.T, scores)
+    labels = _flat_labels(gt, weights)
+    refined = weights.take(labels) * s
+    loss = -np.log(np.maximum(refined, eps)).sum(axis=-1)
     live = refined > eps
-    counts = np.bincount(gt[live], minlength=n_labels).astype(np.float64)
+    counts = np.bincount(labels[live], minlength=weights.size).reshape(weights.shape)
     direct = counts / np.maximum(weights, 1e-300)
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=live)
-    v = (inv_s @ evidence) / (m * m)
-    grad = -direct + matrix.T @ v
-    return loss, grad
+    v = np.matmul(inv_s[..., None, :], evidence)[..., 0, :] / (m * m)
+    grad = -direct + v @ matrix
+    return (float(loss) if loss.ndim == 0 else loss), grad
+
+
+# Elements of the scaled evidence A^T / s that loss_hessian forms at a
+# time, in blocks of whole images: 256 KiB of float64, so a group of stacked
+# images needs no temporary the size of its evidence.
+HESSIAN_BLOCK = 1 << 15
 
 
 def loss_hessian(matrix, weights, gt, evidence, eps, scores=None):
@@ -144,21 +180,32 @@ def loss_hessian(matrix, weights, gt, evidence, eps, scores=None):
     vector loss_grad builds. With P = M^T / m^2 and B = A^T / s (live
     samples only), Q^T = P @ B, so Q^T Q = P (B B^T) P^T: one O(N * L^2)
     product on the label-major evidence, the rest is L x L. `scores` as in
-    loss_grad. The solver calls it once per Newton iteration.
+    loss_grad. The solver calls it once per Newton iteration, and (B, L)
+    weights on B stacked images give a (B, L, L) stack.
     """
-    n_labels = weights.shape[0]
-    m = matrix @ weights
-    s = np.dot(evidence, 1.0 / m) if scores is None else scores
-    live = weights[gt] * s > eps
-    counts = np.bincount(gt[live], minlength=n_labels).astype(np.float64)
-    direct = np.divide(counts, weights * weights, out=np.zeros(n_labels), where=weights > 0)
-    scaled = evidence.T * np.divide(1.0, s, out=np.zeros_like(s), where=live)
+    single = weights.ndim == 1
+    if single:  # a stack of one
+        weights, gt, evidence = weights[None], gt[None], evidence[None]
+        scores = None if scores is None else scores[None]
+    n_labels = weights.shape[-1]
+    m, s = _scores(matrix, weights, evidence) if scores is None else (weights @ matrix.T, scores)
+    labels = _flat_labels(gt, weights)
+    live = weights.take(labels) * s > eps
+    counts = np.bincount(labels[live], minlength=weights.size).reshape(weights.shape)
+    direct = np.divide(counts, weights * weights, out=np.zeros(weights.shape), where=weights > 0)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=live)
     inv_m2 = 1.0 / (m * m)
-    p = matrix.T * inv_m2
-    v = scaled.sum(axis=1) * inv_m2
-    hess = p @ (scaled @ scaled.T) @ p.T - 2.0 * ((matrix.T * (v / m)) @ matrix)
-    hess[np.diag_indices(n_labels)] += direct
-    return hess
+    p = matrix.T * inv_m2[:, None, :]
+    v = np.matmul(inv_s[:, None, :], evidence)[:, 0, :] * inv_m2
+    gram = np.empty(weights.shape + (n_labels,))
+    block = max(1, HESSIAN_BLOCK // evidence[0].size)
+    for start in range(0, weights.shape[0], block):
+        images = slice(start, start + block)
+        scaled = np.swapaxes(evidence[images], 1, 2) * inv_s[images, None, :]
+        np.matmul(scaled, np.swapaxes(scaled, 1, 2), out=gram[images])
+    hess = p @ gram @ np.swapaxes(p, 1, 2) - 2.0 * ((matrix.T * (v / m)[:, None, :]) @ matrix)
+    hess.reshape(len(hess), -1)[:, ::n_labels + 1] += direct
+    return hess[0] if single else hess
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -13,7 +14,15 @@ import numpy as np
 
 from . import kernels, segt
 from .confusion import ConfusionModel, PixelMask
-from .data import LabelMap, LabelSet, Manifest, ProbabilityMap, _frozen_array, load_label_map
+from .data import (
+    LabelMap,
+    LabelSet,
+    Manifest,
+    ProbabilityMap,
+    _frozen_array,
+    _is_json_int,
+    load_label_map,
+)
 from .errors import DataError
 
 SUM_TOL = 1e-9
@@ -21,6 +30,18 @@ EPSILON = 1e-10
 _NEWTON_MIN_STEP = 1e-6
 _ZERO_WEIGHT = 1e-12
 PRIOR_KINDS = ("uniform", "global", "binary", "histogram", "unconstrained")
+# Bytes of float64 sample classifier outputs, the size of their evidence,
+# that the prior stage loads before it solves them as one lockstep group.
+# A solve holds the samples and the stacked evidence, about twice this.
+# Larger groups take fewer lockstep iterations: on the benchmark's
+# many_small workload (2-core VM), 2 MiB groups made the stage about 7%
+# faster than 1 MiB groups, and 4 MiB about 5% faster again, but 4 MiB
+# raised the benchmark's peak memory by about 4 MB where 2 MiB stayed
+# within 1 MB.
+SOLVE_BUDGET = 2 << 20
+# Line-search tries per call when one image is still searching; see
+# _first_decrease.
+_TRIES = 8
 
 
 @dataclass(frozen=True)
@@ -54,13 +75,27 @@ class SolverOptions:
     init: str = "histogram"
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise DataError("max_iters must be >= 1")
+        if not _is_json_int(self.max_iters) or self.max_iters < 1:
+            raise DataError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not all(0 < tol < np.inf for tol in (self.step_tolerance, self.loss_tolerance,
                                                  self.epsilon)):
             raise DataError("solver tolerances must be finite and positive")
         if self.init not in ("uniform", "histogram"):
             raise DataError(f"unknown solver init {self.init!r}")
+
+
+@dataclass(frozen=True)
+class SolveReport:
+    """What the solver did for one image: the Newton iterations of each
+    descent it ran, the second being the restart from uniform, and the
+    image's final loss."""
+
+    iterations: tuple[int, ...]
+    loss: float
+
+    @property
+    def restarted(self) -> bool:
+        return len(self.iterations) == 2
 
 
 @dataclass(frozen=True)
@@ -239,16 +274,14 @@ def _ranks(n: int) -> np.ndarray:
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based). The
-    solver calls it once per line-search step, on a vector of |L| entries,
-    so it keeps to array methods: numpy's function wrappers cost more than
-    the arithmetic at that size."""
+    """Euclidean projection onto {x >= 0, sum x = 1} of a vector, or of each
+    row of a (B, L) stack. With u sorted descending, the shift is
+    min over k of (1 - (u_1 + ... + u_k)) / k, which is attained at the
+    largest k whose u_k stays positive after the shift (Condat, "Fast
+    projection onto the simplex and the l1 ball", 2016)."""
     v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    cumulative = u.cumsum()
-    candidates = u + (1.0 - cumulative) / _ranks(v.size)
-    rho = (candidates > 0).nonzero()[0][-1]
-    shift = (1.0 - cumulative[rho]) / (rho + 1)
+    u = np.sort(v, axis=-1)[..., ::-1]
+    shift = ((1.0 - u.cumsum(axis=-1)) / _ranks(v.shape[-1])).min(axis=-1, keepdims=True)
     return np.maximum(v + shift, 0.0)
 
 
@@ -265,10 +298,12 @@ def _sum_zero_basis(k: int) -> np.ndarray:
     return basis
 
 
-def _newton_direction(w, grad, hess):
-    """Projected-Newton direction (Bertsekas 1982) on the simplex, or None.
+def _newton_directions(w, grad, hess):
+    """Projected-Newton directions (Bertsekas 1982) on the simplex for each
+    row of w (B, L); returns them, zero where a row has none, and the mask
+    of rows that have one.
 
-    The free labels are the support of w plus the zero weights whose
+    A row's free labels are the support of w plus the zero weights whose
     gradient is below the support's mean, where moving mass in lowers the
     loss; the rest stay fixed. Weights up to _ZERO_WEIGHT count as zero:
     the simplex projection leaves rounding-level mass on labels a step did
@@ -276,112 +311,266 @@ def _newton_direction(w, grad, hess):
     mean, swamp the direction. The Hessian is restricted to the sum-zero
     subspace of the free labels. The loss is not convex, so each eigenvalue
     is replaced by its magnitude, floored at 1e-8 of the largest, which
-    keeps the direction a descent direction.
+    keeps the direction a descent direction. Rows with the same number of
+    free labels share one batched eigh, so no padding enters the
+    eigenvalues.
     """
     support = w > _ZERO_WEIGHT
-    idx = (support | (grad < grad[support].mean())).nonzero()[0]
-    if idx.size < 2:
-        return None
-    basis = _sum_zero_basis(idx.size)
-    reduced = basis.T @ hess[np.ix_(idx, idx)] @ basis
-    if not np.isfinite(reduced).all():
-        return None
-    lam, vecs = np.linalg.eigh(reduced)
-    mag = np.abs(lam)
-    top = mag.max()
-    if not top > 0:
-        return None
-    coef = (vecs.T @ (basis.T @ grad[idx])) / np.maximum(mag, 1e-8 * top)
+    mean = np.where(support, grad, 0.0).sum(axis=1) / support.sum(axis=1)
+    free = support | (grad < mean[:, None])
+    sizes = free.sum(axis=1)
     direction = np.zeros_like(w)
-    direction[idx] = -(basis @ (vecs @ coef))
-    return direction
+    found = np.zeros(w.shape[0], dtype=bool)
+    for k in sorted(set(sizes.tolist()) - {0, 1}):
+        rows = (sizes == k).nonzero()[0]
+        idx = free[rows].nonzero()[1].reshape(rows.size, k)
+        basis = _sum_zero_basis(k)
+        reduced = basis.T @ hess[rows[:, None, None], idx[:, :, None], idx[:, None, :]] @ basis
+        if not np.isfinite(reduced).all():
+            finite = np.isfinite(reduced).all(axis=(1, 2))
+            rows, idx, reduced = rows[finite], idx[finite], reduced[finite]
+        lam, vecs = np.linalg.eigh(reduced)
+        mag = np.abs(lam)
+        top = mag.max(axis=1, keepdims=True)
+        if not (top > 0).all():
+            ok = top[:, 0] > 0
+            rows, idx, mag, top, vecs = rows[ok], idx[ok], mag[ok], top[ok], vecs[ok]
+        reduced_grad = grad[rows[:, None], idx] @ basis
+        coef = (reduced_grad[:, None, :] @ vecs)[:, 0, :] / np.maximum(mag, 1e-8 * top)
+        direction[rows[:, None], idx] = -((vecs @ coef[:, :, None])[:, :, 0] @ basis.T)
+        found[rows] = True
+    return direction, found
 
 
-def _first_decrease(matrix, gt, evidence, opts, w, loss, direction, t, t_min, scores):
-    """Backtrack project_to_simplex(w + t * direction), halving t from the
-    given value while t >= t_min, to the first strict loss decrease.
-    Returns (candidate or None, its loss, the last t tried); `scores` keeps
-    the candidate's s for loss_grad."""
-    while t >= t_min:
-        cand = project_to_simplex(w + t * direction)
-        cand_loss = kernels.loss_value(matrix, cand, gt, evidence, opts.epsilon, scores)
-        if cand_loss < loss:
-            return cand, cand_loss, t
-        t *= 0.5
-    return None, loss, t
+def _take(evidence, rows):
+    """evidence[rows] for (B, N, L) evidence, kept label-major."""
+    return np.swapaxes(np.swapaxes(evidence, 1, 2)[rows], 1, 2)
 
 
-def _descend(matrix, gt, evidence, start, opts: SolverOptions):
-    """Monotone projected Newton descent.
+def _partition(keep, *arrays):
+    """Reorder the rows of each array in place, by swaps, so that the rows
+    where keep is True come first; returns the new order as indices of the
+    old rows. The other rows keep their data, behind them."""
+    order = np.arange(keep.size)
+    keep = keep.copy()
+    front, back = 0, keep.size - 1
+    while True:
+        while front < back and keep[front]:
+            front += 1
+        while front < back and not keep[back]:
+            back -= 1
+        if front >= back:
+            return order
+        pair, swapped = [front, back], [back, front]
+        for arr in (keep, order, *arrays):
+            arr[pair] = arr[swapped]
+
+
+def _first_decrease(matrix, gt, evidence, floor, w, loss, direction, t, t_min, pending,
+                    cand, scores):
+    """Backtrack project_to_simplex(w + t * direction) for each row in
+    `pending`, halving the row's t from its value in `t` while t >= t_min,
+    to the first strict decrease of the row's loss. A row that finds one
+    gets the candidate in cand, its loss in loss and its s in scores (which
+    loss_grad reuses); t keeps each row's last t tried. Returns the mask of
+    rows that found one.
+
+    While more than half the rows search, every row is tried where it lies
+    and only the searching ones count; after that, the searching rows'
+    arrays are copied once each time one of them leaves the search. With P
+    rows tried, each call tries max(1, _TRIES // P) successive halvings of
+    every row at once, and a row takes the first that decreases: a lone
+    row's loss costs little more than the call, so its next tries come
+    almost free."""
+    found = np.zeros(w.shape[0], dtype=bool)
+    pending = pending[t[pending] >= t_min]
+    while pending.size:
+        if 2 * pending.size > w.shape[0]:
+            tried_rows = np.arange(w.shape[0])
+            sub_gt, sub_evidence, sub_floor = gt, evidence, floor
+            sub_w, sub_dir, sub_loss = w, direction, loss
+            searching = np.zeros(w.shape[0], dtype=bool)
+            searching[pending] = True
+        else:
+            tried_rows = pending
+            sub_gt, sub_evidence, sub_floor = gt[pending], _take(evidence, pending), floor[pending]
+            sub_w, sub_dir, sub_loss = w[pending], direction[pending], loss[pending]
+            searching = np.ones(pending.size, dtype=bool)
+        tries = max(1, _TRIES // tried_rows.size)
+        direct = tries == 1 and pending.size == w.shape[0]  # s lands in scores
+        out = scores[:, None] if direct else np.empty((tried_rows.size, tries, gt.shape[1]))
+        halvings = 0.5 ** np.arange(tries)
+        sub_t = t[tried_rows]
+        while True:
+            tried = sub_t[:, None] * halvings
+            trial = project_to_simplex(sub_w[:, None] + tried[..., None] * sub_dir[:, None])
+            trial_loss = kernels.loss_value(matrix, trial, sub_gt[:, None],
+                                            sub_evidence[:, None], sub_floor[:, None], out)
+            better = (trial_loss < sub_loss[:, None]) & (tried >= t_min) & searching[:, None]
+            if better.any():
+                break
+            sub_t = tried[:, -1] * 0.5
+            if not (sub_t[searching] >= t_min).all():
+                break
+        hit = better.any(axis=1)
+        if hit.any():
+            first = better.argmax(axis=1)
+            pick = (hit.nonzero()[0], first[hit])
+            won = tried_rows[hit]
+            cand[won], loss[won], found[won] = trial[pick], trial_loss[pick], True
+            if not direct:
+                scores[won] = out[pick]
+            sub_t = np.where(hit, tried[np.arange(tried_rows.size), first], tried[:, -1] * 0.5)
+        t[tried_rows[searching]] = sub_t[searching]
+        lost = tried_rows[searching & ~hit]
+        pending = lost[t[lost] >= t_min]
+    return found
+
+
+def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
+    """Monotone projected Newton descent of a group of images in lockstep,
+    from start (B, L), with `step` each image's first gradient step length.
 
     Each iteration backtracks along the Newton direction from t = 1 down to
     1e-6. If that gives no decrease, or there is no Newton direction, it
     takes a projected-gradient step instead, backtracking from a step
     length that halves on each rejection and doubles after each accepted
-    gradient step. It stops when no step decreases the loss, when the
+    gradient step. An image stops when no step decreases its loss, when the
     decrease falls below loss_tolerance, or after max_iters iterations.
+
+    A stopped image leaves the group: _partition moves the rows of gt,
+    evidence and floor of the running images to the front, in place, and
+    the rest of the descent works on that prefix, so nothing is copied.
+    Returns the end weights (B, L), their losses (B,) and each image's
+    Newton iterations (B,), in the input row order, and the row order it
+    leaves behind: row i of the arrays then holds input row order[i].
     """
-    w = start
-    loss, grad = kernels.loss_grad(matrix, w, gt, evidence, opts.epsilon)
-    step = 1.0 / max(gt.shape[0], 1)
-    scores = np.empty(gt.shape[0])
+    end_w, end_loss = start.copy(), np.empty(start.shape[0])
+    iterations = np.zeros(start.shape[0], dtype=np.int64)
+    order = np.arange(start.shape[0])
+    w, step = start, step.copy()
+    loss, grad = kernels.loss_grad(matrix, w, gt, evidence, floor)
+    scores = np.empty(gt.shape)
     known = None
+
+    def leave(stop, *extra):
+        """Drop the stopped rows; returns the extra row arrays of the
+        running ones."""
+        nonlocal w, loss, grad, step, gt, evidence, floor, scores
+        rows = order[:stop.size]
+        end_w[rows[stop]], end_loss[rows[stop]] = w[stop], loss[stop]
+        moved = _partition(~stop, gt, evidence, floor, scores)
+        order[:stop.size] = rows[moved]
+        k = stop.size - int(stop.sum())
+        w, loss, grad, step = w[moved[:k]], loss[moved[:k]], grad[moved[:k]], step[moved[:k]]
+        gt, evidence, floor, scores = gt[:k], evidence[:k], floor[:k], scores[:k]
+        return [arr[moved[:k]] for arr in extra]
+
     for _ in range(opts.max_iters):
-        hess = kernels.loss_hessian(matrix, w, gt, evidence, opts.epsilon, known)
-        direction = _newton_direction(w, grad, hess)
-        cand = None
-        if direction is not None:
-            cand, cand_loss, _ = _first_decrease(
-                matrix, gt, evidence, opts, w, loss, direction, 1.0, _NEWTON_MIN_STEP, scores)
-        if cand is None:
-            cand, cand_loss, step = _first_decrease(
-                matrix, gt, evidence, opts, w, loss, -grad, step, opts.step_tolerance, scores)
-            if cand is None:
-                break
-            step *= 2.0
+        iterations[order[:w.shape[0]]] += 1
+        hess = kernels.loss_hessian(matrix, w, gt, evidence, floor, known)
+        direction, newton = _newton_directions(w, grad, hess)
+        cand, cand_loss = w.copy(), loss.copy()
+        t = np.ones(w.shape[0])
+        accepted = _first_decrease(matrix, gt, evidence, floor, w, cand_loss, direction, t,
+                                   _NEWTON_MIN_STEP, newton.nonzero()[0], cand, scores)
+        fallback = (~accepted).nonzero()[0]
+        by_gradient = _first_decrease(matrix, gt, evidence, floor, w, cand_loss, -grad, step,
+                                      opts.step_tolerance, fallback, cand, scores)
+        step[by_gradient] *= 2.0
+        accepted |= by_gradient
         drop = loss - cand_loss
+        if not accepted.all():
+            cand, drop = leave(~accepted, cand, drop)
+            if not w.shape[0]:
+                break
         w = cand
-        loss, grad = kernels.loss_grad(matrix, w, gt, evidence, opts.epsilon, scores)
+        loss, grad = kernels.loss_grad(matrix, w, gt, evidence, floor, scores)
+        small = drop < opts.loss_tolerance
+        if small.any():
+            leave(small)
+            if not w.shape[0]:
+                break
         known = scores
-        if drop < opts.loss_tolerance:
-            break
-    return w, loss
+    else:
+        leave(np.ones(w.shape[0], dtype=bool))
+    return end_w, end_loss, iterations, order
+
+
+def _stack(matrix, sample_sets, epsilon):
+    """The group's evidence as a (B, N, L) view of label-major (B, L, N)
+    zeros, filled per image up to its sample count; gt (B, N), zero where
+    padded; and the clamp floors (B, N): epsilon, and 1 at the padding."""
+    counts = np.array([len(samples) for samples in sample_sets])
+    size = counts.max()
+    evidence = np.zeros((len(sample_sets), matrix.shape[0], size))
+    gt = np.zeros((len(sample_sets), size), dtype=np.int64)
+    for b, samples in enumerate(sample_sets):
+        np.multiply(matrix[:, samples.gt], samples.probs.T, out=evidence[b, :, :counts[b]])
+        gt[b, :counts[b]] = samples.gt
+    floor = np.where(np.arange(size) < counts[:, None], epsilon, 1.0)
+    return np.swapaxes(evidence, 1, 2), gt, floor
 
 
 def solve_unconstrained_prior(
     confusion: ConfusionModel,
-    samples: SampleSet,
+    samples: SampleSet | Sequence[SampleSet],
     opts: SolverOptions = SolverOptions(),
-) -> Prior:
+    reports: list[SolveReport] | None = None,
+) -> Prior | list[Prior]:
     """Minimize the refinement log-loss over the simplex.
 
-    Descends from the configured init (sample histogram by default); if the
-    uniform prior scores better than that result, descends again from
-    uniform and returns the better endpoint. The result therefore never
-    loses to its init, the histogram prior, or the uniform prior.
+    `samples` is one SampleSet, giving one Prior, or a sequence of them,
+    solved together in lockstep and giving a list of Priors in order.
+    Descends from the configured init (sample histogram by default); where
+    the uniform prior scores better than that result, descends again from
+    uniform and keeps the better endpoint. A result therefore never loses to
+    its init, the histogram prior, or the uniform prior. `reports`, when a
+    list, receives one SolveReport per image.
     """
-    if len(samples) == 0:
-        raise DataError("empty sample set")
+    single = isinstance(samples, SampleSet)
+    sample_sets = [samples] if single else list(samples)
     n = confusion.n_labels
     matrix = confusion.matrix
-    hist = np.bincount(samples.gt, minlength=n).astype(np.float64)
-    hist /= hist.sum()
-    start = np.full(n, 1.0 / n) if opts.init == "uniform" else hist
-    evidence = kernels.sample_evidence(matrix, samples.gt, samples.probs)
-    start_loss = kernels.loss_value(matrix, start, samples.gt, evidence, opts.epsilon)
-    if not np.isfinite(start_loss):
+    for item in sample_sets:
+        if len(item) == 0:
+            raise DataError("empty sample set")
+        if item.probs.shape[1] != n:
+            raise DataError(f"samples have {item.probs.shape[1]} labels, confusion {n}")
+    evidence, gt, floor = _stack(matrix, sample_sets, opts.epsilon)
+    counts = np.array([len(item) for item in sample_sets], dtype=np.float64)
+    uniform = np.full((len(sample_sets), n), 1.0 / n)
+    if opts.init == "uniform":
+        start = uniform
+    else:
+        start = np.stack([np.bincount(item.gt, minlength=n) for item in sample_sets])
+        start = start / counts[:, None]
+    start_loss = kernels.loss_value(matrix, start, gt, evidence, floor)
+    if not np.isfinite(start_loss).all():
         raise DataError("non-finite loss at solver init")
-    w, loss = _descend(matrix, samples.gt, evidence, start, opts)
-    uniform = np.full(n, 1.0 / n)
-    uniform_loss = kernels.loss_value(matrix, uniform, samples.gt, evidence, opts.epsilon)
-    if uniform_loss < loss:
-        w2, loss2 = _descend(matrix, samples.gt, evidence, uniform, opts)
-        if loss2 < loss:
-            w, loss = w2, loss2
-    total = w.sum()
-    if abs(total - 1.0) > 1e-12:
-        w = w / total
-    return Prior(w)
+    uniform_loss = kernels.loss_value(matrix, uniform, gt, evidence, floor)
+    w, loss, first, order = _descend(matrix, gt, evidence, floor, start, 1.0 / counts, opts)
+    again = (uniform_loss < loss).nonzero()[0]
+    second = np.zeros_like(first)
+    if again.size:
+        # the restart's images to the front of the rows the descent left
+        moved = _partition(np.isin(order, again), gt, evidence, floor)
+        again, k = order[moved[:again.size]], again.size
+        w2, loss2, second[again], _ = _descend(matrix, gt[:k], evidence[:k], floor[:k],
+                                               uniform[:k], 1.0 / counts[again], opts)
+        better = loss2 < loss[again]
+        w[again[better]], loss[again[better]] = w2[better], loss2[better]
+    total = w.sum(axis=1, keepdims=True)
+    w = np.where(np.abs(total - 1.0) > 1e-12, w / total, w)
+    if reports is not None:
+        restarted = np.zeros(len(sample_sets), dtype=bool)
+        restarted[again] = True
+        reports.extend(
+            SolveReport((int(a), int(b)) if r else (int(a),), float(value))
+            for a, b, r, value in zip(first, second, restarted, loss)
+        )
+    priors = [Prior(row) for row in w]
+    return priors[0] if single else priors
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,13 @@ most direct form of its definition. tests/test_kernels.py compares every
 kernel with its loop on small random inputs, and tests/test_data.py compares
 validate_probability_map with sum_check_formula. nearest_seed_formula is the
 unpruned distance matrix that the tiled kernels.nearest_seed must reproduce.
+solve_prior_sequential solves one image's prior at a time, the oracle of the
+lockstep solver in conflens.priors.
 """
 
 import numpy as np
+
+from conflens import kernels, priors
 
 
 def border_excluded_loop(labels, radius):
@@ -164,3 +168,103 @@ def sum_check_formula(values, tol):
     dev = np.abs(sums - 1.0)
     bad = np.argwhere(~(dev <= tol))
     return [((int(i), int(j)), float(dev[i, j])) for i, j in bad]
+
+
+# ---------------------------------------------------------------------------
+# sequential prior solver: one image at a time, on the single-image kernels
+# ---------------------------------------------------------------------------
+
+def newton_direction(w, grad, hess):
+    """The projected-Newton direction of one image, or None: the
+    single-image form of conflens.priors._newton_directions."""
+    support = w > priors._ZERO_WEIGHT
+    idx = (support | (grad < grad[support].mean())).nonzero()[0]
+    if idx.size < 2:
+        return None
+    basis = priors._sum_zero_basis(idx.size)
+    reduced = basis.T @ hess[np.ix_(idx, idx)] @ basis
+    if not np.isfinite(reduced).all():
+        return None
+    lam, vecs = np.linalg.eigh(reduced)
+    mag = np.abs(lam)
+    top = mag.max()
+    if not top > 0:
+        return None
+    coef = (vecs.T @ (basis.T @ grad[idx])) / np.maximum(mag, 1e-8 * top)
+    direction = np.zeros_like(w)
+    direction[idx] = -(basis @ (vecs @ coef))
+    return direction
+
+
+def first_decrease(matrix, gt, evidence, opts, w, loss, direction, t, t_min, scores):
+    """Backtrack project_to_simplex(w + t * direction), halving t from the
+    given value while t >= t_min, to the first strict loss decrease.
+    Returns (candidate or None, its loss, the last t tried); `scores` keeps
+    the candidate's s for loss_grad."""
+    while t >= t_min:
+        cand = priors.project_to_simplex(w + t * direction)
+        cand_loss = kernels.loss_value(matrix, cand, gt, evidence, opts.epsilon, scores)
+        if cand_loss < loss:
+            return cand, cand_loss, t
+        t *= 0.5
+    return None, loss, t
+
+
+def descend(matrix, gt, evidence, start, opts):
+    """Monotone projected Newton descent of one image, the sequential form
+    of conflens.priors._descend. Returns (weights, loss, iterations).
+
+    Each iteration backtracks along the Newton direction from t = 1 down to
+    1e-6. If that gives no decrease, or there is no Newton direction, it
+    takes a projected-gradient step instead, backtracking from a step
+    length that halves on each rejection and doubles after each accepted
+    gradient step. It stops when no step decreases the loss, when the
+    decrease falls below loss_tolerance, or after max_iters iterations.
+    """
+    w = start
+    loss, grad = kernels.loss_grad(matrix, w, gt, evidence, opts.epsilon)
+    step = 1.0 / max(gt.shape[0], 1)
+    scores = np.empty(gt.shape[0])
+    known = None
+    iterations = 0
+    for _ in range(opts.max_iters):
+        iterations += 1
+        hess = kernels.loss_hessian(matrix, w, gt, evidence, opts.epsilon, known)
+        direction = newton_direction(w, grad, hess)
+        cand = None
+        if direction is not None:
+            cand, cand_loss, _ = first_decrease(matrix, gt, evidence, opts, w, loss, direction,
+                                                1.0, priors._NEWTON_MIN_STEP, scores)
+        if cand is None:
+            cand, cand_loss, step = first_decrease(
+                matrix, gt, evidence, opts, w, loss, -grad, step, opts.step_tolerance, scores)
+            if cand is None:
+                break
+            step *= 2.0
+        drop = loss - cand_loss
+        w = cand
+        loss, grad = kernels.loss_grad(matrix, w, gt, evidence, opts.epsilon, scores)
+        known = scores
+        if drop < opts.loss_tolerance:
+            break
+    return w, loss, iterations
+
+
+def solve_prior_sequential(matrix, gt, probs, opts):
+    """The unconstrained prior of one image, solved on its own: descend from
+    opts.init and, if uniform then scores better, again from uniform.
+    Returns (weights, loss, iterations of each descent)."""
+    n = matrix.shape[0]
+    hist = np.bincount(gt, minlength=n).astype(np.float64)
+    hist /= hist.sum()
+    uniform = np.full(n, 1.0 / n)
+    evidence = kernels.sample_evidence(matrix, gt, probs)
+    w, loss, iters = descend(matrix, gt, evidence, uniform if opts.init == "uniform" else hist,
+                             opts)
+    iterations = (iters,)
+    if kernels.loss_value(matrix, uniform, gt, evidence, opts.epsilon) < loss:
+        w2, loss2, iters2 = descend(matrix, gt, evidence, uniform, opts)
+        iterations += (iters2,)
+        if loss2 < loss:
+            w, loss = w2, loss2
+    return w / w.sum(), loss, iterations

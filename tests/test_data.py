@@ -1,4 +1,4 @@
-"""Domain types, preprocessing, and manifest I/O."""
+"""Domain types, probability-map validation, and manifest I/O."""
 
 import numpy as np
 import pytest
@@ -18,16 +18,10 @@ from conflens import (
     save_manifest,
     save_probability_map,
     store_tensor,
-    strip_class_and_renormalize,
     validate_probability_map,
 )
 from conflens.errors import DataError
 from tests.oracles import sum_check_formula
-
-
-def one_pixel(values) -> ProbabilityMap:
-    arr = np.asarray(values, dtype=np.float32).reshape(1, 1, -1)
-    return ProbabilityMap(arr)
 
 
 class TestLabelSet:
@@ -172,53 +166,6 @@ class TestValidateMatchesFormula:
             f"{path}: {len(expected)} sites fail sum check at tol 0.0001, "
             f"first ({i},{j}) deviates by {dev:.2e}"
         )
-
-
-class TestStripClass:
-    def test_basic_renormalization(self):
-        out = strip_class_and_renormalize(one_pixel([0.2, 0.5, 0.3]), 0)
-        np.testing.assert_allclose(out.values[0, 0], [0.625, 0.375], atol=1e-7)
-
-    def test_degenerate_pixel_goes_uniform(self):
-        out = strip_class_and_renormalize(one_pixel([1.0, 0.0, 0.0]), 0)
-        np.testing.assert_allclose(out.values[0, 0], [0.5, 0.5], atol=0)
-
-    def test_stripping_zero_channel_is_identity(self):
-        out = strip_class_and_renormalize(one_pixel([0.0, 0.6, 0.4]), 0)
-        np.testing.assert_allclose(out.values[0, 0], [0.6, 0.4], atol=1e-7)
-
-    def test_out_of_range_class(self):
-        with pytest.raises(DataError):
-            strip_class_and_renormalize(one_pixel([0.5, 0.3, 0.2]), 3)
-
-    def test_needs_three_channels(self):
-        with pytest.raises(DataError):
-            strip_class_and_renormalize(one_pixel([0.5, 0.5]), 0)
-
-    def test_output_always_validates_at_1e6(self):
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            channels = int(rng.integers(3, 9))
-            raw = rng.random((5, 4, channels))
-            raw /= raw.sum(axis=2, keepdims=True)
-            probs = ProbabilityMap(raw.astype(np.float32))
-            out = strip_class_and_renormalize(probs, int(rng.integers(0, channels)))
-            assert validate_probability_map(out, 1e-6) == []
-
-    def test_preserves_surviving_argmax(self):
-        rng = np.random.default_rng(12)
-        for _ in range(40):
-            channels = int(rng.integers(3, 9))
-            raw = rng.random((6, 6, channels))
-            raw /= raw.sum(axis=2, keepdims=True)
-            drop = int(rng.integers(0, channels))
-            survivors = raw.copy()
-            survivors = np.delete(survivors, drop, axis=2)
-            positive = survivors.sum(axis=2) > 1e-12
-            out = strip_class_and_renormalize(ProbabilityMap(raw.astype(np.float32)), drop)
-            expect = survivors.argmax(axis=2)
-            got = out.values.argmax(axis=2)
-            np.testing.assert_array_equal(got[positive], expect[positive])
 
 
 class TestTensorWrappers:

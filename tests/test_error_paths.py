@@ -26,6 +26,7 @@ from conflens import (
     load_manifest,
     load_prior_bank,
     load_probability_map,
+    load_tensor,
     normalize_confusion,
     output_marginal,
     render_matrix_heatmap,
@@ -362,6 +363,96 @@ class TestValidateBeforeWrite:
         )
 
 
+class TestStageFileChecks:
+    """Stages read the manifest without a header pass over every record and
+    check each file where they load it: a bad file that a stage reads makes
+    it exit 2 before it publishes anything, and a bad file that it does not
+    read does not stop it."""
+
+    @pytest.fixture
+    def data(self, small_dataset, tmp_path):
+        """A private copy of the shared small dataset, with its confusion, a
+        binary prior bank and labelbank predictions; returns (manifest, the
+        predictions' directory, a function giving a stage's argv for an
+        output path)."""
+        _, _, src = small_dataset
+        shutil.copytree(src, tmp_path / "data")
+        manifest = str(tmp_path / "data" / "manifest.json")
+        conf, bank, preds = (str(tmp_path / name) for name in ("c.segt", "b.segt", "preds"))
+        assert main(["confusion", "--manifest", manifest, "--out", conf]) == 0
+        assert main(["prior", "--manifest", manifest, "--kind", "binary", "--out", bank]) == 0
+        assert main(["labelbank", "--manifest", manifest, "--priors", bank,
+                     "--out", preds]) == 0
+
+        def argv(stage, out):
+            command, _, kind = stage.partition("-")
+            args = [command, "--manifest", manifest, "--out", str(out)]
+            if command == "prior":
+                args += ["--kind", kind]
+                if kind == "unconstrained":
+                    args += ["--confusion", conf]
+            elif command in ("refine", "labelbank"):
+                args += ["--priors", bank] + (["--confusion", conf] if command == "refine" else [])
+            elif command == "eval":
+                args += ["--pred-dir", preds]
+            return args
+
+        return load_manifest(manifest, check_files=False), Path(preds), argv
+
+    @staticmethod
+    def spoil(manifest, preds, split, file, defect):
+        """Spoil the last record of a split: its probs, gt or pred file."""
+        rec = manifest.split_records(split)[-1]
+        path = {"probs": rec.probs_path, "gt": rec.gt_path,
+                "pred": preds / f"{rec.image_id}_pred.segt"}[file]
+        values = load_tensor(path)
+        if defect == "channels":
+            values = np.concatenate([values, np.zeros(values.shape[:2] + (1,), values.dtype)],
+                                    axis=2)
+        elif defect == "shape":
+            values = values[:-1]
+        else:  # a label outside the label set
+            values = values.copy()
+            values[0, 0] = manifest.label_set.size
+        store_tensor(path, values)
+
+    READ = {
+        "confusion-channels": ("confusion", "estimation", "probs", "channels"),
+        "confusion-shape": ("confusion", "estimation", "probs", "shape"),
+        "global-label": ("prior-global", "estimation", "gt", "label"),
+        "binary-label": ("prior-binary", "evaluation", "gt", "label"),
+        "histogram-label": ("prior-histogram", "evaluation", "gt", "label"),
+        "unconstrained-channels": ("prior-unconstrained", "evaluation", "probs", "channels"),
+        "unconstrained-shape": ("prior-unconstrained", "evaluation", "probs", "shape"),
+        "refine-channels": ("refine", "evaluation", "probs", "channels"),
+        "labelbank-channels": ("labelbank", "evaluation", "probs", "channels"),
+        "eval-shape": ("eval", "evaluation", "pred", "shape"),
+    }
+
+    @pytest.mark.parametrize("case", READ.values(), ids=READ.keys())
+    def test_bad_file_read_exits_2_and_publishes_nothing(self, data, tmp_path, case):
+        stage, split, file, defect = case
+        manifest, preds, argv = data
+        self.spoil(manifest, preds, split, file, defect)
+        out = tmp_path / "out" / ("run" if stage in ("refine", "labelbank") else "result.segt")
+        assert main(argv(stage, out)) == 2
+        assert not (tmp_path / "out").exists()
+
+    NOT_READ = {
+        "eval-estimation-probs": ("eval", "estimation", "probs", "channels"),
+        "refine-evaluation-gt": ("refine", "evaluation", "gt", "shape"),
+        "binary-evaluation-probs": ("prior-binary", "evaluation", "probs", "channels"),
+        "uniform-evaluation-gt": ("prior-uniform", "evaluation", "gt", "label"),
+    }
+
+    @pytest.mark.parametrize("case", NOT_READ.values(), ids=NOT_READ.keys())
+    def test_bad_file_not_read_does_not_stop_stage(self, data, tmp_path, case):
+        stage, split, file, defect = case
+        manifest, preds, argv = data
+        self.spoil(manifest, preds, split, file, defect)
+        assert main(argv(stage, tmp_path / "result")) == 0
+
+
 class TestHugeJsonIntegers:
     """An integer literal longer than Python's 4300-digit conversion limit
     makes json.load raise a plain ValueError; every JSON loader reports it
@@ -484,6 +575,12 @@ class TestPriorValidation:
     def test_solver_options_reject_non_finite(self, field, value):
         with pytest.raises(DataError):
             SolverOptions(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, True, "3"],
+                             ids=["nan", "inf", "2.5", "True", "str"])
+    def test_solver_options_reject_non_integer_max_iters(self, value):
+        with pytest.raises(DataError, match="max_iters"):
+            SolverOptions(max_iters=value)
 
     def test_sample_set_shape_checks(self):
         with pytest.raises(DataError):

@@ -15,6 +15,7 @@ from conflens import (
     Manifest,
     ManifestRecord,
     Prior,
+    ProbabilityMap,
     SampleSet,
     SolverOptions,
     binary_prior,
@@ -24,6 +25,7 @@ from conflens import (
     project_to_simplex,
     refinement_loss,
     refinement_loss_gradient,
+    sample_set,
     save_label_map,
     save_manifest,
     save_prior_bank,
@@ -35,6 +37,7 @@ from conflens import kernels, priors
 from conflens.errors import DataError
 from conflens.priors import PriorBank
 from tests.conftest import dense_loss_grad, mixed_confusion
+from tests.oracles import solve_prior_sequential
 
 EPS = 1e-10
 
@@ -492,43 +495,24 @@ class TestSolver:
             start, confusion, samples
         )
 
-    @pytest.fixture
-    def descent_iters(self, monkeypatch):
-        """Newton iterations of each descent the solver runs, in order: the
-        solver evaluates one Hessian per iteration."""
-        iters, hessians = [], [0]
-        loss_hessian, descend = kernels.loss_hessian, priors._descend
-
-        def counting_hessian(*args):
-            hessians[0] += 1
-            return loss_hessian(*args)
-
-        def counting_descend(*args):
-            before = hessians[0]
-            result = descend(*args)
-            iters.append(hessians[0] - before)
-            return result
-
-        monkeypatch.setattr(kernels, "loss_hessian", counting_hessian)
-        monkeypatch.setattr(priors, "_descend", counting_descend)
-        return iters
-
-    def assert_no_worse_than_dense_solver(self, matrix, gt, probs, opts, descent_iters):
+    def assert_no_worse_than_dense_solver(self, matrix, gt, probs, opts):
         """The Newton solver ends no worse than the projected-gradient
-        solver it replaced, within 30 Newton iterations per descent.
-        Returns the solved weights and whether the old solver restarted."""
+        solver it replaced, within 30 Newton iterations per descent, as the
+        solver reports them. Returns the solved weights, whether the old
+        solver restarted, and the solver's report."""
         want, restarted = dense_solve(matrix, gt, probs, opts)
         confusion = ConfusionModel(matrix=matrix, floor=1e-4)
         samples = SampleSet(gt=gt, probs=probs)
-        del descent_iters[:]
-        got = solve_unconstrained_prior(confusion, samples, opts).weights
+        reports = []
+        got = solve_unconstrained_prior(confusion, samples, opts, reports).weights
         assert refinement_loss(got, confusion, samples) <= refinement_loss(
             want, confusion, samples) + 1e-9
-        assert 1 <= len(descent_iters) <= 2
-        assert max(descent_iters) <= 30
-        return got, restarted
+        (report,) = reports
+        assert 1 <= len(report.iterations) <= 2
+        assert max(report.iterations) <= 30
+        return got, restarted, report
 
-    def test_no_worse_than_dense_solver(self, descent_iters):
+    def test_no_worse_than_dense_solver(self):
         """Seeded instances with 2-20 labels, 5-5000 samples and labels
         absent from the samples (zero weights at the histogram init),
         against the dense O(N*L^2) projected-gradient solver. Each endpoint
@@ -547,13 +531,13 @@ class TestSolver:
             probs = rng.dirichlet(np.full(n, sharpness), size=count)
             opts = SolverOptions(max_iters=(500, 100)[k % 2],
                                  init="uniform" if k % 5 == 4 else "histogram")
-            got, _ = self.assert_no_worse_than_dense_solver(matrix, gt, probs, opts, descent_iters)
+            got, _, _ = self.assert_no_worse_than_dense_solver(matrix, gt, probs, opts)
             grad = refinement_loss_gradient(
                 got, ConfusionModel(matrix=matrix, floor=1e-4), SampleSet(gt=gt, probs=probs))
             residual = got - project_to_simplex(got - grad / count)
             assert np.abs(residual).max() <= 1e-6
 
-    def test_uniform_restart(self, descent_iters):
+    def test_uniform_restart(self):
         """A one-iteration descent from the histogram that loses to the
         uniform prior, so both solvers descend again from uniform."""
         rng = np.random.default_rng(30)
@@ -562,16 +546,136 @@ class TestSolver:
         matrix /= matrix.sum(axis=0, keepdims=True)
         gt = rng.choice(np.arange(n), size=count, p=rng.dirichlet(np.full(n, 0.3)))
         probs = rng.dirichlet(np.full(n, 0.05), size=count)
-        _, restarted = self.assert_no_worse_than_dense_solver(
-            matrix, gt, probs, SolverOptions(max_iters=1), descent_iters)
+        _, restarted, report = self.assert_no_worse_than_dense_solver(
+            matrix, gt, probs, SolverOptions(max_iters=1))
         assert restarted
-        assert len(descent_iters) == 2
+        assert report.restarted
+        assert len(report.iterations) == 2
+
+    def test_report_counts_hessians(self, monkeypatch):
+        """A single image's reported Newton iterations are its Hessian
+        evaluations, one per iteration, over both descents; the reported
+        loss is the returned prior's."""
+        hessians = []
+        loss_hessian = kernels.loss_hessian
+
+        def counting(*args):
+            hessians.append(1)
+            return loss_hessian(*args)
+
+        monkeypatch.setattr(kernels, "loss_hessian", counting)
+        rng = np.random.default_rng(31)
+        for opts in (SolverOptions(), SolverOptions(max_iters=1), SolverOptions(max_iters=3)):
+            matrix = rng.dirichlet(np.full(5, 0.3), size=5).T + 1e-4
+            matrix /= matrix.sum(axis=0, keepdims=True)
+            confusion = ConfusionModel(matrix=matrix, floor=1e-4)
+            samples = SampleSet(gt=rng.integers(0, 5, size=60),
+                                probs=rng.dirichlet(np.full(5, 0.2), size=60))
+            reports = []
+            del hessians[:]
+            solved = solve_unconstrained_prior(confusion, samples, opts, reports)
+            assert sum(reports[0].iterations) == len(hessians)
+            assert reports[0].loss == pytest.approx(
+                refinement_loss(solved, confusion, samples), rel=1e-12)
 
     def test_solver_returns_simplex_prior(self):
         confusion, samples = two_class_instance()
         prior = solve_unconstrained_prior(confusion, samples)
         assert (prior.weights >= 0).all()
         assert prior.weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestBatchedSolver:
+    """Images solved together in lockstep, against the sequential oracle
+    that solves one image at a time."""
+
+    @staticmethod
+    def sample_sets(rng, n):
+        """Sample sets of mixed sizes: maps with void pixels, some capped
+        by subsampling, a one-pixel map and a one-sample set."""
+        labels = LabelSet(size=n, void_id=255)
+        sets = []
+        for k, (h, w, cap) in enumerate(((12, 10, None), (9, 9, 30), (1, 1, None),
+                                         (20, 16, 64), (6, 5, None), (20, 20, 200))):
+            present = rng.choice(n, size=min(n, 1 + k % 4), replace=False)
+            gt = rng.choice(present, size=(h, w)).astype(np.int32)
+            void = rng.random((h, w)) < 0.2
+            void.flat[0] = False
+            gt[void] = 255
+            probs = rng.dirichlet(np.full(n, 0.3), size=(h, w)).astype(np.float32)
+            probs /= probs.sum(axis=2, keepdims=True)
+            sets.append(sample_set(LabelMap(gt), ProbabilityMap(probs), labels,
+                                   max_samples=cap, rng=np.random.default_rng(k)))
+        sets.append(SampleSet(gt=np.array([n - 1]), probs=rng.dirichlet(np.ones(n), size=1)))
+        return sets
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 20])
+    @pytest.mark.parametrize("opts", [SolverOptions(), SolverOptions(max_iters=4),
+                                      SolverOptions(init="uniform", max_iters=100)],
+                             ids=["default", "max_iters=4", "uniform"])
+    def test_each_loss_no_worse_than_oracle(self, n, opts):
+        rng = np.random.default_rng(100 + n)
+        matrix = rng.dirichlet(np.full(n, 0.5), size=n).T + 1e-4
+        matrix /= matrix.sum(axis=0, keepdims=True)
+        confusion = ConfusionModel(matrix=matrix, floor=1e-4)
+        sets = self.sample_sets(rng, n)
+        counts = [len(item) for item in sets]
+        assert sorted(counts)[:2] == [1, 1] and {30, 64, 200} <= set(counts)
+        reports = []
+        solved = solve_unconstrained_prior(confusion, sets, opts, reports)
+        assert len(solved) == len(reports) == len(sets)
+        for prior, report, samples in zip(solved, reports, sets):
+            want, _, iterations = solve_prior_sequential(matrix, samples.gt, samples.probs, opts)
+            got, oracle = (refinement_loss(w, confusion, samples) for w in (prior, want))
+            # a one-sample loss can be just below 0: float32 maps sum to 1 within 1e-7
+            assert got <= oracle + 1e-9 * abs(oracle)
+            assert len(report.iterations) == len(iterations)
+            assert max(report.iterations) <= opts.max_iters
+
+    def test_restart_batch(self):
+        """test_uniform_restart's instance in a group of other images: its
+        restart from uniform runs as a second batch, and every image still
+        matches the oracle."""
+        rng = np.random.default_rng(30)
+        n, count = int(rng.integers(2, 6)), int(rng.integers(5, 40))
+        matrix = rng.dirichlet(np.full(n, 0.1), size=n).T + 1e-4
+        matrix /= matrix.sum(axis=0, keepdims=True)
+        gt = rng.choice(np.arange(n), size=count, p=rng.dirichlet(np.full(n, 0.3)))
+        sets = [SampleSet(gt=gt, probs=rng.dirichlet(np.full(n, 0.05), size=count))]
+        for size in (1, 3, 17, 40, 90):
+            sets.append(SampleSet(gt=rng.integers(0, n, size=size),
+                                  probs=rng.dirichlet(np.full(n, 0.5), size=size)))
+        sets.append(sets[0])
+        confusion = ConfusionModel(matrix=matrix, floor=1e-4)
+        opts = SolverOptions(max_iters=1)
+        reports = []
+        solved = solve_unconstrained_prior(confusion, sets, opts, reports)
+        assert reports[0].restarted and reports[-1].restarted
+        np.testing.assert_array_equal(solved[0].weights, solved[-1].weights)
+        for prior, report, samples in zip(solved, reports, sets):
+            want, _, iterations = solve_prior_sequential(matrix, samples.gt, samples.probs, opts)
+            got, oracle = (refinement_loss(w, confusion, samples) for w in (prior, want))
+            assert got <= oracle + 1e-9 * abs(oracle)
+            assert report.restarted == (len(iterations) == 2)
+
+    def test_group_of_one_is_the_single_solve(self):
+        confusion = ConfusionModel(matrix=mixed_confusion(4), floor=1e-4)
+        rng = np.random.default_rng(7)
+        samples = SampleSet(gt=rng.integers(0, 4, size=50),
+                            probs=rng.dirichlet(np.ones(4), size=50))
+        (batched,) = solve_unconstrained_prior(confusion, [samples])
+        single = solve_unconstrained_prior(confusion, samples)
+        np.testing.assert_array_equal(batched.weights, single.weights)
+
+    def test_rejects_empty_and_mismatched_sets(self):
+        confusion = ConfusionModel(matrix=mixed_confusion(3), floor=1e-4)
+        good = SampleSet(gt=np.array([0, 1]), probs=np.full((2, 3), 1 / 3))
+        with pytest.raises(DataError, match="empty"):
+            solve_unconstrained_prior(
+                confusion, [good, SampleSet(gt=np.zeros(0, np.int64), probs=np.zeros((0, 3)))])
+        with pytest.raises(DataError, match="labels"):
+            solve_unconstrained_prior(
+                confusion, [good, SampleSet(gt=np.array([0]), probs=np.full((1, 4), 0.25))])
 
 
 class TestPriorBankPersistence:

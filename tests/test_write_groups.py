@@ -1,6 +1,7 @@
-"""Grouped writes of the per-image producers (synthesis, refine, labelbank):
-memory held is bounded by the write budget, and outputs do not depend on
-where groups close."""
+"""Grouped writes of the per-image producers (synthesis, refine, labelbank)
+and the grouped solves of the unconstrained prior: memory held is bounded by
+the write or solve budget, and outputs do not depend on where groups close
+(for solves: on the thread count that loads them)."""
 
 import hashlib
 import tracemalloc
@@ -16,7 +17,9 @@ from conflens import (
     identity_confusion,
     save_confusion,
 )
+from conflens import cli
 from conflens.cli import main
+from conflens.data import _load_groups
 from conflens.synth import _generate_image
 from tests.conftest import mixed_confusion
 
@@ -172,3 +175,58 @@ class TestGroupInvariance:
         assert hashes["many_groups"] == hashes["one_group"]
         assert len(list((tmp_path / "one_group" / "refine").iterdir())) == 2 * 6
 
+
+
+class TestSolveGroups:
+    """The prior stage loads, samples and solves images a group at a time."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_groups_close_at_budget_whatever_the_threads(self, threads):
+        sizes = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
+        groups = list(_load_groups(list(range(len(sizes))), lambda i: sizes[i],
+                                   lambda size: size, 6, threads))
+        assert groups == [[3, 1, 4], [1, 5], [9], [2, 6], [5, 3]]
+
+    def spec(self, n_images):
+        return large_spec(n_images, n_estimation=4, n_classes=4, height=20, width=20,
+                          region_scale=7.0, true_confusion=mixed_confusion(4),
+                          min_classes_per_image=2, max_classes_per_image=3)
+
+    def prior_argv(self, root, n_images):
+        generate_dataset(self.spec(n_images), root / "data")
+        manifest = str(root / "data" / "manifest.json")
+        assert main(["confusion", "--manifest", manifest, "--out", str(root / "c.segt")]) == 0
+        return ["prior", "--manifest", manifest, "--kind", "unconstrained",
+                "--confusion", str(root / "c.segt"), "--out", str(root / "prior.segt")]
+
+    def test_threads_give_identical_banks(self, tmp_path, monkeypatch):
+        """Several groups, loaded 1 or 3 images at a time: the same groups,
+        so the same bytes."""
+        monkeypatch.setattr(cli, "SOLVE_BUDGET", 3 * 20 * 20 * 4 * 8)
+        solves = []
+        solve = cli.solve_unconstrained_prior
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_unconstrained_prior", counted)
+        argv = self.prior_argv(tmp_path, 10)
+        digests = set()
+        for threads in ("1", "3"):
+            del solves[:]
+            assert main(argv + ["--threads", threads]) == 0
+            assert len(solves) >= 4
+            digests.add(hashlib.sha256((tmp_path / "prior.segt").read_bytes()).hexdigest())
+        assert len(digests) == 1
+
+    def test_peak_does_not_grow_with_the_split(self, tmp_path, monkeypatch):
+        """24 more images add their records and bank rows, but far less
+        than a quarter of their float64 samples."""
+        samples = 20 * 20 * 4 * 8
+        monkeypatch.setattr(cli, "SOLVE_BUDGET", 3 * samples)
+        peaks = {}
+        for n in (8, 32):
+            argv = self.prior_argv(tmp_path / str(n), n)
+            peaks[n] = traced_peak(lambda: main(argv))
+        assert peaks[32] - peaks[8] < 24 * samples / 4, peaks
