@@ -31,8 +31,6 @@ from .errors import ConflensError, DataError, SegtFormatError, UsageError
 from .metrics import (
     EvalReport,
     MetricAccumulator,
-    mean_iou,
-    pixel_accuracy,
     render_matrix_heatmap,
     write_pgm,
 )

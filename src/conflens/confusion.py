@@ -3,16 +3,26 @@ annotated data: border exclusion, count accumulation, floored normalization."""
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import kernels, segt
-from .data import LabelMap, LabelSet, _frozen_array
+from . import kernels
+from .data import (
+    LabelMap,
+    LabelSet,
+    Manifest,
+    _frozen_array,
+    _map_ordered,
+    load_label_map,
+    load_probability_map,
+    load_with_sidecar,
+    store_with_sidecar,
+)
 from .errors import DataError
+from .refine import argmax_labels
 
 DEFAULT_FLOOR = 1e-4
 DEFAULT_RADIUS = 2
@@ -150,13 +160,33 @@ def identity_confusion(labels: LabelSet) -> ConfusionModel:
     return ConfusionModel(matrix=np.eye(labels.size), source_counts=None, floor=0.0)
 
 
+def estimate_confusion(manifest: Manifest, out: str | Path, radius: int = DEFAULT_RADIUS,
+                       floor: float = DEFAULT_FLOOR, threads: int = 1) -> ConfusionModel:
+    """The confusion stage: count argmax predictions against ground truth
+    outside the border mask over the estimation split, normalize with
+    `floor`, publish the model at out, and return it with its counts."""
+    records = manifest.split_records("estimation")
+    labels = manifest.label_set
+
+    def per_image(rec):
+        gt = load_label_map(rec.gt_path, labels)
+        probs = load_probability_map(rec.probs_path, labels)
+        mask = border_mask(gt, radius)
+        pred = argmax_labels(probs)
+        return accumulate_counts(gt, pred, mask, labels)
+
+    partials = _map_ordered(per_image, records, threads)
+    counts = partials[0]
+    for part in partials[1:]:
+        counts = merge_counts(counts, part)
+    model = normalize_confusion(counts, floor=floor)
+    save_confusion(model, out, radius=radius, n_images=len(records), n_pixels=counts.total)
+    return model
+
+
 # ---------------------------------------------------------------------------
 # persistence: SEGT f32 matrix + JSON sidecar
 # ---------------------------------------------------------------------------
-
-def sidecar_path(path: str | Path) -> Path:
-    return Path(path).with_suffix(".json")
-
 
 def save_confusion(
     model: ConfusionModel,
@@ -165,22 +195,19 @@ def save_confusion(
     n_images: int = 0,
     n_pixels: int = 0,
 ) -> None:
-    segt.store_tensor(path, model.matrix.astype(np.float32))
     meta = {
         "floor": model.floor,
         "radius": int(radius),
         "n_images": int(n_images),
         "n_pixels": int(n_pixels),
     }
-    with open(sidecar_path(path), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    store_with_sidecar(path, model.matrix.astype(np.float32), meta)
 
 
 def load_confusion(path: str | Path) -> tuple[ConfusionModel, dict]:
     """Load matrix + sidecar. Columns are renormalized in float64 because
     the f32 file rounds them off the 1e-9 invariant."""
-    arr = segt.load_tensor(path)
+    arr, meta = load_with_sidecar(path)
     if arr.ndim != 2 or arr.dtype != np.float32 or arr.shape[0] != arr.shape[1]:
         raise DataError(f"{path}: expected square 2-d float32 tensor")
     matrix = arr.astype(np.float64)
@@ -188,20 +215,10 @@ def load_confusion(path: str | Path) -> tuple[ConfusionModel, dict]:
     if (sums <= 0).any():
         raise DataError(f"{path}: empty confusion column")
     matrix /= sums
-    side = sidecar_path(path)
-    try:
-        with open(side) as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        meta = {}
-    except ValueError as exc:  # also an integer past Python's digit limit
-        raise DataError(f"{side}: invalid JSON ({exc})") from exc
-    if not isinstance(meta, dict):
-        raise DataError(f"{side}: sidecar must be a JSON object")
     floor = meta.get("floor", DEFAULT_FLOOR)
     if isinstance(floor, bool) or not isinstance(floor, (int, float)):
-        raise DataError(f"{side}: floor must be a number, got {floor!r}")
+        raise DataError(f"{path}: sidecar floor must be a number, got {floor!r}")
     if not abs(floor) <= sys.float_info.max:
-        raise DataError(f"{side}: floor must be finite, got {floor!r}")
+        raise DataError(f"{path}: sidecar floor must be finite, got {floor!r}")
     model = ConfusionModel(matrix=matrix, source_counts=None, floor=float(floor))
     return model, meta

@@ -1,11 +1,15 @@
 """Domain containers: label sets, probability/label maps and the dataset
-manifest, with their validation, file I/O and per-image grouping."""
+manifest, with their validation, file I/O, publishing and per-image grouping."""
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import shutil
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +17,7 @@ import numpy as np
 from . import segt
 from .errors import DataError
 
-SPLIT_ESTIMATION = "estimation"
-SPLIT_EVALUATION = "evaluation"
-SPLITS = (SPLIT_ESTIMATION, SPLIT_EVALUATION)
+SPLITS = ("estimation", "evaluation")
 
 DEFAULT_SUM_TOL = 1e-4
 # bit pattern of the largest float32 value load_probability_map accepts
@@ -145,9 +147,28 @@ class Manifest:
             raise DataError("duplicate image ids in manifest")
 
     def split_records(self, split: str) -> list[ManifestRecord]:
+        """The records of split, in manifest order; DataError if none."""
         if split not in SPLITS:
             raise DataError(f"unknown split {split!r}")
-        return [r for r in self.records if r.split == split]
+        records = [r for r in self.records if r.split == split]
+        if not records:
+            raise DataError(f"no {split} records in manifest")
+        return records
+
+    def to_dict(self, base: Path) -> dict:
+        """The JSON object, tensor paths relative to the resolved dir base."""
+        return {
+            "labels": asdict(self.label_set),
+            "records": [
+                {
+                    "id": r.image_id,
+                    "probs": _relativize(r.probs_path, base),
+                    "gt": _relativize(r.gt_path, base),
+                    "split": r.split,
+                }
+                for r in self.records
+            ],
+        }
 
 
 def validate_probability_map(probs: ProbabilityMap, tol: float) -> list[tuple[tuple[int, int], float]]:
@@ -188,13 +209,14 @@ def _sum_failures(values: np.ndarray, tol: float, nonnegative: bool):
     nu = (channels - 1) * 2.0**-24
     margin = 2 * (nu / (1 - nu) + 4 * 2.0**-24) * (1 + tol) if nu <= 0.2 else np.inf
     threshold = np.float64(tol - margin) if nonnegative else -np.inf
-    # inf and NaN sums fail the screen; the float64 check reports them
+    # inf and NaN sums fail the screen; the float64 check reports them, and
+    # a site holding both inf and -inf sums to NaN there too
     with np.errstate(over="ignore", invalid="ignore"):
         dev32 = flat @ np.ones(channels, np.float32)
         dev32 -= 1
         np.abs(dev32, out=dev32)
-    candidates = np.flatnonzero(~(dev32 <= threshold))
-    dev = np.abs(flat[candidates].sum(axis=-1, dtype=np.float64) - 1.0)
+        candidates = np.flatnonzero(~(dev32 <= threshold))
+        dev = np.abs(flat[candidates].sum(axis=-1, dtype=np.float64) - 1.0)
     bad = ~(dev <= tol)
     rows, cols = np.divmod(candidates[bad], width)
     return [
@@ -324,32 +346,98 @@ def _write_groups(items, map_shape):
 
 
 # ---------------------------------------------------------------------------
-# manifest JSON
+# publishing, JSON files, sidecars and the manifest
 # ---------------------------------------------------------------------------
 
-def save_manifest(manifest: Manifest, path: str | Path) -> None:
-    """Write the manifest with tensor paths relative to its directory."""
-    path = Path(path)
-    base = path.resolve().parent
-    obj = {
-        "labels": {
-            "size": manifest.label_set.size,
-            "names": list(manifest.label_set.names) if manifest.label_set.names else None,
-            "void_id": manifest.label_set.void_id,
-        },
-        "records": [
-            {
-                "id": r.image_id,
-                "probs": _relativize(r.probs_path, base),
-                "gt": _relativize(r.gt_path, base),
-                "split": r.split,
-            }
-            for r in manifest.records
-        ],
-    }
+@contextlib.contextmanager
+def publish(out_dir: str | Path):
+    """Stage files for out_dir (created if missing), then rename them into
+    place; every file a command or generate_dataset writes goes through here.
+
+    The block gets stage(name), the path to write `name` to in a hidden
+    `.conflens-*` directory inside out_dir. If the block returns, each file
+    moves to out_dir/name by os.replace, in staging order. If it raises, the
+    staging directory goes, and so does the highest directory this call
+    created: a pre-existing output is untouched.
+
+    Each rename is atomic; the sequence is not. A tensor is staged before
+    its sidecar, so a crash between those two renames leaves the new tensor
+    beside the old sidecar (loaded if it fits) or none (rejected). A
+    rename failing part-way leaves the earlier ones published. A process
+    killed outright leaves its staging directory behind. An existing
+    out_dir/name that is a symlink, a directory or any other non-regular
+    file is a DataError when it is staged, before anything is renamed."""
+    out = Path(out_dir).resolve()
+    created = [p for p in (out, *out.parents) if not p.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".conflens-", dir=out))
+    names = {}  # staging order, without repeats
+
+    def stage(name: str) -> Path:
+        target = out / name
+        # a rename would replace a link itself, or fail on a directory
+        if target.is_symlink() or target.exists() and not target.is_file():
+            raise DataError(f"{target}: exists and is not a regular file")
+        names[name] = None
+        return staging / name
+
+    try:
+        yield stage
+        for name in names:
+            os.replace(staging / name, out / name)
+        staging.rmdir()
+    except BaseException:
+        shutil.rmtree(created[-1] if created else staging, ignore_errors=True)
+        raise
+
+
+def write_json(obj, path: str | Path) -> None:
+    """Write obj in conflens's one JSON layout: indented, sorted, newline-ended."""
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object in a file; DataError if it is invalid or not an object."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except ValueError as exc:  # also an integer past Python's digit limit
+        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: not a JSON object")
+    return obj
+
+
+def sidecar_path(path: str | Path) -> Path:
+    """The JSON sidecar of a tensor file: the same name with .json."""
+    return Path(path).with_suffix(".json")
+
+
+def store_with_sidecar(path: str | Path, tensor: np.ndarray, meta: dict) -> None:
+    """Publish a tensor and its sidecar object, the tensor first."""
+    path = Path(path)
+    with publish(path.parent) as stage:
+        segt.store_tensor(stage(path.name), tensor)
+        write_json(meta, stage(sidecar_path(path).name))
+
+
+def load_with_sidecar(path: str | Path) -> tuple[np.ndarray, dict]:
+    """A tensor and its sidecar object; a missing sidecar is a DataError."""
+    arr = segt.load_tensor(path)
+    side = sidecar_path(path)
+    try:
+        return arr, read_json(side)
+    except FileNotFoundError as exc:
+        raise DataError(f"{path}: missing sidecar {side.name}") from exc
+
+
+def save_manifest(manifest: Manifest, path: str | Path) -> None:
+    """Publish the manifest with tensor paths relative to its directory."""
+    path = Path(path)
+    with publish(path.parent) as stage:
+        write_json(manifest.to_dict(path.resolve().parent), stage(path.name))
 
 
 def _relativize(p: Path, base: Path) -> str:
@@ -363,11 +451,7 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
     """Parse a manifest; with check_files, every record's tensor headers are
     read and must agree on height/width with probs channels == |L|."""
     path = Path(path)
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except ValueError as exc:  # also an integer past Python's digit limit
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    obj = read_json(path)
     try:
         size, void_id = obj["labels"]["size"], obj["labels"].get("void_id")
         names = obj["labels"].get("names")

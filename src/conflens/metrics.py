@@ -1,15 +1,24 @@
-"""Evaluation metrics (pixel accuracy, mean IoU) and grayscale heatmap
-rendering of probability matrices."""
+"""Evaluation metrics (pixel accuracy, mean IoU), the eval stage, and
+grayscale heatmap rendering of probability matrices."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import LabelMap, LabelSet
+from . import segt
+from .confusion import border_mask
+from .data import (
+    LabelMap,
+    LabelSet,
+    Manifest,
+    _map_ordered,
+    load_label_map,
+    publish,
+    write_json,
+)
 from .errors import DataError
 
 
@@ -19,14 +28,6 @@ class EvalReport:
     mean_iou: float
     per_class_iou: tuple
     n_pixels_scored: int
-
-    def to_dict(self) -> dict:
-        return {
-            "pixel_accuracy": self.pixel_accuracy,
-            "mean_iou": self.mean_iou,
-            "per_class_iou": list(self.per_class_iou),
-            "n_pixels_scored": self.n_pixels_scored,
-        }
 
 
 class MetricAccumulator:
@@ -89,28 +90,34 @@ class MetricAccumulator:
         )
 
 
-def pixel_accuracy(pred: LabelMap, gt: LabelMap, labels: LabelSet) -> float:
-    """Fraction of non-void pixels predicted correctly."""
-    acc = MetricAccumulator(labels)
-    acc.add(pred, gt)
-    if acc.scored == 0:
-        raise DataError("no non-void pixels to score")
-    return acc.correct / acc.scored
+def evaluate_split(manifest: Manifest, pred_dir: str | Path, out: str | Path,
+                   border_radius: int | None = None, threads: int = 1) -> EvalReport:
+    """The eval stage: score each evaluation image's `<id>_pred.segt` in
+    pred_dir, outside the border mask of border_radius if one is given,
+    publish the report JSON at out, and return it."""
+    labels = manifest.label_set
+    records = manifest.split_records("evaluation")
+    pred_dir = Path(pred_dir)
 
+    def per_image(rec):
+        gt = load_label_map(rec.gt_path, labels)
+        pred = load_label_map(pred_dir / f"{rec.image_id}_pred.segt", labels)
+        include = None
+        if border_radius is not None:
+            include = border_mask(gt, border_radius).included
+        acc = MetricAccumulator(labels)
+        acc.add(pred, gt, include=include)
+        return acc
 
-def mean_iou(pred: LabelMap, gt: LabelMap, labels: LabelSet) -> tuple[float, list]:
-    """Mean intersection-over-union and the per-class values (None marks a
-    class with zero union, excluded from the mean)."""
-    acc = MetricAccumulator(labels)
-    acc.add(pred, gt)
-    report = acc.report()
-    return report.mean_iou, list(report.per_class_iou)
-
-
-def save_report(report: EvalReport, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    partials = _map_ordered(per_image, records, threads)
+    total = partials[0]
+    for part in partials[1:]:
+        total.merge(part)
+    report = total.report()
+    out = Path(out)
+    with publish(out.parent) as stage:
+        write_json(asdict(report), stage(out.name))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +130,8 @@ def write_pgm(gray: np.ndarray, path: str | Path) -> None:
     if arr.ndim != 2:
         raise DataError(f"PGM image must be 2-d, got {arr.shape}")
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
+    path = Path(path)
+    with publish(path.parent) as stage, open(stage(path.name), "wb") as fh:
         fh.write(header)
         fh.write(arr.tobytes())
 
@@ -149,3 +157,14 @@ def render_matrix_heatmap(
     if block > 1:
         intensity = np.kron(intensity, np.ones((block, block), dtype=np.uint8))
     write_pgm(intensity, path)
+
+
+def render_matrix_file(matrix_path: str | Path, path: str | Path, gamma: float = 0.5,
+                       block: int = 1) -> tuple[int, int]:
+    """The render stage: render_matrix_heatmap of a 2-d float32 SEGT file;
+    returns the matrix shape."""
+    arr = segt.load_tensor(matrix_path)
+    if arr.ndim != 2 or arr.dtype != np.float32:
+        raise DataError(f"{matrix_path}: expected 2-d float32 tensor")
+    render_matrix_heatmap(arr.astype(np.float64), path, gamma=gamma, block=block)
+    return arr.shape

@@ -5,14 +5,13 @@ the probability simplex by projected Newton descent."""
 from __future__ import annotations
 
 import functools
-import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import kernels, segt
+from . import kernels
 from .confusion import ConfusionModel, PixelMask
 from .data import (
     LabelMap,
@@ -21,7 +20,12 @@ from .data import (
     ProbabilityMap,
     _frozen_array,
     _is_json_int,
+    _load_groups,
+    _map_ordered,
     load_label_map,
+    load_probability_map,
+    load_with_sidecar,
+    store_with_sidecar,
 )
 from .errors import DataError
 
@@ -30,6 +34,7 @@ EPSILON = 1e-10
 _NEWTON_MIN_STEP = 1e-6
 _ZERO_WEIGHT = 1e-12
 PRIOR_KINDS = ("uniform", "global", "binary", "histogram", "unconstrained")
+DEFAULT_SUBSAMPLE = 100_000
 # Bytes of float64 sample classifier outputs, the size of their evidence,
 # that the prior stage loads before it solves them as one lockstep group.
 # A solve holds the samples and the stacked evidence, about twice this.
@@ -175,8 +180,6 @@ def _label_counts(gt: LabelMap, labels: LabelSet) -> np.ndarray:
 def global_prior(manifest: Manifest, split: str = "estimation") -> Prior:
     """L1-normalized label histogram pooled over every image of `split`."""
     records = manifest.split_records(split)
-    if not records:
-        raise DataError(f"no records in split {split!r}")
     counts = np.zeros(manifest.label_set.size)
     for rec in records:
         counts += _label_counts(load_label_map(rec.gt_path, manifest.label_set), manifest.label_set)
@@ -573,44 +576,88 @@ def solve_unconstrained_prior(
     return priors[0] if single else priors
 
 
+def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
+                     confusion: ConfusionModel | None = None,
+                     opts: SolverOptions = SolverOptions(), subsample: int = DEFAULT_SUBSAMPLE,
+                     seed: int = 0, threads: int = 1) -> PriorBank:
+    """The prior stage: publish a bank of one `kind` prior per evaluation
+    image at out, and return it. The unconstrained kind needs `confusion`;
+    it fits each image on up to `subsample` sites drawn with seed and the
+    image's index, solves SOLVE_BUDGET-sized groups in lockstep, and records
+    its options in the sidecar."""
+    if kind not in PRIOR_KINDS:
+        raise DataError(f"unknown prior kind {kind!r}")
+    labels = manifest.label_set
+    eval_records = manifest.split_records("evaluation")
+    ids = tuple(r.image_id for r in eval_records)
+    solver_meta = None
+
+    if kind in ("uniform", "global"):
+        shared = uniform_prior(labels) if kind == "uniform" else global_prior(manifest)
+        weights = np.tile(shared.weights, (len(ids), 1))
+    elif kind in ("binary", "histogram"):
+        build = binary_prior if kind == "binary" else histogram_prior
+        rows = _map_ordered(
+            lambda rec: build(load_label_map(rec.gt_path, labels), labels).weights,
+            eval_records, threads,
+        )
+        weights = np.stack(rows)
+    else:  # unconstrained
+        if confusion is None:
+            raise DataError("the unconstrained prior needs a confusion model")
+        if confusion.n_labels != labels.size:
+            raise DataError(
+                f"confusion has {confusion.n_labels} labels, manifest {labels.size}"
+            )
+
+        def load(item):
+            # fit on every annotated, classified site of the image; the
+            # evaluation scores all pixels, so masked fitting skews the
+            # solved weights off the image's true composition
+            idx, rec = item
+            gt = load_label_map(rec.gt_path, labels)
+            probs = load_probability_map(rec.probs_path, labels)
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
+            samples = sample_set(gt, probs, labels, mask=None,
+                                 max_samples=subsample, rng=rng)
+            if len(samples) == 0:
+                raise DataError(f"{rec.image_id}: no usable solver samples")
+            return samples
+
+        rows = []
+        for group in _load_groups(list(enumerate(eval_records)), load,
+                                  lambda samples: samples.probs.nbytes, SOLVE_BUDGET, threads):
+            rows += [prior.weights for prior in solve_unconstrained_prior(confusion, group, opts)]
+            del group  # free its samples before the next group loads
+        weights = np.stack(rows)
+        solver_meta = {**asdict(opts), "subsample": subsample, "seed": seed}
+
+    bank = PriorBank(kind=kind, ids=ids, weights=weights, solver=solver_meta)
+    save_prior_bank(bank, out)
+    return bank
+
+
 # ---------------------------------------------------------------------------
 # persistence: SEGT f32 N x |L| + JSON sidecar
 # ---------------------------------------------------------------------------
 
-def bank_sidecar_path(path: str | Path) -> Path:
-    return Path(path).with_suffix(".json")
-
-
 def save_prior_bank(bank: PriorBank, path: str | Path) -> None:
-    segt.store_tensor(path, bank.weights.astype(np.float32))
     meta = {"kind": bank.kind, "ids": list(bank.ids), "solver": bank.solver}
-    with open(bank_sidecar_path(path), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    store_with_sidecar(path, bank.weights.astype(np.float32), meta)
 
 
 def load_prior_bank(path: str | Path) -> PriorBank:
     """Rows renormalized in float64: the f32 file rounds them off the 1e-9
     simplex invariant."""
-    arr = segt.load_tensor(path)
+    arr, meta = load_with_sidecar(path)
     if arr.ndim != 2 or arr.dtype != np.float32:
         raise DataError(f"{path}: expected 2-d float32 tensor")
-    side = bank_sidecar_path(path)
-    try:
-        with open(side) as fh:
-            meta = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataError(f"{path}: missing prior-bank sidecar") from exc
-    except ValueError as exc:  # also an integer past Python's digit limit
-        raise DataError(f"{side}: invalid JSON ({exc})") from exc
-    if not isinstance(meta, dict):
-        raise DataError(f"{side}: sidecar must be a JSON object")
     ids = meta.get("ids", [])
     if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-        raise DataError(f"{side}: ids must be a list of strings")
+        raise DataError(f"{path}: sidecar ids must be a list of strings")
     solver = meta.get("solver")
     if solver is not None and not isinstance(solver, dict):
-        raise DataError(f"{side}: solver must be an object or null")
+        raise DataError(f"{path}: sidecar solver must be an object or null")
     weights = arr.astype(np.float64)
     sums = weights.sum(axis=1, keepdims=True)
     if (sums <= 0).any():

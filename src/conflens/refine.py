@@ -1,16 +1,33 @@
 """The refinement matrix R with R[c1, c2] = P(c1 | C=c2), its per-pixel
-application, argmax prediction, and the LabelBank masking baseline."""
+application, argmax prediction, the LabelBank masking baseline, and their
+stage."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import kernels
-from .confusion import ConfusionModel
-from .data import LabelMap, ProbabilityMap, _frozen_array
+from . import kernels, segt
+from .data import (
+    LabelMap,
+    Manifest,
+    ProbabilityMap,
+    _frozen_array,
+    _map_ordered,
+    _write_groups,
+    load_probability_map,
+    publish,
+    save_label_map,
+    save_probability_map,
+)
 from .errors import DataError
+
+if TYPE_CHECKING:  # confusion imports this module for argmax_labels
+    from .confusion import ConfusionModel
+    from .priors import PriorBank
 
 COLUMN_SUM_TOL = 1e-9
 
@@ -110,3 +127,49 @@ def labelbank_mask(probs: ProbabilityMap, present) -> ProbabilityMap:
         vals[degenerate[:, 0]] = fallback
         flat_out[start:stop] = vals
     return ProbabilityMap(out)
+
+
+def refine_split(manifest: Manifest, bank: PriorBank, out: str | Path,
+                 confusion: ConfusionModel | None = None, threads: int = 1) -> int:
+    """The refine stage, or labelbank's when confusion is None: publish
+    `<id>_refined.segt` (refine_map, or labelbank_mask over the prior's
+    support) and its argmax `<id>_pred.segt` per evaluation image in the
+    directory out; returns the image count. The widths, a prior per id and
+    each map's header are checked before out is touched; each map is then
+    read once, inside its write group, so memory does not grow with the
+    split, and a failed run publishes nothing."""
+    labels = manifest.label_set
+    if confusion is not None and confusion.n_labels != labels.size:
+        raise DataError(f"confusion has {confusion.n_labels} labels, manifest {labels.size}")
+    if bank.weights.shape[1] != labels.size:
+        raise DataError(
+            f"prior bank has {bank.weights.shape[1]} labels, manifest {labels.size}"
+        )
+    records = manifest.split_records("evaluation")
+    checked = []
+    for rec in records:
+        dtype, dims = segt.read_header(rec.probs_path)
+        if dtype != np.float32 or len(dims) != 3:
+            raise DataError(f"{rec.probs_path}: expected 3-d float32 tensor")
+        checked.append((rec, dims, bank.get(rec.image_id)))
+
+    def transform(probs, prior):
+        if confusion is None:
+            return labelbank_mask(probs, prior.support)
+        return refine_map(build_refinement_matrix(confusion, prior), probs)
+
+    def per_image(item):
+        # no name holds the input map, so it is freed before argmax allocates
+        rec, _, prior = item
+        result = transform(load_probability_map(rec.probs_path, labels), prior)
+        return result, argmax_labels(result)
+
+    with publish(out) as stage:
+        def write_group(group):
+            for (rec, _, _), (result, pred) in zip(group, _map_ordered(per_image, group, threads)):
+                save_probability_map(result, stage(f"{rec.image_id}_refined.segt"))
+                save_label_map(pred, stage(f"{rec.image_id}_pred.segt"))
+
+        for group in _write_groups(checked, lambda item: item[1]):
+            write_group(group)
+    return len(checked)

@@ -9,8 +9,7 @@ regeneration is byte-identical and per-image generation can run in parallel.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +25,13 @@ from .data import (
     _is_json_int,
     _map_ordered,
     _write_groups,
+    load_label_map,
+    load_probability_map,
+    publish,
+    read_json,
     save_label_map,
-    save_manifest,
     save_probability_map,
+    write_json,
 )
 from .errors import DataError
 
@@ -123,21 +126,7 @@ class SynthSpec:
         return self.n_estimation + self.n_evaluation
 
     def to_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes,
-            "height": self.height,
-            "width": self.width,
-            "n_estimation": self.n_estimation,
-            "n_evaluation": self.n_evaluation,
-            "region_scale": self.region_scale,
-            "true_confusion": [[float(v) for v in row] for row in self.true_confusion],
-            "sharpness": self.sharpness,
-            "seed": self.seed,
-            "border_noise": self.border_noise,
-            "min_classes_per_image": self.min_classes_per_image,
-            "max_classes_per_image": self.max_classes_per_image,
-            "eval_confusion_drift": self.eval_confusion_drift,
-        }
+        return {**asdict(self), "true_confusion": self.true_confusion.tolist()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthSpec":
@@ -162,17 +151,12 @@ class SynthSpec:
 
     @classmethod
     def load(cls, path: str | Path) -> "SynthSpec":
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except ValueError as exc:  # also an integer past Python's digit limit
-            raise DataError(f"{path}: invalid JSON ({exc})") from exc
-        return cls.from_dict(obj)
+        return cls.from_dict(read_json(path))
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        path = Path(path)
+        with publish(path.parent) as stage:
+            write_json(self.to_dict(), stage(path.name))
 
 
 _INT_FIELDS = ("n_classes", "height", "width", "n_estimation", "n_evaluation", "seed")
@@ -302,12 +286,12 @@ def _generate_image(spec: SynthSpec, rng: np.random.Generator, hard_matrix: np.n
 
 
 def generate_dataset(spec: SynthSpec, out_dir: str | Path, threads: int = 1) -> Manifest:
-    """Write per-image SEGT tensors, manifest.json, and synthspec.json under
+    """Write per-image SEGT tensors, synthspec.json and manifest.json under
     out_dir; returns the manifest. Each image derives from its own spawned
     stream, so output is deterministic given spec.seed and invariant to the
-    worker count. Images are built and written one write group at a time."""
+    worker count. Images are built and written one write group at a time,
+    and published with manifest.json last."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     eval_matrix = eval_confusion_matrix(spec)
     true_matrix = np.asarray(spec.true_confusion, dtype=np.float64)
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_images)
@@ -320,28 +304,27 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path, threads: int = 1) -> 
         gt, probs = _generate_image(spec, rng, hard_matrix)
         return split, gt, probs
 
-    def write_group(indices):
-        for idx, (split, gt, probs) in zip(indices, _map_ordered(build, indices, threads)):
-            image_id = f"img_{idx:04d}"
-            probs_path = out / f"{image_id}_probs.segt"
-            gt_path = out / f"{image_id}_gt.segt"
-            save_probability_map(probs, probs_path)
-            save_label_map(gt, gt_path)
-            records.append(
-                ManifestRecord(
+    with publish(out) as stage:
+        def write_group(indices):
+            for idx, (split, gt, probs) in zip(indices, _map_ordered(build, indices, threads)):
+                image_id = f"img_{idx:04d}"
+                probs_name, gt_name = f"{image_id}_probs.segt", f"{image_id}_gt.segt"
+                save_probability_map(probs, stage(probs_name))
+                save_label_map(gt, stage(gt_name))
+                records.append(ManifestRecord(
                     image_id=image_id,
-                    probs_path=probs_path,
-                    gt_path=gt_path,
+                    probs_path=out / probs_name,
+                    gt_path=out / gt_name,
                     split=split,
-                )
-            )
+                ))
 
-    shape = (spec.height, spec.width, spec.n_classes)
-    for group in _write_groups(range(spec.n_images), lambda idx: shape):
-        write_group(group)
-    manifest = Manifest(label_set=spec.label_set, records=tuple(records))
-    save_manifest(manifest, out / MANIFEST_FILENAME)
-    spec.save(out / SPEC_FILENAME)
+        shape = (spec.height, spec.width, spec.n_classes)
+        for group in _write_groups(range(spec.n_images), lambda idx: shape):
+            write_group(group)
+        manifest = Manifest(label_set=spec.label_set, records=tuple(records))
+        write_json(spec.to_dict(), stage(SPEC_FILENAME))
+        # relative to where the manifest is published, not where it is staged
+        write_json(manifest.to_dict(out.resolve()), stage(MANIFEST_FILENAME))
     return manifest
 
 
@@ -350,8 +333,6 @@ def bayes_optimal_accuracy(spec: SynthSpec, manifest: Manifest) -> float:
     pixels: argmax_l P_eval(C=h | l) * realized-image-histogram(l), measured
     on the same pixels the pipeline scores. The soft residual carries no
     label information, so the hard label is sufficient."""
-    from .data import load_label_map, load_probability_map
-
     matrix = eval_confusion_matrix(spec)
     correct = 0
     total = 0

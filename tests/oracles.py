@@ -164,7 +164,8 @@ def sum_check_formula(values, tol):
     """Every site of an H x W x L map whose float64 channel sum deviates
     from 1 by more than tol, or is NaN, as ((row, col), deviation) in
     row-major order, computed over the whole map at once."""
-    sums = values.sum(axis=2, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # inf + -inf at a site sums to NaN
+        sums = values.sum(axis=2, dtype=np.float64)
     dev = np.abs(sums - 1.0)
     bad = np.argwhere(~(dev <= tol))
     return [((int(i), int(j)), float(dev[i, j])) for i, j in bad]

@@ -3,7 +3,9 @@ malformed files, and CLI flag validation."""
 
 import dataclasses
 import json
+import os
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from conflens import (
     SampleSet,
     SolverOptions,
     border_mask,
+    generate_dataset,
     identity_confusion,
     labelbank_mask,
     load_confusion,
@@ -38,7 +41,7 @@ from conflens import (
     validate_probability_map,
     write_pgm,
 )
-from conflens import cli
+from conflens import data, refine, segt
 from conflens.cli import main
 from conflens.errors import DataError
 from conflens.metrics import MetricAccumulator
@@ -74,6 +77,17 @@ class TestDataValidation:
         for tol in (0.0, np.nan):
             with pytest.raises(DataError):
                 validate_probability_map(probs, tol)
+
+    def test_inf_and_minus_inf_site_fails_without_warning(self):
+        """A site holding inf and -inf sums to NaN: it fails the check, and
+        the check raises no RuntimeWarning on the way."""
+        values = np.full((2, 3, 3), 1 / 3, dtype=np.float32)
+        values[1, 2, :2] = (np.inf, -np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bad = validate_probability_map(ProbabilityMap(values), 1e-4)
+        assert [site for site, _ in bad] == [(1, 2)]
+        assert np.isnan(bad[0][1])
 
     def test_load_probability_map_wrong_rank(self, tmp_path):
         path = tmp_path / "x.segt"
@@ -182,6 +196,15 @@ class TestDataValidation:
         manifest = Manifest(label_set=LabelSet(size=2))
         with pytest.raises(DataError):
             manifest.split_records("training")
+
+    def test_empty_split_rejected(self, tmp_path):
+        from conflens import Manifest, ManifestRecord
+
+        record = ManifestRecord("a", tmp_path / "p", tmp_path / "g", "estimation")
+        manifest = Manifest(label_set=LabelSet(size=2), records=(record,))
+        assert manifest.split_records("estimation") == [record]
+        with pytest.raises(DataError, match="no evaluation records"):
+            manifest.split_records("evaluation")
 
 
 class TestImageIds:
@@ -305,7 +328,7 @@ class TestValidateBeforeWrite:
     @staticmethod
     def fail_third_save(monkeypatch):
         calls = []
-        save = cli.save_probability_map
+        save = refine.save_probability_map
 
         def save_or_fail(*args, **kwargs):
             calls.append(1)
@@ -313,7 +336,7 @@ class TestValidateBeforeWrite:
                 raise OSError("disk full")
             return save(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "save_probability_map", save_or_fail)
+        monkeypatch.setattr(refine, "save_probability_map", save_or_fail)
 
     @pytest.mark.parametrize("failure", ["bad_middle_map", "write_error"])
     @pytest.mark.parametrize("command", ["refine", "labelbank"])
@@ -347,13 +370,13 @@ class TestValidateBeforeWrite:
     def test_each_map_read_once(self, split, tmp_path, monkeypatch, command):
         records, argv = split
         reads = []
-        load = cli.load_probability_map
+        load = refine.load_probability_map
 
         def counted(path, *args, **kwargs):
             reads.append(Path(path))
             return load(path, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "load_probability_map", counted)
+        monkeypatch.setattr(refine, "load_probability_map", counted)
         out = tmp_path / "out"
         assert main(argv(command, out)) == 0
         assert sorted(reads) == sorted(r.probs_path for r in records)
@@ -453,6 +476,147 @@ class TestStageFileChecks:
         assert main(argv(stage, tmp_path / "result")) == 0
 
 
+class TestWriterCrashes:
+    """A write that fails part-way, as on a full disk, makes a command exit
+    3 and leaves its output location as it found it: nothing published, no
+    staging directory left, and an earlier run's output byte for byte the
+    same."""
+
+    @staticmethod
+    def tree(root):
+        """Every file (with its bytes) and directory under root."""
+        return {path.relative_to(root).as_posix(): path.read_bytes() if path.is_file() else None
+                for path in sorted(root.rglob("*"))}
+
+    @staticmethod
+    def crash(monkeypatch, owner, name, n, partial):
+        """Make owner.name write part of its output with partial(*args),
+        then raise OSError, on its n-th call."""
+        real, calls = getattr(owner, name), []
+
+        def crashing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == n:
+                partial(*args)
+                raise OSError("disk full")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, crashing)
+
+    def crash_json(self, monkeypatch):
+        self.crash(monkeypatch, json, "dump", 1, lambda obj, fh: fh.write("{"))
+
+    def crash_store(self, monkeypatch, n):
+        self.crash(monkeypatch, segt, "store_tensor", n,
+                   lambda path, tensor: Path(path).write_bytes(b"SEGT"))
+
+    def assert_unchanged(self, argv, root, before):
+        assert main(argv) == 3
+        assert self.tree(root) == before
+        assert not list(root.rglob(".conflens-*"))
+
+    @pytest.fixture
+    def manifest(self, small_dataset):
+        return str(small_dataset[2] / "manifest.json")
+
+    def test_confusion(self, manifest, tmp_path, monkeypatch):
+        """The tensor is written, its sidecar write fails."""
+        argv = ["confusion", "--manifest", manifest, "--out", str(tmp_path / "c.segt")]
+        assert main(argv + ["--radius", "0"]) == 0
+        before = self.tree(tmp_path)
+        self.crash_json(monkeypatch)
+        self.assert_unchanged(argv + ["--radius", "2"], tmp_path, before)
+
+    def test_prior(self, manifest, tmp_path, monkeypatch):
+        out = ["--out", str(tmp_path / "p.segt")]
+        assert main(["prior", "--manifest", manifest, "--kind", "uniform"] + out) == 0
+        before = self.tree(tmp_path)
+        self.crash_json(monkeypatch)
+        self.assert_unchanged(["prior", "--manifest", manifest, "--kind", "histogram"] + out,
+                              tmp_path, before)
+
+    def test_eval(self, manifest, tmp_path, monkeypatch):
+        bank, preds = str(tmp_path / "b.segt"), str(tmp_path / "preds")
+        assert main(["prior", "--manifest", manifest, "--kind", "binary", "--out", bank]) == 0
+        assert main(["labelbank", "--manifest", manifest, "--priors", bank, "--out", preds]) == 0
+        argv = ["eval", "--manifest", manifest, "--pred-dir", preds,
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        before = self.tree(tmp_path)
+        self.crash_json(monkeypatch)
+        self.assert_unchanged(argv + ["--exclude-borders"], tmp_path, before)
+
+    def test_synth(self, small_spec, tmp_path, monkeypatch):
+        """The third tensor write fails while a dataset from another seed
+        sits in --out-dir."""
+        out = tmp_path / "out"
+        generate_dataset(small_spec, out)
+        before = self.tree(out)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dataclasses.replace(small_spec, seed=72).to_dict()))
+        self.crash_store(monkeypatch, 3)
+        self.assert_unchanged(["synth", "--spec", str(spec), "--out-dir", str(out)], out, before)
+
+    def test_synth_into_new_directory(self, small_spec, tmp_path, monkeypatch):
+        spec = tmp_path / "spec.json"
+        small_spec.save(spec)
+        self.crash_store(monkeypatch, 3)
+        out = tmp_path / "new" / "data"
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 3
+        assert not (tmp_path / "new").exists()
+
+    def test_render(self, tmp_path, monkeypatch):
+        """The PGM header is written, the pixel write fails."""
+        matrix = tmp_path / "m.segt"
+        store_tensor(matrix, np.eye(3, dtype=np.float32))
+        argv = ["render", "--matrix", str(matrix), "--out", str(tmp_path / "m.pgm")]
+        assert main(argv) == 0
+        before = self.tree(tmp_path)
+
+        def crashing_open(path, mode="r"):
+            Path(path).write_bytes(b"P5\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr("conflens.metrics.open", crashing_open, raising=False)
+        self.assert_unchanged(argv + ["--gamma", "1.0"], tmp_path, before)
+
+    def test_rename_order(self, small_spec, manifest, tmp_path, monkeypatch):
+        """A sidecar is renamed after its tensor, and a dataset's manifest
+        after every other file."""
+        renamed = []
+        replace = os.replace
+
+        def recorded(src, dst):
+            renamed.append(Path(dst).name)
+            replace(src, dst)
+
+        monkeypatch.setattr(data.os, "replace", recorded)
+        assert main(["confusion", "--manifest", manifest, "--out", str(tmp_path / "c.segt")]) == 0
+        assert renamed == ["c.segt", "c.json"]
+        del renamed[:]
+        generate_dataset(small_spec, tmp_path / "data")
+        assert renamed[-1] == "manifest.json"
+        assert sorted(renamed) == sorted(p.name for p in (tmp_path / "data").iterdir())
+
+    @pytest.mark.parametrize("kind", ["symlink", "directory"])
+    def test_non_regular_out_is_refused(self, manifest, tmp_path, kind):
+        """A rename would replace a symlinked --out with a regular file and
+        leave its target stale, so such an --out, like a directory, is a
+        data error before anything is renamed."""
+        out = tmp_path / "c.segt"
+        if kind == "symlink":
+            target = tmp_path / "target.segt"
+            store_tensor(target, np.eye(2, dtype=np.float32))
+            out.symlink_to(target)
+        else:
+            out.mkdir()
+        before = self.tree(tmp_path)
+        assert main(["confusion", "--manifest", manifest, "--out", str(out)]) == 2
+        assert self.tree(tmp_path) == before
+        assert out.is_symlink() == (kind == "symlink")
+        assert not list(tmp_path.rglob(".conflens-*"))
+
+
 class TestHugeJsonIntegers:
     """An integer literal longer than Python's 4300-digit conversion limit
     makes json.load raise a plain ValueError; every JSON loader reports it
@@ -543,10 +707,19 @@ class TestConfusionValidation:
         with pytest.raises(DataError, match="floor"):
             normalize_confusion(counts, floor=floor)
 
+    def test_load_confusion_without_sidecar(self, tmp_path):
+        """The prior-bank loader's rule: a tensor without its sidecar is a
+        DataError."""
+        path = tmp_path / "c.segt"
+        store_tensor(path, np.eye(2, dtype=np.float32))
+        with pytest.raises(DataError, match="missing sidecar"):
+            load_confusion(path)
+
     def test_load_confusion_rejects_non_square(self, tmp_path):
         path = tmp_path / "c.segt"
         store_tensor(path, np.full((2, 3), 0.5, dtype=np.float32))
-        with pytest.raises(DataError):
+        path.with_suffix(".json").write_text('{"floor": 0.0001}')
+        with pytest.raises(DataError, match="square"):
             load_confusion(path)
 
 

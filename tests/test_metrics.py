@@ -9,8 +9,6 @@ from conflens import (
     MetricAccumulator,
     PixelMask,
     accumulate_counts,
-    mean_iou,
-    pixel_accuracy,
     render_matrix_heatmap,
 )
 from conflens.errors import DataError
@@ -20,27 +18,33 @@ def lm(values):
     return LabelMap(np.asarray(values, dtype=np.int32))
 
 
+def score(pred, gt, labels):
+    acc = MetricAccumulator(labels)
+    acc.add(pred, gt)
+    return acc.report()
+
+
 class TestPixelAccuracy:
     def test_perfect(self):
         gt = lm([[0, 1], [1, 0]])
-        assert pixel_accuracy(gt, gt, LabelSet(size=2)) == 1.0
+        assert score(gt, gt, LabelSet(size=2)).pixel_accuracy == 1.0
 
     def test_total_disagreement(self):
         gt = lm([[0, 0], [0, 0]])
         pred = lm([[1, 1], [1, 1]])
-        assert pixel_accuracy(pred, gt, LabelSet(size=2)) == 0.0
+        assert score(pred, gt, LabelSet(size=2)).pixel_accuracy == 0.0
 
     def test_void_pixels_not_scored(self):
         labels = LabelSet(size=2, void_id=9)
         gt = lm([[0, 0], [0, 9]])
         pred = lm([[0, 0], [0, 1]])  # only mistake sits on a void pixel
-        assert pixel_accuracy(pred, gt, labels) == 1.0
+        assert score(pred, gt, labels).pixel_accuracy == 1.0
 
     def test_all_void_rejected(self):
         labels = LabelSet(size=2, void_id=9)
         gt = lm([[9, 9]])
         with pytest.raises(DataError):
-            pixel_accuracy(lm([[0, 0]]), gt, labels)
+            score(lm([[0, 0]]), gt, labels)
 
     def test_matches_confusion_trace_mass(self):
         rng = np.random.default_rng(80)
@@ -52,20 +56,22 @@ class TestPixelAccuracy:
                 gt, pred, PixelMask(np.ones((9, 9), dtype=bool)), labels
             )
             trace_mass = np.trace(counts.counts) / counts.total
-            assert pixel_accuracy(pred, gt, labels) == pytest.approx(trace_mass)
+            assert score(pred, gt, labels).pixel_accuracy == pytest.approx(trace_mass)
 
 
 class TestMeanIoU:
     def test_perfect(self):
         gt = lm([[0, 1], [2, 0]])
-        miou, per_class = mean_iou(gt, gt, LabelSet(size=3))
+        report = score(gt, gt, LabelSet(size=3))
+        miou, per_class = report.mean_iou, list(report.per_class_iou)
         assert miou == 1.0
         assert per_class == [1.0, 1.0, 1.0]
 
     def test_hand_counted_example(self):
         gt = lm([[0, 0, 1, 1]])
         pred = lm([[0, 1, 1, 1]])
-        miou, per_class = mean_iou(pred, gt, LabelSet(size=2))
+        report = score(pred, gt, LabelSet(size=2))
+        miou, per_class = report.mean_iou, list(report.per_class_iou)
         assert per_class[0] == pytest.approx(0.5)
         assert per_class[1] == pytest.approx(2.0 / 3.0)
         assert miou == pytest.approx(7.0 / 12.0, abs=1e-12)
@@ -73,7 +79,8 @@ class TestMeanIoU:
     def test_zero_union_class_excluded(self):
         gt = lm([[0, 0], [1, 1]])
         pred = lm([[0, 0], [1, 1]])
-        miou, per_class = mean_iou(pred, gt, LabelSet(size=3))
+        report = score(pred, gt, LabelSet(size=3))
+        miou, per_class = report.mean_iou, list(report.per_class_iou)
         assert per_class[2] is None
         assert miou == 1.0
 
@@ -83,7 +90,8 @@ class TestMeanIoU:
         for _ in range(10):
             gt = lm(rng.integers(0, 4, size=(8, 8)))
             pred = lm(rng.integers(0, 4, size=(8, 8)))
-            miou, per_class = mean_iou(pred, gt, labels)
+            report = score(pred, gt, labels)
+            miou, per_class = report.mean_iou, list(report.per_class_iou)
             live = [v for v in per_class if v is not None]
             assert miou == pytest.approx(float(np.mean(live)), abs=1e-12)
 
@@ -92,11 +100,11 @@ class TestMeanIoU:
         labels = LabelSet(size=4)
         gt = rng.integers(0, 4, size=(10, 10)).astype(np.int32)
         pred = rng.integers(0, 4, size=(10, 10)).astype(np.int32)
-        base_acc = pixel_accuracy(lm(pred), lm(gt), labels)
-        base_miou, _ = mean_iou(lm(pred), lm(gt), labels)
+        base_acc = score(lm(pred), lm(gt), labels).pixel_accuracy
+        base_miou = score(lm(pred), lm(gt), labels).mean_iou
         perm = rng.permutation(4)
-        acc = pixel_accuracy(lm(perm[pred]), lm(perm[gt]), labels)
-        miou, _ = mean_iou(lm(perm[pred]), lm(perm[gt]), labels)
+        acc = score(lm(perm[pred]), lm(perm[gt]), labels).pixel_accuracy
+        miou = score(lm(perm[pred]), lm(perm[gt]), labels).mean_iou
         assert acc == pytest.approx(base_acc)
         assert miou == pytest.approx(base_miou)
 

@@ -17,7 +17,7 @@ from conflens import (
     identity_confusion,
     save_confusion,
 )
-from conflens import cli
+from conflens import priors
 from conflens.cli import main
 from conflens.data import _load_groups
 from conflens.synth import _generate_image
@@ -202,15 +202,15 @@ class TestSolveGroups:
     def test_threads_give_identical_banks(self, tmp_path, monkeypatch):
         """Several groups, loaded 1 or 3 images at a time: the same groups,
         so the same bytes."""
-        monkeypatch.setattr(cli, "SOLVE_BUDGET", 3 * 20 * 20 * 4 * 8)
+        monkeypatch.setattr(priors, "SOLVE_BUDGET", 3 * 20 * 20 * 4 * 8)
         solves = []
-        solve = cli.solve_unconstrained_prior
+        solve = priors.solve_unconstrained_prior
 
         def counted(*args, **kwargs):
             solves.append(1)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "solve_unconstrained_prior", counted)
+        monkeypatch.setattr(priors, "solve_unconstrained_prior", counted)
         argv = self.prior_argv(tmp_path, 10)
         digests = set()
         for threads in ("1", "3"):
@@ -224,7 +224,7 @@ class TestSolveGroups:
         """24 more images add their records and bank rows, but far less
         than a quarter of their float64 samples."""
         samples = 20 * 20 * 4 * 8
-        monkeypatch.setattr(cli, "SOLVE_BUDGET", 3 * samples)
+        monkeypatch.setattr(priors, "SOLVE_BUDGET", 3 * samples)
         peaks = {}
         for n in (8, 32):
             argv = self.prior_argv(tmp_path / str(n), n)
