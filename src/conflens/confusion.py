@@ -11,13 +11,13 @@ import numpy as np
 
 from . import kernels
 from .data import (
+    LABELS,
+    PROBS,
     LabelMap,
     LabelSet,
     Manifest,
     _frozen_array,
-    _map_ordered,
-    load_label_map,
-    load_probability_map,
+    _load_chunks,
     load_with_sidecar,
     store_with_sidecar,
 )
@@ -31,14 +31,15 @@ COLUMN_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PixelMask:
-    """Boolean participation mask; True = pixel feeds the statistics."""
+    """Boolean participation mask; True = pixel feeds the statistics. H x W,
+    or B x H x W for a stack of maps."""
 
     included: np.ndarray
 
     def __post_init__(self):
         arr = _frozen_array(self.included, bool)
-        if arr.ndim != 2:
-            raise DataError(f"mask must be HxW, got {arr.shape}")
+        if arr.ndim not in (2, 3):
+            raise DataError(f"mask must be HxW or BxHxW, got {arr.shape}")
         object.__setattr__(self, "included", arr)
 
     @property
@@ -105,7 +106,8 @@ class ConfusionModel:
 def border_mask(gt: LabelMap, radius: int) -> PixelMask:
     """Exclude every pixel within Chebyshev distance `radius` of a border
     pixel (one with an 8-connected neighbor of a different label; void
-    counts as its own label). radius=0 excludes exactly the border pixels."""
+    counts as its own label). radius=0 excludes exactly the border pixels.
+    A stack of maps gives a stack of masks, each from its own map."""
     if radius < 0:
         raise DataError(f"radius must be >= 0, got {radius}")
     excluded = kernels.border_excluded(gt.labels, int(radius))
@@ -164,21 +166,16 @@ def estimate_confusion(manifest: Manifest, out: str | Path, radius: int = DEFAUL
                        floor: float = DEFAULT_FLOOR, threads: int = 1) -> ConfusionModel:
     """The confusion stage: count argmax predictions against ground truth
     outside the border mask over the estimation split, normalize with
-    `floor`, publish the model at out, and return it with its counts."""
+    `floor`, publish the model at out, and return it with its counts. Maps
+    are loaded, checked and counted a chunk of equal-shape maps at a time."""
     records = manifest.split_records("estimation")
     labels = manifest.label_set
-
-    def per_image(rec):
-        gt = load_label_map(rec.gt_path, labels)
-        probs = load_probability_map(rec.probs_path, labels)
-        mask = border_mask(gt, radius)
-        pred = argmax_labels(probs)
-        return accumulate_counts(gt, pred, mask, labels)
-
-    partials = _map_ordered(per_image, records, threads)
-    counts = partials[0]
-    for part in partials[1:]:
+    counts = CountMatrix(np.zeros((labels.size, labels.size), dtype=np.int64))
+    for _, (gt, probs) in _load_chunks(records, lambda rec: (rec.gt_path, rec.probs_path),
+                                       (LABELS, PROBS), labels, threads):
+        part = accumulate_counts(gt, argmax_labels(probs), border_mask(gt, radius), labels)
         counts = merge_counts(counts, part)
+        del gt, probs  # free the chunk before the next one loads
     model = normalize_confusion(counts, floor=floor)
     save_confusion(model, out, radius=radius, n_images=len(records), n_pixels=counts.total)
     return model

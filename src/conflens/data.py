@@ -7,6 +7,7 @@ import contextlib
 import json
 import os
 import shutil
+import stat
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -29,10 +30,25 @@ _RANGE_BITS = np.float32(1.0 + 1e-6).view(np.uint32)
 # creates back to back, so small maps are written in a few long bursts.
 WRITE_BUDGET = 16 << 20
 
+# Bytes of stacked maps (float32 probabilities, int32 labels) that a stage
+# loads into one chunk, which it checks and computes on with one call per
+# check and kernel instead of one per image. 24x24 maps of 8 classes come
+# about 55 to a chunk, and a map at least this large is a chunk by itself.
+# On the benchmark's many_small workload (2-core VM, tmpfs), 256 KiB chunks
+# took about 5% longer than 1 MiB chunks, and 1 MiB chunks held less at
+# their peak than the prior solver's groups.
+CHUNK_BUDGET = 1 << 20
+
 
 def _frozen_array(values, dtype):
+    """values as a read-only array of dtype. An array that owns its data is
+    frozen in place; a view is copied, unless it is a read-only view of a
+    frozen array, such as one map of a frozen stack."""
     arr = np.asarray(values, dtype=dtype)
-    if not arr.flags.owndata:
+    base = arr.base
+    frozen_view = (not arr.flags.writeable and isinstance(base, np.ndarray)
+                   and base.flags.owndata and not base.flags.writeable)
+    if not (arr.flags.owndata or frozen_view):
         arr = arr.copy()
     arr.flags.writeable = False
     return arr
@@ -71,48 +87,50 @@ class LabelSet:
 
 @dataclass(frozen=True)
 class ProbabilityMap:
-    """Per-pixel distributions over labels, H x W x |L| float32."""
+    """Per-pixel distributions over labels, H x W x |L| float32, or a
+    B x H x W x |L| stack of B equal-shape maps."""
 
     values: np.ndarray
 
     def __post_init__(self):
         arr = _frozen_array(self.values, np.float32)
-        if arr.ndim != 3 or any(d < 1 for d in arr.shape):
-            raise DataError(f"probability map must be HxWxC, got {arr.shape}")
+        if arr.ndim not in (3, 4) or any(d < 1 for d in arr.shape):
+            raise DataError(f"probability map must be HxWxC or BxHxWxC, got {arr.shape}")
         object.__setattr__(self, "values", arr)
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-3]
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-2]
 
     @property
     def channels(self) -> int:
-        return self.values.shape[2]
+        return self.values.shape[-1]
 
 
 @dataclass(frozen=True)
 class LabelMap:
-    """Per-pixel integer labels, H x W."""
+    """Per-pixel integer labels, H x W, or a B x H x W stack of B
+    equal-shape maps."""
 
     labels: np.ndarray
 
     def __post_init__(self):
         arr = _frozen_array(self.labels, np.int32)
-        if arr.ndim != 2 or any(d < 1 for d in arr.shape):
-            raise DataError(f"label map must be HxW, got {arr.shape}")
+        if arr.ndim not in (2, 3) or any(d < 1 for d in arr.shape):
+            raise DataError(f"label map must be HxW or BxHxW, got {arr.shape}")
         object.__setattr__(self, "labels", arr)
 
     @property
     def height(self) -> int:
-        return self.labels.shape[0]
+        return self.labels.shape[-2]
 
     @property
     def width(self) -> int:
-        return self.labels.shape[1]
+        return self.labels.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -229,6 +247,10 @@ def _sum_failures(values: np.ndarray, tol: float, nonnegative: bool):
 # tensor-file wrappers
 # ---------------------------------------------------------------------------
 
+# The two kinds of map file a stage loads.
+PROBS, LABELS = "probs", "labels"
+
+
 def save_probability_map(probs: ProbabilityMap, path: str | Path) -> None:
     segt.store_tensor(path, probs.values)
 
@@ -240,31 +262,9 @@ def load_probability_map(
 ) -> ProbabilityMap:
     """Load and validate a probability map: dtype/rank, value range, channel
     count when `labels` is given, and per-pixel sums at `tol`."""
-    arr = segt.load_tensor(path)
-    if arr.dtype != np.float32 or arr.ndim != 3:
-        raise DataError(f"{path}: expected 3-d float32 tensor")
-    if labels is not None and arr.shape[2] != labels.size:
-        raise DataError(
-            f"{path}: {arr.shape[2]} channels, label set has {labels.size}"
-        )
-    # One pass clears most maps: as unsigned integers, the float32 bit
-    # patterns of [+0, 1 + 1e-6] are exactly those up to the bound's, and
-    # negative values (-0.0 too), inf and NaN all lie above it. Only a map
-    # that fails takes the min/max test, which accepts -0.0.
-    if arr.view(np.uint32).max() > _RANGE_BITS and not (
-        arr.min() >= 0.0 and arr.max() <= 1.0 + 1e-6
-    ):
-        raise DataError(f"{path}: values outside [0, 1] or NaN")
-    probs = ProbabilityMap(arr)
-    # the range check leaves no negative or NaN value, so skip the minimum
-    bad = _sum_failures(probs.values, tol, nonnegative=True)
-    if bad:
-        (i, j), dev = bad[0]
-        raise DataError(
-            f"{path}: {len(bad)} sites fail sum check at tol {tol}, "
-            f"first ({i},{j}) deviates by {dev:.2e}"
-        )
-    return probs
+    arr = _read_map(path, PROBS, labels)
+    _check_probs(path, arr, tol)
+    return ProbabilityMap(arr)
 
 
 def save_label_map(label_map: LabelMap, path: str | Path) -> None:
@@ -275,18 +275,75 @@ def save_label_map(label_map: LabelMap, path: str | Path) -> None:
 
 
 def load_label_map(path: str | Path, labels: LabelSet | None = None) -> LabelMap:
-    arr = segt.load_tensor(path)
-    if arr.dtype != np.uint16 or arr.ndim != 2:
-        raise DataError(f"{path}: expected 2-d uint16 tensor")
-    out = arr.astype(np.int32)
+    """Load a label map; with `labels`, every label must be a class or the
+    void id."""
+    out = _read_map(path, LABELS, labels).astype(np.int32)
     if labels is not None:
-        valid = (out >= 0) & (out < labels.size)
-        if labels.void_id is not None:
-            valid |= out == labels.void_id
-        if not valid.all():
-            bad = out[~valid].flat[0]
-            raise DataError(f"{path}: label {bad} outside the label set")
+        _check_labels(path, out, labels)
     return LabelMap(out)
+
+
+def _read_map(path, kind: str, labels: LabelSet | None) -> np.ndarray:
+    """A map file's array, with the checks its header and shape allow: a 3-d
+    float32 tensor with |L| channels (when labels is given) for PROBS, a 2-d
+    uint16 tensor for LABELS."""
+    arr = segt.load_tensor(path)
+    if kind == LABELS:
+        if arr.dtype != np.uint16 or arr.ndim != 2:
+            raise DataError(f"{path}: expected 2-d uint16 tensor")
+        return arr
+    if arr.dtype != np.float32 or arr.ndim != 3:
+        raise DataError(f"{path}: expected 3-d float32 tensor")
+    if labels is not None and arr.shape[2] != labels.size:
+        raise DataError(
+            f"{path}: {arr.shape[2]} channels, label set has {labels.size}"
+        )
+    return arr
+
+
+def _probs_ok(values: np.ndarray, tol: float) -> bool:
+    """Whether every value of a ... x W x L float32 array lies in [0, 1] and
+    every site's channels sum to 1 within tol."""
+    # One pass clears most maps: as unsigned integers, the float32 bit
+    # patterns of [+0, 1 + 1e-6] are exactly those up to the bound's, and
+    # negative values (-0.0 too), inf and NaN all lie above it. Only a map
+    # that fails takes the min/max test, which accepts -0.0.
+    if values.view(np.uint32).max() > _RANGE_BITS and not (
+        values.min() >= 0.0 and values.max() <= 1.0 + 1e-6
+    ):
+        return False
+    # the range check leaves no negative or NaN value, so skip the minimum
+    return not _sum_failures(values.reshape((-1,) + values.shape[-2:]), tol, nonnegative=True)
+
+
+def _check_probs(path, values: np.ndarray, tol: float) -> None:
+    """DataError naming path unless the H x W x L map passes _probs_ok."""
+    if _probs_ok(values, tol):
+        return
+    if not (values.min() >= 0.0 and values.max() <= 1.0 + 1e-6):
+        raise DataError(f"{path}: values outside [0, 1] or NaN")
+    bad = _sum_failures(values, tol, nonnegative=True)
+    (i, j), dev = bad[0]
+    raise DataError(
+        f"{path}: {len(bad)} sites fail sum check at tol {tol}, "
+        f"first ({i},{j}) deviates by {dev:.2e}"
+    )
+
+
+def _bad_labels(values: np.ndarray, labels: LabelSet) -> np.ndarray:
+    """Mask of the values of an int32 array that are neither a class nor
+    the void id."""
+    bad = (values < 0) | (values >= labels.size)
+    if labels.void_id is not None:
+        bad &= values != labels.void_id
+    return bad
+
+
+def _check_labels(path, values: np.ndarray, labels: LabelSet) -> None:
+    """DataError naming path and its first label outside the label set."""
+    bad = _bad_labels(values, labels)
+    if bad.any():
+        raise DataError(f"{path}: label {values[bad].flat[0]} outside the label set")
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +380,82 @@ def _load_groups(items, load, size, budget, threads: int):
         yield group
 
 
+def _load_chunks(items, paths, kinds, labels: LabelSet, threads: int = 1):
+    """Consecutive chunks of items whose maps have equal shapes, loaded and
+    checked as load_probability_map and load_label_map check them, one call
+    per check for the whole chunk. Yields (chunk items, maps): maps holds,
+    for each kind in kinds (PROBS or LABELS), the chunk's maps stacked into
+    one ProbabilityMap or LabelMap, with paths(item) giving each item's
+    files in the same order.
+
+    A chunk closes at a change of shape or once its stacks reach
+    CHUNK_BUDGET bytes; its bounds do not depend on threads. Items are read
+    `threads` at a time, and an item's maps must agree on height and width.
+    Only a chunk that fails a check is checked again file by file, in item
+    order, so the DataError names the file that loading the items one by
+    one would have stopped at; an error that reading a file raises comes
+    after the checks of every file read before it."""
+    step = max(threads, 1)
+    dtypes = [np.float32 if kind == PROBS else np.int32 for kind in kinds]
+
+    def read(item):
+        """The item's arrays and the error that stopped reading them, if any."""
+        arrays = []
+        try:
+            for path, kind in zip(paths(item), kinds):
+                arrays.append(_read_map(path, kind, labels))
+                arrays[-1].flags.writeable = False  # so a stack of one is a frozen view
+                (h, w), (h0, w0) = arrays[-1].shape[:2], arrays[0].shape[:2]
+                if (h, w) != (h0, w0):
+                    raise DataError(f"{path}: {h}x{w} map, {paths(item)[0]} is {h0}x{w0}")
+        except Exception as exc:  # raised in item order, after the checks
+            return item, arrays, exc
+        return item, arrays, None
+
+    def check_files(item, arrays):
+        for path, kind, arr in zip(paths(item), kinds, arrays):
+            if kind == PROBS:
+                _check_probs(path, arr, DEFAULT_SUM_TOL)
+            else:
+                _check_labels(path, arr.astype(np.int32), labels)
+
+    def close(chunk):
+        """The chunk's items and stacked maps, checked; empties chunk, so
+        that only the stacks hold its maps."""
+        stacks = [np.stack(maps, dtype=dtype) if len(maps) > 1
+                  else maps[0][None].astype(dtype, copy=False)
+                  for dtype, maps in zip(dtypes, zip(*(arrays for _, arrays in chunk)))]
+        chunk_items = [item for item, _ in chunk]
+        chunk.clear()
+        if not all(_probs_ok(s, DEFAULT_SUM_TOL) if kind == PROBS
+                   else not _bad_labels(s, labels).any() for s, kind in zip(stacks, kinds)):
+            for i, item in enumerate(chunk_items):
+                check_files(item, [s[i] for s in stacks])
+        return chunk_items, tuple(
+            ProbabilityMap(s) if kind == PROBS else LabelMap(s) for s, kind in zip(stacks, kinds))
+
+    chunk, size = [], 0
+    for start in range(0, len(items), step):
+        batch = _map_ordered(read, items[start:start + step], threads)[::-1]
+        while batch:
+            item, arrays, exc = batch.pop()
+            if chunk and (exc is not None
+                          or [a.shape for a in arrays] != [a.shape for a in chunk[0][1]]):
+                yield close(chunk)
+                size = 0
+            if exc is not None:
+                check_files(item, arrays)
+                raise exc
+            chunk.append((item, arrays))
+            size += 4 * sum(arr.size for arr in arrays)  # float32 or int32 in the stack
+            del arrays  # only the chunk holds its maps
+            if size >= CHUNK_BUDGET:
+                yield close(chunk)
+                size = 0
+    if chunk:
+        yield close(chunk)
+
+
 def _write_groups(items, map_shape):
     """Consecutive groups of items for a producer that computes a group,
     writes it, and only then computes the next. Each item yields a float32
@@ -354,7 +487,7 @@ def publish(out_dir: str | Path):
     """Stage files for out_dir (created if missing), then rename them into
     place; every file a command or generate_dataset writes goes through here.
 
-    The block gets stage(name), the path to write `name` to in a hidden
+    The block gets stage(name), the path (a str) to write `name` to in a hidden
     `.conflens-*` directory inside out_dir. If the block returns, each file
     moves to out_dir/name by os.replace, in staging order. If it raises, the
     staging directory goes, and so does the highest directory this call
@@ -370,22 +503,27 @@ def publish(out_dir: str | Path):
     out = Path(out_dir).resolve()
     created = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=".conflens-", dir=out))
+    out = str(out)
+    staging = tempfile.mkdtemp(prefix=".conflens-", dir=out)
     names = {}  # staging order, without repeats
 
-    def stage(name: str) -> Path:
-        target = out / name
+    def stage(name: str) -> str:
+        target = os.path.join(out, name)
+        try:
+            regular = stat.S_ISREG(os.lstat(target).st_mode)
+        except FileNotFoundError:
+            regular = True
         # a rename would replace a link itself, or fail on a directory
-        if target.is_symlink() or target.exists() and not target.is_file():
+        if not regular:
             raise DataError(f"{target}: exists and is not a regular file")
         names[name] = None
-        return staging / name
+        return os.path.join(staging, name)
 
     try:
         yield stage
         for name in names:
-            os.replace(staging / name, out / name)
-        staging.rmdir()
+            os.replace(os.path.join(staging, name), os.path.join(out, name))
+        os.rmdir(staging)
     except BaseException:
         shutil.rmtree(created[-1] if created else staging, ignore_errors=True)
         raise

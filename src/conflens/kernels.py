@@ -21,25 +21,27 @@ BACKEND = "numpy"
 def border_excluded(labels: np.ndarray, radius: int) -> np.ndarray:
     """Bool mask of pixels within Chebyshev distance `radius` of a border
     pixel. A border pixel has an 8-connected neighbor with a different label.
+    labels is H x W, or a B x H x W stack of equal-shape maps, each masked on
+    its own: only H and W are padded, so no border crosses two maps.
     """
-    h, w = labels.shape
-    padded = np.pad(labels, 1, mode="edge")
-    border = np.zeros((h, w), dtype=bool)
+    h, w = labels.shape[-2:]
+    padded = np.pad(labels, [(0, 0)] * (labels.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
+    border = np.zeros(labels.shape, dtype=bool)
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             if di == 0 and dj == 0:
                 continue
-            border |= labels != padded[1 + di:1 + di + h, 1 + dj:1 + dj + w]
+            border |= labels != padded[..., 1 + di:1 + di + h, 1 + dj:1 + dj + w]
     if radius == 0:
         return border
     out = border.copy()
     for d in range(1, radius + 1):
-        out[d:, :] |= border[:-d, :]
-        out[:-d, :] |= border[d:, :]
+        out[..., d:, :] |= border[..., :-d, :]
+        out[..., :-d, :] |= border[..., d:, :]
     full = out.copy()
     for d in range(1, radius + 1):
-        full[:, d:] |= out[:, :-d]
-        full[:, :-d] |= out[:, d:]
+        full[..., d:] |= out[..., :-d]
+        full[..., :-d] |= out[..., d:]
     return full
 
 
@@ -67,20 +69,36 @@ def pair_counts(gt, pred, included, n_labels, void_id):
 PIXEL_BLOCK = 4096
 
 
+def _pixel_blocks(n_images: int, pixels: int):
+    """(images, pixels) slice pairs that cover a stack of n_images maps of
+    `pixels` pixels each in blocks of about PIXEL_BLOCK pixels: whole maps,
+    PIXEL_BLOCK // pixels of them at a time, or PIXEL_BLOCK-pixel runs of
+    one map when a map is larger than a block. A map's pixels are cut the
+    same way whatever the stack holds, so a per-pixel pass over the blocks
+    gives the bits of the same pass over each map alone."""
+    if pixels <= PIXEL_BLOCK:
+        step = PIXEL_BLOCK // pixels
+        return [(slice(i, i + step), slice(None)) for i in range(0, n_images, step)]
+    return [(slice(i, i + 1), slice(start, start + PIXEL_BLOCK))
+            for i in range(n_images) for start in range(0, pixels, PIXEL_BLOCK)]
+
+
 def apply_refinement(matrix, probs):
     """Per-pixel linear transform: out[i, j] = matrix @ probs[i, j].
 
-    probs is HxWxL float32; computation runs in float64, PIXEL_BLOCK pixels
-    at a time, and the result is cast back to float32.
+    probs is H x W x L float32 with an L x L matrix, or a B x H x W x L stack
+    with one matrix per map, B x L x L. Computation runs in float64 over
+    _pixel_blocks, as one batched product per block, and the result is cast
+    back to float32.
     """
-    h, w, n = probs.shape
-    flat = probs.reshape(-1, n)
-    out = np.empty((h, w, n), dtype=np.float32)
-    flat_out = out.reshape(-1, n)
-    transform = matrix.T
-    for start in range(0, h * w, PIXEL_BLOCK):
-        stop = start + PIXEL_BLOCK
-        flat_out[start:stop] = flat[start:stop].astype(np.float64) @ transform
+    h, w, n = probs.shape[-3:]
+    stack = probs.reshape(-1, h * w, n)
+    out = np.empty(probs.shape, dtype=np.float32)
+    flat_out = out.reshape(stack.shape)
+    transform = np.swapaxes(matrix.reshape(-1, n, n), 1, 2)
+    for images, pixels in _pixel_blocks(len(stack), h * w):
+        flat_out[images, pixels] = np.matmul(stack[images, pixels].astype(np.float64),
+                                             transform[images])
     return out
 
 

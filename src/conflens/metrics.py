@@ -3,6 +3,7 @@ grayscale heatmap rendering of probability matrices."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -11,11 +12,11 @@ import numpy as np
 from . import segt
 from .confusion import border_mask
 from .data import (
+    LABELS,
     LabelMap,
     LabelSet,
     Manifest,
-    _map_ordered,
-    load_label_map,
+    _load_chunks,
     publish,
     write_json,
 )
@@ -31,7 +32,8 @@ class EvalReport:
 
 
 class MetricAccumulator:
-    """Mergeable per-class tallies; per-image adds may run in any order."""
+    """Mergeable per-class tallies; adds of single maps or stacks of maps
+    may run in any order."""
 
     def __init__(self, labels: LabelSet):
         self.labels = labels
@@ -94,25 +96,18 @@ def evaluate_split(manifest: Manifest, pred_dir: str | Path, out: str | Path,
                    border_radius: int | None = None, threads: int = 1) -> EvalReport:
     """The eval stage: score each evaluation image's `<id>_pred.segt` in
     pred_dir, outside the border mask of border_radius if one is given,
-    publish the report JSON at out, and return it."""
+    publish the report JSON at out, and return it. Maps are loaded, checked
+    and scored a chunk of equal-shape maps at a time."""
     labels = manifest.label_set
     records = manifest.split_records("evaluation")
-    pred_dir = Path(pred_dir)
-
-    def per_image(rec):
-        gt = load_label_map(rec.gt_path, labels)
-        pred = load_label_map(pred_dir / f"{rec.image_id}_pred.segt", labels)
-        include = None
-        if border_radius is not None:
-            include = border_mask(gt, border_radius).included
-        acc = MetricAccumulator(labels)
-        acc.add(pred, gt, include=include)
-        return acc
-
-    partials = _map_ordered(per_image, records, threads)
-    total = partials[0]
-    for part in partials[1:]:
-        total.merge(part)
+    pred_dir = str(pred_dir)
+    total = MetricAccumulator(labels)
+    for _, (gt, pred) in _load_chunks(
+            records, lambda rec: (rec.gt_path, os.path.join(pred_dir, f"{rec.image_id}_pred.segt")),
+            (LABELS, LABELS), labels, threads):
+        include = None if border_radius is None else border_mask(gt, border_radius).included
+        total.add(pred, gt, include=include)
+        del gt, pred, include  # free the chunk before the next one loads
     report = total.report()
     out = Path(out)
     with publish(out.parent) as stage:

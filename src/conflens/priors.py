@@ -20,8 +20,9 @@ from .data import (
     ProbabilityMap,
     _frozen_array,
     _is_json_int,
+    LABELS,
+    _load_chunks,
     _load_groups,
-    _map_ordered,
     load_label_map,
     load_probability_map,
     load_with_sidecar,
@@ -57,18 +58,27 @@ class Prior:
 
     def __post_init__(self):
         arr = _frozen_array(self.weights, np.float64)
-        if arr.ndim != 1 or arr.shape[0] < 2:
+        if arr.ndim != 1:
             raise DataError(f"prior must be a vector of >= 2 weights, got {arr.shape}")
-        if not (arr >= 0).all():
-            raise DataError("prior weights must be >= 0, not NaN")
-        total = float(arr.sum())
-        if not abs(total - 1.0) <= SUM_TOL:
-            raise DataError(f"prior sums to {total!r}, not 1")
+        _check_priors(arr)
         object.__setattr__(self, "weights", arr)
 
     @property
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.weights > 0)
+
+
+def _check_priors(weights: np.ndarray) -> None:
+    """DataError unless each row of weights (..., L) is a prior: L >= 2
+    weights, none negative or NaN, summing to 1 within SUM_TOL."""
+    if weights.shape[-1] < 2:
+        raise DataError(f"prior must be a vector of >= 2 weights, got {weights.shape[-1:]}")
+    if not (weights >= 0).all():
+        raise DataError("prior weights must be >= 0, not NaN")
+    totals = weights.sum(axis=-1)
+    bad = ~(np.abs(totals - 1.0) <= SUM_TOL)
+    if bad.any():
+        raise DataError(f"prior sums to {float(totals[bad].flat[0])!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -148,19 +158,21 @@ class PriorBank:
                 f"bank weights {arr.shape} do not match {len(self.ids)} ids"
             )
         object.__setattr__(self, "weights", arr)
-        for row in arr:
-            Prior(row)
+        _check_priors(arr)
         rows = {image_id: idx for idx, image_id in enumerate(self.ids)}
         if len(rows) != len(self.ids):
             raise DataError("duplicate image ids in prior bank")
         object.__setattr__(self, "_rows", rows)
 
     def get(self, image_id: str) -> Prior:
+        return Prior(self.rows([image_id])[0])
+
+    def rows(self, image_ids) -> np.ndarray:
+        """The weights of the given ids, one row each, in their order."""
         try:
-            idx = self._rows[image_id]
-        except KeyError:
-            raise DataError(f"no prior for image {image_id!r}") from None
-        return Prior(self.weights[idx])
+            return self.weights[[self._rows[image_id] for image_id in image_ids]]
+        except KeyError as exc:
+            raise DataError(f"no prior for image {exc.args[0]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -172,40 +184,58 @@ def uniform_prior(labels: LabelSet) -> Prior:
 
 
 def _label_counts(gt: LabelMap, labels: LabelSet) -> np.ndarray:
-    arr = gt.labels
-    valid = arr != labels.void_sentinel
-    return np.bincount(arr[valid], minlength=labels.size).astype(np.float64)
+    """Non-void pixels per label, float64: (L,) for one map, (B, L) for a
+    stack of B maps, counted by one bincount with each map's labels offset
+    by L times its index."""
+    stack = gt.labels.reshape((-1,) + gt.labels.shape[-2:])
+    valid = stack != labels.void_sentinel
+    offsets = labels.size * np.arange(len(stack), dtype=np.int32)[:, None, None]
+    counts = np.bincount((stack + offsets)[valid], minlength=len(stack) * labels.size)
+    return counts.reshape(gt.labels.shape[:-2] + (labels.size,)).astype(np.float64)
+
+
+def _chunk_counts(manifest: Manifest, split: str, threads: int = 1):
+    """_label_counts of every gt map of `split`, a (B, L) array per chunk."""
+    labels = manifest.label_set
+    for _, (gt,) in _load_chunks(manifest.split_records(split), lambda rec: (rec.gt_path,),
+                                 (LABELS,), labels, threads):
+        yield _label_counts(gt, labels)
 
 
 def global_prior(manifest: Manifest, split: str = "estimation") -> Prior:
     """L1-normalized label histogram pooled over every image of `split`."""
-    records = manifest.split_records(split)
-    counts = np.zeros(manifest.label_set.size)
-    for rec in records:
-        counts += _label_counts(load_label_map(rec.gt_path, manifest.label_set), manifest.label_set)
+    counts = sum(chunk.sum(axis=0) for chunk in _chunk_counts(manifest, split))
     total = counts.sum()
     if total == 0:
         raise DataError("no non-void pixels in split")
     return Prior(counts / total)
 
 
+def _binary_weights(counts: np.ndarray) -> np.ndarray:
+    """1/k on each of the k labels counted in a row of counts, else 0."""
+    present = counts > 0
+    k = present.sum(axis=-1, keepdims=True)
+    if (k == 0).any():
+        raise DataError("all-void image has no binary prior")
+    return present.astype(np.float64) / k
+
+
+def _histogram_weights(counts: np.ndarray) -> np.ndarray:
+    """Each row of counts L1-normalized."""
+    totals = counts.sum(axis=-1, keepdims=True)
+    if (totals == 0).any():
+        raise DataError("all-void image has no histogram prior")
+    return counts / totals
+
+
 def binary_prior(gt: LabelMap, labels: LabelSet) -> Prior:
     """1/k on each of the k classes present in gt, zero elsewhere."""
-    counts = _label_counts(gt, labels)
-    present = counts > 0
-    k = int(present.sum())
-    if k == 0:
-        raise DataError("all-void image has no binary prior")
-    return Prior(present.astype(np.float64) / k)
+    return Prior(_binary_weights(_label_counts(gt, labels)))
 
 
 def histogram_prior(gt: LabelMap, labels: LabelSet) -> Prior:
     """Per-image L1-normalized label histogram."""
-    counts = _label_counts(gt, labels)
-    total = counts.sum()
-    if total == 0:
-        raise DataError("all-void image has no histogram prior")
-    return Prior(counts / total)
+    return Prior(_histogram_weights(_label_counts(gt, labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +626,9 @@ def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
         shared = uniform_prior(labels) if kind == "uniform" else global_prior(manifest)
         weights = np.tile(shared.weights, (len(ids), 1))
     elif kind in ("binary", "histogram"):
-        build = binary_prior if kind == "binary" else histogram_prior
-        rows = _map_ordered(
-            lambda rec: build(load_label_map(rec.gt_path, labels), labels).weights,
-            eval_records, threads,
-        )
-        weights = np.stack(rows)
+        build = _binary_weights if kind == "binary" else _histogram_weights
+        weights = np.concatenate([build(counts) for counts in
+                                  _chunk_counts(manifest, "evaluation", threads)])
     else:  # unconstrained
         if confusion is None:
             raise DataError("the unconstrained prior needs a confusion model")

@@ -12,13 +12,12 @@ import numpy as np
 
 from . import kernels, segt
 from .data import (
+    PROBS,
     LabelMap,
     Manifest,
     ProbabilityMap,
     _frozen_array,
-    _map_ordered,
-    _write_groups,
-    load_probability_map,
+    _load_chunks,
     publish,
     save_label_map,
     save_probability_map,
@@ -35,7 +34,8 @@ COLUMN_SUM_TOL = 1e-9
 @dataclass(frozen=True)
 class RefinementMatrix:
     """matrix[c1, c2] = P(c1 | C=c2); marginal[c] = P(C=c). Columns with
-    zero marginal are identically zero."""
+    zero marginal are identically zero. A stack of B matrices, one per map
+    of a B x H x W x L stack, is B x L x L with B x L marginals."""
 
     matrix: np.ndarray
     marginal: np.ndarray
@@ -43,16 +43,16 @@ class RefinementMatrix:
     def __post_init__(self):
         mat = _frozen_array(self.matrix, np.float64)
         marg = _frozen_array(self.marginal, np.float64)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]:
             raise DataError(f"refinement matrix must be square, got {mat.shape}")
-        if marg.shape != (mat.shape[0],):
+        if marg.shape != mat.shape[:-1]:
             raise DataError("marginal length does not match matrix")
         if not (mat >= 0).all():
             raise DataError("refinement entries must be >= 0, not NaN")
         if not np.isfinite(marg).all():
             raise DataError("marginal must be finite")
         live = marg > 0
-        colsums = mat.sum(axis=0)
+        colsums = mat.sum(axis=-2)
         if not (np.abs(colsums[live] - 1.0) <= COLUMN_SUM_TOL).all():
             raise DataError("live refinement columns must sum to 1")
         object.__setattr__(self, "matrix", mat)
@@ -60,21 +60,23 @@ class RefinementMatrix:
 
     @property
     def n_labels(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 def output_marginal(confusion: ConfusionModel, prior) -> np.ndarray:
-    """P(C=c) = sum_l P(C=c | l) P(l)."""
+    """P(C=c) = sum_l P(C=c | l) P(l); B x L priors give B x L marginals."""
     weights = np.asarray(getattr(prior, "weights", prior), dtype=np.float64)
-    if weights.shape != (confusion.n_labels,):
+    if weights.ndim not in (1, 2) or weights.shape[-1] != confusion.n_labels:
         raise DataError(
             f"prior shape {weights.shape} does not match {confusion.n_labels} labels"
         )
-    return confusion.matrix @ weights
+    # one matrix-vector product per prior, also for a stack of them
+    return np.matmul(confusion.matrix, weights[..., None])[..., 0]
 
 
 def build_refinement_matrix(confusion: ConfusionModel, prior) -> RefinementMatrix:
     """Bayes inversion per class pair: R[l, c] = P(C=c|l) P(l) / P(C=c).
+    A B x L array of priors gives a stack of B matrices.
 
     Columns whose marginal is zero (possible only with unfloored confusion
     and zero-prior classes, e.g. the identity-confusion baseline) are set to
@@ -82,50 +84,66 @@ def build_refinement_matrix(confusion: ConfusionModel, prior) -> RefinementMatri
     """
     weights = np.asarray(getattr(prior, "weights", prior), dtype=np.float64)
     marginal = output_marginal(confusion, weights)
-    numer = confusion.matrix.T * weights[:, None]  # [l, c] = P(C=c|l) P(l)
-    live = marginal > 0
-    matrix = np.zeros_like(numer)
-    matrix[:, live] = numer[:, live] / marginal[live]
+    numer = confusion.matrix.T * weights[..., :, None]  # [l, c] = P(C=c|l) P(l)
+    live = np.broadcast_to(marginal[..., None, :] > 0, numer.shape)
+    matrix = np.divide(numer, marginal[..., None, :], out=np.zeros_like(numer), where=live)
     return RefinementMatrix(matrix=matrix, marginal=marginal)
 
 
 def refine_map(R: RefinementMatrix, probs: ProbabilityMap) -> ProbabilityMap:
-    """Per-pixel linear transform of the classifier outputs by R."""
+    """Per-pixel linear transform of the classifier outputs by R; a stack
+    of matrices transforms a stack of maps, one matrix per map."""
     if probs.channels != R.n_labels:
         raise DataError(
             f"{probs.channels} channels do not match {R.n_labels} labels"
+        )
+    if R.matrix.shape[:-2] != probs.values.shape[:-3]:
+        raise DataError(
+            f"{R.matrix.shape[:-2]} matrices for {probs.values.shape[:-3]} maps"
         )
     return ProbabilityMap(kernels.apply_refinement(R.matrix, probs.values))
 
 
 def argmax_labels(probs: ProbabilityMap) -> LabelMap:
-    """Per-pixel argmax; the lowest index wins ties."""
-    return LabelMap(np.argmax(probs.values, axis=2).astype(np.int32))
+    """Per-pixel argmax; the lowest index wins ties. np.argmax copies a
+    read-only array whole, so it runs on PIXEL_BLOCK pixels at a time."""
+    flat = probs.values.reshape(-1, probs.channels)
+    out = np.empty(flat.shape[0], dtype=np.int32)
+    for start in range(0, len(flat), kernels.PIXEL_BLOCK):
+        stop = start + kernels.PIXEL_BLOCK
+        out[start:stop] = np.argmax(flat[start:stop], axis=1)
+    return LabelMap(out.reshape(probs.values.shape[:-1]))
 
 
 def labelbank_mask(probs: ProbabilityMap, present) -> ProbabilityMap:
     """Zero the channels outside `present` and rescale the survivors to sum
-    to 1; pixels with no surviving mass become uniform over `present`."""
-    present = sorted(int(c) for c in present)
-    if not present:
-        raise DataError("present set is empty")
-    if present[0] < 0 or present[-1] >= probs.channels:
-        raise DataError(f"present classes {present} outside [0, {probs.channels})")
-    keep = np.zeros(probs.channels, dtype=bool)
-    keep[present] = True
-    fallback = keep.astype(np.float64) / len(present)
-    flat = probs.values.reshape(-1, probs.channels)
+    to 1; pixels with no surviving mass become uniform over `present`. A
+    stack of B maps takes a sequence of B present sets, one per map."""
+    stacked = probs.values.ndim == 4
+    sets = [sorted(int(c) for c in classes) for classes in (present if stacked else [present])]
+    n = probs.channels
+    if stacked and len(sets) != probs.values.shape[0]:
+        raise DataError(f"{len(sets)} present sets for {probs.values.shape[0]} maps")
+    keep = np.zeros((len(sets), n), dtype=bool)
+    for row, classes in zip(keep, sets):
+        if not classes:
+            raise DataError("present set is empty")
+        if classes[0] < 0 or classes[-1] >= n:
+            raise DataError(f"present classes {classes} outside [0, {n})")
+        row[classes] = True
+    fallback = keep.astype(np.float64) / keep.sum(axis=1, keepdims=True)
+    pixels = probs.height * probs.width
+    stack = probs.values.reshape(-1, pixels, n)
     out = np.empty(probs.values.shape, dtype=np.float32)
-    flat_out = out.reshape(flat.shape)
-    for start in range(0, flat.shape[0], kernels.PIXEL_BLOCK):
-        stop = start + kernels.PIXEL_BLOCK
-        vals = flat[start:stop].astype(np.float64)
-        vals *= keep
-        sums = vals.sum(axis=1, keepdims=True)
+    flat_out = out.reshape(stack.shape)
+    for images, block in kernels._pixel_blocks(len(stack), pixels):
+        vals = stack[images, block].astype(np.float64)
+        vals *= keep[images, None, :]
+        sums = vals.sum(axis=-1, keepdims=True)
         degenerate = sums <= 0.0
         vals /= np.where(degenerate, 1.0, sums)
-        vals[degenerate[:, 0]] = fallback
-        flat_out[start:stop] = vals
+        np.copyto(vals, fallback[images, None, :], where=degenerate)
+        flat_out[images, block] = vals
     return ProbabilityMap(out)
 
 
@@ -135,9 +153,10 @@ def refine_split(manifest: Manifest, bank: PriorBank, out: str | Path,
     `<id>_refined.segt` (refine_map, or labelbank_mask over the prior's
     support) and its argmax `<id>_pred.segt` per evaluation image in the
     directory out; returns the image count. The widths, a prior per id and
-    each map's header are checked before out is touched; each map is then
-    read once, inside its write group, so memory does not grow with the
-    split, and a failed run publishes nothing."""
+    each map's header are checked before out is touched. The maps are then
+    read once, in chunks of equal-shape maps that are checked, transformed,
+    reduced to their argmax and staged together, so memory does not grow
+    with the split, and a failed run publishes nothing."""
     labels = manifest.label_set
     if confusion is not None and confusion.n_labels != labels.size:
         raise DataError(f"confusion has {confusion.n_labels} labels, manifest {labels.size}")
@@ -146,30 +165,26 @@ def refine_split(manifest: Manifest, bank: PriorBank, out: str | Path,
             f"prior bank has {bank.weights.shape[1]} labels, manifest {labels.size}"
         )
     records = manifest.split_records("evaluation")
-    checked = []
+    items = list(zip(records, bank.rows([rec.image_id for rec in records])))
     for rec in records:
         dtype, dims = segt.read_header(rec.probs_path)
         if dtype != np.float32 or len(dims) != 3:
             raise DataError(f"{rec.probs_path}: expected 3-d float32 tensor")
-        checked.append((rec, dims, bank.get(rec.image_id)))
 
-    def transform(probs, prior):
+    def transform(probs, weights):
         if confusion is None:
-            return labelbank_mask(probs, prior.support)
-        return refine_map(build_refinement_matrix(confusion, prior), probs)
-
-    def per_image(item):
-        # no name holds the input map, so it is freed before argmax allocates
-        rec, _, prior = item
-        result = transform(load_probability_map(rec.probs_path, labels), prior)
-        return result, argmax_labels(result)
+            return labelbank_mask(probs, [np.flatnonzero(w > 0) for w in weights])
+        return refine_map(build_refinement_matrix(confusion, weights), probs)
 
     with publish(out) as stage:
-        def write_group(group):
-            for (rec, _, _), (result, pred) in zip(group, _map_ordered(per_image, group, threads)):
-                save_probability_map(result, stage(f"{rec.image_id}_refined.segt"))
-                save_label_map(pred, stage(f"{rec.image_id}_pred.segt"))
-
-        for group in _write_groups(checked, lambda item: item[1]):
-            write_group(group)
-    return len(checked)
+        for chunk, (probs,) in _load_chunks(items, lambda item: (item[0].probs_path,),
+                                            (PROBS,), labels, threads):
+            result = transform(probs, np.stack([row for _, row in chunk]))
+            del probs  # free the inputs before argmax
+            pred = argmax_labels(result)
+            for i, (rec, _) in enumerate(chunk):
+                save_probability_map(ProbabilityMap(result.values[i]),
+                                     stage(f"{rec.image_id}_refined.segt"))
+                save_label_map(LabelMap(pred.labels[i]), stage(f"{rec.image_id}_pred.segt"))
+            del result, pred  # free the chunk before the next one loads
+    return len(items)

@@ -273,9 +273,9 @@ class TestPriorBankWidth:
 
 class TestValidateBeforeWrite:
     """refine and labelbank read and validate each map once, inside its
-    write group, and publish their outputs only after the last map has
-    passed: a failed run leaves --out as it found it, here with every map in
-    a write group of its own."""
+    chunk, and publish their outputs only after the last map has passed: a
+    failed run leaves --out as it found it, here with every map in a chunk
+    of its own."""
 
     @pytest.fixture
     def split(self, small_dataset, tmp_path, monkeypatch):
@@ -286,6 +286,7 @@ class TestValidateBeforeWrite:
         monkeypatch.setattr(
             "conflens.data.WRITE_BUDGET", spec.height * spec.width * (4 * spec.n_classes + 4)
         )
+        monkeypatch.setattr("conflens.data.CHUNK_BUDGET", spec.height * spec.width * 4)
         shutil.copytree(data, tmp_path / "data")
         manifest = str(tmp_path / "data" / "manifest.json")
         conf, priors = str(tmp_path / "ident.segt"), str(tmp_path / "uniform.segt")
@@ -370,16 +371,19 @@ class TestValidateBeforeWrite:
     def test_each_map_read_once(self, split, tmp_path, monkeypatch, command):
         records, argv = split
         reads = []
-        load = refine.load_probability_map
+        load = segt.load_tensor
 
         def counted(path, *args, **kwargs):
             reads.append(Path(path))
             return load(path, *args, **kwargs)
 
-        monkeypatch.setattr(refine, "load_probability_map", counted)
+        # every tensor read goes through segt.load_tensor; the bank and the
+        # confusion lie outside the dataset's directory
+        monkeypatch.setattr(segt, "load_tensor", counted)
         out = tmp_path / "out"
         assert main(argv(command, out)) == 0
-        assert sorted(reads) == sorted(r.probs_path for r in records)
+        data = records[0].probs_path.parent
+        assert sorted(p for p in reads if p.parent == data) == sorted(r.probs_path for r in records)
         # a successful run leaves only the final files
         assert sorted(p.name for p in out.iterdir()) == sorted(
             f"{r.image_id}_{kind}.segt" for r in records for kind in ("pred", "refined")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conflens import kernels
+from conflens import ProbabilityMap, kernels, labelbank_mask
 from tests import oracles
 from tests.conftest import dense_loss_grad
 
@@ -395,3 +395,83 @@ class TestRefinementOracles:
             got = kernels.apply_refinement(matrix, probs)
             want = whole_map_refinement(matrix, probs)
             np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+class TestStackedKernels:
+    """Kernels on a B x H x W stack of equal-shape maps against a loop over
+    its maps: the loop oracles for border exclusion, and the one-map kernels,
+    bit for bit, for the per-pixel passes. H*W lies below and above
+    PIXEL_BLOCK, and B is not a multiple of the maps per block."""
+
+    # (B, H, W, L); 4096 // (9 * 11) = 41 maps per block, and 70 * 70 > 4096
+    SHAPES = [(95, 9, 11, 5), (3, 70, 70, 4), (1, 1, 1, 2)]
+
+    @staticmethod
+    def instance(shape, seed):
+        rng = np.random.default_rng(seed)
+        b, h, w, n = shape
+        matrices = rng.random((b, n, n))
+        matrices /= matrices.sum(axis=1, keepdims=True)
+        probs = rng.dirichlet(np.ones(n), size=(b, h, w)).astype(np.float32)
+        return matrices, probs
+
+    def test_maps_per_block(self):
+        b, h, w, _ = self.SHAPES[0]
+        per_block = kernels.PIXEL_BLOCK // (h * w)
+        assert per_block > 1 and b % per_block
+        assert self.SHAPES[1][1] * self.SHAPES[1][2] > kernels.PIXEL_BLOCK
+
+    def test_border_excluded_matches_loop(self):
+        rng = np.random.default_rng(130)
+        labels = rng.integers(0, 3, size=(7, 9, 6)).astype(np.int32)
+        labels[2] = 1  # a constant map next to busy ones
+        for radius in (0, 1, 2, 3):
+            got = kernels.border_excluded(labels, radius)
+            assert got.shape == labels.shape
+            for image, want in zip(got, labels):
+                np.testing.assert_array_equal(image, oracles.border_excluded_loop(want, radius))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_apply_refinement_matches_per_map_loop(self, shape):
+        matrices, probs = self.instance(shape, 131)
+        got = kernels.apply_refinement(matrices, probs)
+        assert got.dtype == np.float32 and got.shape == probs.shape
+        for image, matrix, values in zip(got, matrices, probs):
+            want = kernels.apply_refinement(matrix, values)
+            np.testing.assert_array_equal(image.view(np.uint32), want.view(np.uint32))
+        if shape[1] * shape[2] < 100:
+            np.testing.assert_allclose(
+                got[-1], oracles.apply_refinement_loop(matrices[-1], probs[-1]), rtol=1e-6,
+                atol=1e-7)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_labelbank_mask_matches_per_map_loop(self, shape):
+        matrices, probs = self.instance(shape, 132)
+        b, _, _, n = shape
+        rng = np.random.default_rng(133)
+        present = [sorted(set(rng.integers(0, n, size=rng.integers(1, n + 1)).tolist()))
+                   for _ in range(b)]
+        # pixels with no mass on their map's present set take the fallback
+        for i, classes in enumerate(present):
+            probs[i, 0, 0] = 0.0
+            probs[i, 0, 0, [c for c in range(n) if c not in classes][:1] or [0]] = 1.0
+        got = labelbank_mask(ProbabilityMap(probs), present).values
+        for image, classes, values in zip(got, present, probs):
+            want = labelbank_mask(ProbabilityMap(values), classes).values
+            np.testing.assert_array_equal(image.view(np.uint32), want.view(np.uint32))
+
+    def test_one_map_signatures(self):
+        """The calls perfbench and benchmarks/bench_kernels.py make: an L x L
+        matrix on an H x W x L map and an H x W label map, returning arrays of
+        the map's own shape that own their data."""
+        rng = np.random.default_rng(134)
+        matrix, probs = self.instance((1, 70, 70, 6), 135)
+        matrix, probs = matrix[0], probs[0]
+        refined = kernels.apply_refinement(matrix, probs)
+        assert refined.shape == probs.shape and refined.flags.owndata
+        np.testing.assert_array_equal(refined.view(np.uint32),
+                                      whole_map_refinement(matrix, probs).view(np.uint32))
+        labels = rng.integers(0, 3, size=(12, 10)).astype(np.int32)
+        border = kernels.border_excluded(labels, 2)
+        assert border.shape == labels.shape and border.dtype == bool
+        np.testing.assert_array_equal(border, oracles.border_excluded_loop(labels, 2))

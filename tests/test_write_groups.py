@@ -1,7 +1,8 @@
-"""Grouped writes of the per-image producers (synthesis, refine, labelbank)
-and the grouped solves of the unconstrained prior: memory held is bounded by
-the write or solve budget, and outputs do not depend on where groups close
-(for solves: on the thread count that loads them)."""
+"""Grouped writes of synthesis, the chunked reads and writes of refine and
+labelbank, and the grouped solves of the unconstrained prior: memory held is
+bounded by the write, chunk or solve budget, and outputs do not depend on
+where groups or chunks close (for solves: on the thread count that loads
+them)."""
 
 import hashlib
 import tracemalloc
@@ -139,7 +140,8 @@ class TestMemoryBound:
 
 
 class TestGroupInvariance:
-    """Outputs spanning several groups are byte-identical to one group."""
+    """Outputs spanning several groups (refine and labelbank: chunks) are
+    byte-identical to one."""
 
     BUDGETS = {"many_groups": 3 * (20 * 20 * (4 * 4 + 4)), "one_group": 1 << 40}
 
@@ -167,7 +169,7 @@ class TestGroupInvariance:
                      "--out", priors]) == 0
         hashes = {}
         for tag, budget in self.BUDGETS.items():
-            monkeypatch.setattr(data, "WRITE_BUDGET", budget)
+            monkeypatch.setattr(data, "CHUNK_BUDGET", budget)
             out = tmp_path / tag
             for argv in split_commands(manifest, conf, priors, out).values():
                 assert main(argv + ["--threads", threads]) == 0
