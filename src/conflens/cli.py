@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -26,23 +25,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("CONFLENS_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1
-
-
-def _add_threads(parser) -> None:
-    parser.add_argument(
-        "--threads", type=int, default=_default_threads(),
-        help="worker cap for per-image stages (default: CONFLENS_THREADS or 1)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="conflens",
@@ -58,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor", type=float, default=DEFAULT_FLOOR,
                    help="pseudo-count substituted for zero cells (default 1e-4)")
     p.add_argument("--out", required=True, help="output .segt path (sidecar .json alongside)")
-    _add_threads(p)
     p.set_defaults(func=cmd_confusion)
 
     p = sub.add_parser("prior", help="build a prior bank for the evaluation split")
@@ -71,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list k=v: max_iters, step_tolerance, loss_tolerance, "
                         "init, subsample, seed")
     p.add_argument("--out", required=True, help="output .segt path (sidecar .json alongside)")
-    _add_threads(p)
     p.set_defaults(func=cmd_prior)
 
     p = sub.add_parser("refine", help="refine evaluation-split probability maps")
@@ -79,14 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confusion", required=True)
     p.add_argument("--priors", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    _add_threads(p)
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("labelbank", help="masking baseline over the prior support")
     p.add_argument("--manifest", required=True)
     p.add_argument("--priors", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    _add_threads(p)
     p.set_defaults(func=cmd_refine, confusion=None)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
@@ -97,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=DEFAULT_RADIUS,
                    help="border radius for --exclude-borders (default 2)")
     p.add_argument("--out", required=True, help="output report JSON path")
-    _add_threads(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("render", help="render a matrix as a grayscale PGM heatmap")
@@ -110,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--spec", required=True, help="SynthSpec JSON path")
     p.add_argument("--out-dir", required=True)
-    _add_threads(p)
     p.set_defaults(func=cmd_synth)
 
     return parser
@@ -126,7 +102,7 @@ def cmd_confusion(args) -> int:
         raise UsageError("--radius must be >= 0")
     if not 0 < args.floor < math.inf:
         raise UsageError("--floor must be finite and positive")
-    model = estimate_confusion(manifest, args.out, args.radius, args.floor, args.threads)
+    model = estimate_confusion(manifest, args.out, args.radius, args.floor)
     n_images = len(manifest.split_records("estimation"))
     print(f"confusion: {n_images} images, {model.source_counts.total} sites -> {args.out}")
     return 0
@@ -169,8 +145,7 @@ def cmd_prior(args) -> int:
             raise UsageError("--kind unconstrained requires --confusion")
         opts, subsample, seed = _parse_solver_opts(args.solver_opts)
         model, _ = load_confusion(args.confusion)
-    bank = build_prior_bank(manifest, args.kind, args.out, model, opts, subsample, seed,
-                            args.threads)
+    bank = build_prior_bank(manifest, args.kind, args.out, model, opts, subsample, seed)
     print(f"prior[{args.kind}]: {len(bank.ids)} images -> {args.out}")
     return 0
 
@@ -178,7 +153,7 @@ def cmd_prior(args) -> int:
 def cmd_refine(args) -> int:
     manifest = load_manifest(args.manifest, check_files=False)
     model = load_confusion(args.confusion)[0] if args.confusion else None
-    n = refine_split(manifest, load_prior_bank(args.priors), args.out, model, args.threads)
+    n = refine_split(manifest, load_prior_bank(args.priors), args.out, model)
     print(f"{args.command}: {n} images -> {Path(args.out)}")
     return 0
 
@@ -188,7 +163,7 @@ def cmd_eval(args) -> int:
     if args.radius < 0:
         raise UsageError("--radius must be >= 0")
     report = evaluate_split(manifest, args.pred_dir, args.out,
-                            args.radius if args.exclude_borders else None, args.threads)
+                            args.radius if args.exclude_borders else None)
     print(
         f"eval: acc={report.pixel_accuracy:.4f} miou={report.mean_iou:.4f} "
         f"({report.n_pixels_scored} px) -> {args.out}"
@@ -204,7 +179,7 @@ def cmd_render(args) -> int:
 
 def cmd_synth(args) -> int:
     spec = SynthSpec.load(args.spec)
-    generate_dataset(spec, args.out_dir, threads=args.threads)
+    generate_dataset(spec, args.out_dir)
     print(
         f"synth: {spec.n_estimation}+{spec.n_evaluation} images "
         f"({spec.height}x{spec.width}, {spec.n_classes} classes) -> {args.out_dir}"

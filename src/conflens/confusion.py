@@ -163,7 +163,7 @@ def identity_confusion(labels: LabelSet) -> ConfusionModel:
 
 
 def estimate_confusion(manifest: Manifest, out: str | Path, radius: int = DEFAULT_RADIUS,
-                       floor: float = DEFAULT_FLOOR, threads: int = 1) -> ConfusionModel:
+                       floor: float = DEFAULT_FLOOR) -> ConfusionModel:
     """The confusion stage: count argmax predictions against ground truth
     outside the border mask over the estimation split, normalize with
     `floor`, publish the model at out, and return it with its counts. Maps
@@ -172,7 +172,7 @@ def estimate_confusion(manifest: Manifest, out: str | Path, radius: int = DEFAUL
     labels = manifest.label_set
     counts = CountMatrix(np.zeros((labels.size, labels.size), dtype=np.int64))
     for _, (gt, probs) in _load_chunks(records, lambda rec: (rec.gt_path, rec.probs_path),
-                                       (LABELS, PROBS), labels, threads):
+                                       (LABELS, PROBS), labels):
         part = accumulate_counts(gt, argmax_labels(probs), border_mask(gt, radius), labels)
         counts = merge_counts(counts, part)
         del gt, probs  # free the chunk before the next one loads

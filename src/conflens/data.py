@@ -1,5 +1,5 @@
 """Domain containers: label sets, probability/label maps and the dataset
-manifest, with their validation, file I/O, publishing and per-image grouping."""
+manifest, with their validation, file I/O, publishing and chunked loading."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import os
 import shutil
 import stat
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -23,12 +22,6 @@ SPLITS = ("estimation", "evaluation")
 DEFAULT_SUM_TOL = 1e-4
 # bit pattern of the largest float32 value load_probability_map accepts
 _RANGE_BITS = np.float32(1.0 + 1e-6).view(np.uint32)
-
-# Computed output bytes a per-image producer holds before it writes them.
-# Writing each map as soon as it is computed would hold the least, but file
-# creates interleaved with compute cost more system time than the same
-# creates back to back, so small maps are written in a few long bursts.
-WRITE_BUDGET = 16 << 20
 
 # Bytes of stacked maps (float32 probabilities, int32 labels) that a stage
 # loads into one chunk, which it checks and computes on with one call per
@@ -347,40 +340,10 @@ def _check_labels(path, values: np.ndarray, labels: LabelSet) -> None:
 
 
 # ---------------------------------------------------------------------------
-# per-image producers
+# chunked loading
 # ---------------------------------------------------------------------------
 
-def _map_ordered(fn, items, threads: int) -> list:
-    """Apply fn per item, parallel over a thread pool, results in order so
-    output never depends on the worker count."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _load_groups(items, load, size, budget, threads: int):
-    """Consecutive groups of load(item), in item order, for a consumer that
-    works on a whole group and then drops it; a group closes once the
-    size() of its values reaches budget. Items load `threads` at a time, so
-    up to threads - 1 loaded values wait for the next group. The groups do
-    not depend on `threads`.
-
-    The consumer must drop each group before asking for the next: a loop
-    variable still bound to it keeps it alive while the next one loads."""
-    group, total = [], 0
-    for start in range(0, len(items), max(threads, 1)):
-        for value in _map_ordered(load, items[start:start + max(threads, 1)], threads):
-            group.append(value)
-            total += size(value)
-            if total >= budget:
-                yield group
-                group, total = [], 0
-    if group:
-        yield group
-
-
-def _load_chunks(items, paths, kinds, labels: LabelSet, threads: int = 1):
+def _load_chunks(items, paths, kinds, labels: LabelSet):
     """Consecutive chunks of items whose maps have equal shapes, loaded and
     checked as load_probability_map and load_label_map check them, one call
     per check for the whole chunk. Yields (chunk items, maps): maps holds,
@@ -389,13 +352,12 @@ def _load_chunks(items, paths, kinds, labels: LabelSet, threads: int = 1):
     files in the same order.
 
     A chunk closes at a change of shape or once its stacks reach
-    CHUNK_BUDGET bytes; its bounds do not depend on threads. Items are read
-    `threads` at a time, and an item's maps must agree on height and width.
-    Only a chunk that fails a check is checked again file by file, in item
-    order, so the DataError names the file that loading the items one by
-    one would have stopped at; an error that reading a file raises comes
-    after the checks of every file read before it."""
-    step = max(threads, 1)
+    CHUNK_BUDGET bytes. Items are read one at a time, and an item's maps
+    must agree on height and width. Only a chunk that fails a check is
+    checked again file by file, in item order, so the DataError names the
+    file that loading the items one by one would have stopped at; an error
+    that reading a file raises comes after the checks of every file read
+    before it."""
     dtypes = [np.float32 if kind == PROBS else np.int32 for kind in kinds]
 
     def read(item):
@@ -408,9 +370,9 @@ def _load_chunks(items, paths, kinds, labels: LabelSet, threads: int = 1):
                 (h, w), (h0, w0) = arrays[-1].shape[:2], arrays[0].shape[:2]
                 if (h, w) != (h0, w0):
                     raise DataError(f"{path}: {h}x{w} map, {paths(item)[0]} is {h0}x{w0}")
-        except Exception as exc:  # raised in item order, after the checks
-            return item, arrays, exc
-        return item, arrays, None
+        except Exception as exc:  # raised after the checks of the files before it
+            return arrays, exc
+        return arrays, None
 
     def check_files(item, arrays):
         for path, kind, arr in zip(paths(item), kinds, arrays):
@@ -435,47 +397,23 @@ def _load_chunks(items, paths, kinds, labels: LabelSet, threads: int = 1):
             ProbabilityMap(s) if kind == PROBS else LabelMap(s) for s, kind in zip(stacks, kinds))
 
     chunk, size = [], 0
-    for start in range(0, len(items), step):
-        batch = _map_ordered(read, items[start:start + step], threads)[::-1]
-        while batch:
-            item, arrays, exc = batch.pop()
-            if chunk and (exc is not None
-                          or [a.shape for a in arrays] != [a.shape for a in chunk[0][1]]):
-                yield close(chunk)
-                size = 0
-            if exc is not None:
-                check_files(item, arrays)
-                raise exc
-            chunk.append((item, arrays))
-            size += 4 * sum(arr.size for arr in arrays)  # float32 or int32 in the stack
-            del arrays  # only the chunk holds its maps
-            if size >= CHUNK_BUDGET:
-                yield close(chunk)
-                size = 0
+    for item in items:
+        arrays, exc = read(item)
+        if chunk and (exc is not None
+                      or [a.shape for a in arrays] != [a.shape for a in chunk[0][1]]):
+            yield close(chunk)
+            size = 0
+        if exc is not None:
+            check_files(item, arrays)
+            raise exc
+        chunk.append((item, arrays))
+        size += 4 * sum(arr.size for arr in arrays)  # float32 or int32 in the stack
+        del arrays  # only the chunk holds its maps
+        if size >= CHUNK_BUDGET:
+            yield close(chunk)
+            size = 0
     if chunk:
         yield close(chunk)
-
-
-def _write_groups(items, map_shape):
-    """Consecutive groups of items for a producer that computes a group,
-    writes it, and only then computes the next. Each item yields a float32
-    probability map of shape map_shape(item) and its int32 label map; a
-    group closes once their bytes reach WRITE_BUDGET, so a map at least that
-    large is a group by itself.
-
-    Compute and write each group inside a function call: a loop variable
-    bound to computed maps would keep the last group alive while the next
-    one is computed."""
-    group, size = [], 0
-    for item in items:
-        height, width, channels = map_shape(item)
-        group.append(item)
-        size += height * width * (4 * channels + 4)
-        if size >= WRITE_BUDGET:
-            yield group
-            group, size = [], 0
-    if group:
-        yield group
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,9 @@ def border_excluded(labels: np.ndarray, radius: int) -> np.ndarray:
             border |= labels != padded[..., 1 + di:1 + di + h, 1 + dj:1 + dj + w]
     if radius == 0:
         return border
+    # a shift by max(h, w) or more leaves nothing of the map, so a larger
+    # radius would only add empty shifts
+    radius = min(radius, max(h, w))
     out = border.copy()
     for d in range(1, radius + 1):
         out[..., d:, :] |= border[..., :-d, :]

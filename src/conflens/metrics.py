@@ -93,7 +93,7 @@ class MetricAccumulator:
 
 
 def evaluate_split(manifest: Manifest, pred_dir: str | Path, out: str | Path,
-                   border_radius: int | None = None, threads: int = 1) -> EvalReport:
+                   border_radius: int | None = None) -> EvalReport:
     """The eval stage: score each evaluation image's `<id>_pred.segt` in
     pred_dir, outside the border mask of border_radius if one is given,
     publish the report JSON at out, and return it. Maps are loaded, checked
@@ -104,7 +104,7 @@ def evaluate_split(manifest: Manifest, pred_dir: str | Path, out: str | Path,
     total = MetricAccumulator(labels)
     for _, (gt, pred) in _load_chunks(
             records, lambda rec: (rec.gt_path, os.path.join(pred_dir, f"{rec.image_id}_pred.segt")),
-            (LABELS, LABELS), labels, threads):
+            (LABELS, LABELS), labels):
         include = None if border_radius is None else border_mask(gt, border_radius).included
         total.add(pred, gt, include=include)
         del gt, pred, include  # free the chunk before the next one loads

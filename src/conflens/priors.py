@@ -21,10 +21,8 @@ from .data import (
     _frozen_array,
     _is_json_int,
     LABELS,
+    PROBS,
     _load_chunks,
-    _load_groups,
-    load_label_map,
-    load_probability_map,
     load_with_sidecar,
     store_with_sidecar,
 )
@@ -37,8 +35,9 @@ _ZERO_WEIGHT = 1e-12
 PRIOR_KINDS = ("uniform", "global", "binary", "histogram", "unconstrained")
 DEFAULT_SUBSAMPLE = 100_000
 # Bytes of float64 sample classifier outputs, the size of their evidence,
-# that the prior stage loads before it solves them as one lockstep group.
-# A solve holds the samples and the stacked evidence, about twice this.
+# that the prior stage cuts from its chunks of maps before it solves them as
+# one lockstep group. A solve holds the samples and the stacked evidence,
+# about twice this, and the chunk that the group's last image came from.
 # Larger groups take fewer lockstep iterations: on the benchmark's
 # many_small workload (2-core VM), 2 MiB groups made the stage about 7%
 # faster than 1 MiB groups, and 4 MiB about 5% faster again, but 4 MiB
@@ -194,11 +193,11 @@ def _label_counts(gt: LabelMap, labels: LabelSet) -> np.ndarray:
     return counts.reshape(gt.labels.shape[:-2] + (labels.size,)).astype(np.float64)
 
 
-def _chunk_counts(manifest: Manifest, split: str, threads: int = 1):
+def _chunk_counts(manifest: Manifest, split: str):
     """_label_counts of every gt map of `split`, a (B, L) array per chunk."""
     labels = manifest.label_set
     for _, (gt,) in _load_chunks(manifest.split_records(split), lambda rec: (rec.gt_path,),
-                                 (LABELS,), labels, threads):
+                                 (LABELS,), labels):
         yield _label_counts(gt, labels)
 
 
@@ -609,12 +608,13 @@ def solve_unconstrained_prior(
 def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
                      confusion: ConfusionModel | None = None,
                      opts: SolverOptions = SolverOptions(), subsample: int = DEFAULT_SUBSAMPLE,
-                     seed: int = 0, threads: int = 1) -> PriorBank:
+                     seed: int = 0) -> PriorBank:
     """The prior stage: publish a bank of one `kind` prior per evaluation
     image at out, and return it. The unconstrained kind needs `confusion`;
-    it fits each image on up to `subsample` sites drawn with seed and the
-    image's index, solves SOLVE_BUDGET-sized groups in lockstep, and records
-    its options in the sidecar."""
+    it loads the maps a chunk at a time, cuts from each image up to
+    `subsample` sites drawn with seed and the image's index, solves the
+    images in lockstep groups that close once their samples reach
+    SOLVE_BUDGET bytes, and records its options in the sidecar."""
     if kind not in PRIOR_KINDS:
         raise DataError(f"unknown prior kind {kind!r}")
     labels = manifest.label_set
@@ -628,7 +628,7 @@ def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
     elif kind in ("binary", "histogram"):
         build = _binary_weights if kind == "binary" else _histogram_weights
         weights = np.concatenate([build(counts) for counts in
-                                  _chunk_counts(manifest, "evaluation", threads)])
+                                  _chunk_counts(manifest, "evaluation")])
     else:  # unconstrained
         if confusion is None:
             raise DataError("the unconstrained prior needs a confusion model")
@@ -637,25 +637,27 @@ def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
                 f"confusion has {confusion.n_labels} labels, manifest {labels.size}"
             )
 
-        def load(item):
-            # fit on every annotated, classified site of the image; the
-            # evaluation scores all pixels, so masked fitting skews the
-            # solved weights off the image's true composition
-            idx, rec = item
-            gt = load_label_map(rec.gt_path, labels)
-            probs = load_probability_map(rec.probs_path, labels)
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-            samples = sample_set(gt, probs, labels, mask=None,
-                                 max_samples=subsample, rng=rng)
-            if len(samples) == 0:
-                raise DataError(f"{rec.image_id}: no usable solver samples")
-            return samples
-
-        rows = []
-        for group in _load_groups(list(enumerate(eval_records)), load,
-                                  lambda samples: samples.probs.nbytes, SOLVE_BUDGET, threads):
-            rows += [prior.weights for prior in solve_unconstrained_prior(confusion, group, opts)]
-            del group  # free its samples before the next group loads
+        rows, group, size = [], [], 0
+        for chunk, (gt, probs) in _load_chunks(
+                list(enumerate(eval_records)), lambda item: (item[1].gt_path, item[1].probs_path),
+                (LABELS, PROBS), labels):
+            for i, (idx, rec) in enumerate(chunk):
+                # fit on every annotated, classified site of the image; the
+                # evaluation scores all pixels, so masked fitting skews the
+                # solved weights off the image's true composition
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
+                samples = sample_set(LabelMap(gt.labels[i]), ProbabilityMap(probs.values[i]),
+                                     labels, mask=None, max_samples=subsample, rng=rng)
+                if len(samples) == 0:
+                    raise DataError(f"{rec.image_id}: no usable solver samples")
+                group.append(samples)
+                size += samples.probs.nbytes
+                # a group closes where its samples reach the budget, not at
+                # a chunk's end: where groups close decides the bank's bytes
+                if size >= SOLVE_BUDGET or idx == len(ids) - 1:
+                    rows += [p.weights for p in solve_unconstrained_prior(confusion, group, opts)]
+                    group, size = [], 0
+            del gt, probs  # free the chunk before the next one loads
         weights = np.stack(rows)
         solver_meta = {**asdict(opts), "subsample": subsample, "seed": seed}
 

@@ -148,7 +148,7 @@ def labelbank_mask(probs: ProbabilityMap, present) -> ProbabilityMap:
 
 
 def refine_split(manifest: Manifest, bank: PriorBank, out: str | Path,
-                 confusion: ConfusionModel | None = None, threads: int = 1) -> int:
+                 confusion: ConfusionModel | None = None) -> int:
     """The refine stage, or labelbank's when confusion is None: publish
     `<id>_refined.segt` (refine_map, or labelbank_mask over the prior's
     support) and its argmax `<id>_pred.segt` per evaluation image in the
@@ -178,7 +178,7 @@ def refine_split(manifest: Manifest, bank: PriorBank, out: str | Path,
 
     with publish(out) as stage:
         for chunk, (probs,) in _load_chunks(items, lambda item: (item[0].probs_path,),
-                                            (PROBS,), labels, threads):
+                                            (PROBS,), labels):
             result = transform(probs, np.stack([row for _, row in chunk]))
             del probs  # free the inputs before argmax
             pred = argmax_labels(result)

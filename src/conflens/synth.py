@@ -4,11 +4,12 @@ Ground truth is a seeded Voronoi partition into single-class regions; the
 simulated classifier draws a hard label per pixel from the chosen column of
 the true confusion matrix and emits a soft distribution peaked there. All
 randomness flows from one root seed through per-image spawned streams, so
-regeneration is byte-identical and per-image generation can run in parallel.
+regeneration is byte-identical and no image's draws depend on another's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -23,8 +24,6 @@ from .data import (
     ManifestRecord,
     ProbabilityMap,
     _is_json_int,
-    _map_ordered,
-    _write_groups,
     load_label_map,
     load_probability_map,
     publish,
@@ -37,6 +36,14 @@ from .errors import DataError
 
 SPEC_FILENAME = "synthspec.json"
 MANIFEST_FILENAME = "manifest.json"
+
+# Bytes of computed maps (float32 probabilities, int32 labels) that
+# generate_dataset holds before it writes them. Writing each map as soon as
+# it is computed would hold the least, but file creates interleaved with
+# compute cost more system time than the same creates back to back, so small
+# maps are written in a few long bursts, and a map at least this large is
+# written alone.
+WRITE_BUDGET = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -285,12 +292,12 @@ def _generate_image(spec: SynthSpec, rng: np.random.Generator, hard_matrix: np.n
     return LabelMap(gt), ProbabilityMap(values)
 
 
-def generate_dataset(spec: SynthSpec, out_dir: str | Path, threads: int = 1) -> Manifest:
+def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> Manifest:
     """Write per-image SEGT tensors, synthspec.json and manifest.json under
     out_dir; returns the manifest. Each image derives from its own spawned
-    stream, so output is deterministic given spec.seed and invariant to the
-    worker count. Images are built and written one write group at a time,
-    and published with manifest.json last."""
+    stream, so output is deterministic given spec.seed. Images are built and
+    written in groups of WRITE_BUDGET bytes of maps, and published with
+    manifest.json last."""
     out = Path(out_dir)
     eval_matrix = eval_confusion_matrix(spec)
     true_matrix = np.asarray(spec.true_confusion, dtype=np.float64)
@@ -304,9 +311,11 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path, threads: int = 1) -> 
         gt, probs = _generate_image(spec, rng, hard_matrix)
         return split, gt, probs
 
+    # each group is built and written inside a call: a loop variable bound
+    # to built maps would keep them alive while the next group is built
     with publish(out) as stage:
         def write_group(indices):
-            for idx, (split, gt, probs) in zip(indices, _map_ordered(build, indices, threads)):
+            for idx, (split, gt, probs) in zip(indices, [build(idx) for idx in indices]):
                 image_id = f"img_{idx:04d}"
                 probs_name, gt_name = f"{image_id}_probs.segt", f"{image_id}_gt.segt"
                 save_probability_map(probs, stage(probs_name))
@@ -318,9 +327,9 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path, threads: int = 1) -> 
                     split=split,
                 ))
 
-        shape = (spec.height, spec.width, spec.n_classes)
-        for group in _write_groups(range(spec.n_images), lambda idx: shape):
-            write_group(group)
+        per_group = math.ceil(WRITE_BUDGET / (spec.height * spec.width * (4 * spec.n_classes + 4)))
+        for start in range(0, spec.n_images, per_group):
+            write_group(range(spec.n_images)[start:start + per_group])
         manifest = Manifest(label_set=spec.label_set, records=tuple(records))
         write_json(spec.to_dict(), stage(SPEC_FILENAME))
         # relative to where the manifest is published, not where it is staged

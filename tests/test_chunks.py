@@ -1,8 +1,7 @@
 """Stages that load, check and compute on chunks of equal-shape maps, on a
 split whose maps come in two interleaved sizes, with void labels in one
-image: outputs do not depend on where chunks close or on the thread count,
-and a bad file inside a chunk fails with the message of its own per-file
-check."""
+image: outputs do not depend on where chunks close, and a bad file inside a
+chunk fails with the message of its own per-file check."""
 
 import dataclasses
 import hashlib
@@ -22,6 +21,7 @@ from conflens import (
     load_prior_bank,
     load_probability_map,
     load_tensor,
+    priors,
     save_manifest,
     store_tensor,
 )
@@ -74,12 +74,13 @@ def dataset(tmp_path):
     return str(path), records[len(ORDER):]
 
 
-def run_stages(manifest, out, threads):
+def run_stages(manifest, out):
     """Every stage that reads maps, into the directory out."""
-    t = ["--threads", str(threads)]
     conf, hist, binary = (str(out / name) for name in ("c.segt", "h.segt", "b.segt"))
     argvs = [
         ["confusion", "--manifest", manifest, "--out", conf],
+        ["prior", "--manifest", manifest, "--kind", "unconstrained", "--confusion", conf,
+         "--out", str(out / "u.segt")],
         ["prior", "--manifest", manifest, "--kind", "histogram", "--out", hist],
         ["prior", "--manifest", manifest, "--kind", "binary", "--out", binary],
         ["prior", "--manifest", manifest, "--kind", "global", "--out", str(out / "g.segt")],
@@ -92,17 +93,20 @@ def run_stages(manifest, out, threads):
          "--out", str(out / "eval_interior.json")],
     ]
     for argv in argvs:
-        assert main(argv + t) == 0, argv
+        assert main(argv) == 0, argv
 
 
 class TestChunkInvariance:
-    def test_outputs_do_not_depend_on_chunks_or_threads(self, dataset, tmp_path, monkeypatch):
+    def test_outputs_do_not_depend_on_chunks(self, dataset, tmp_path, monkeypatch):
+        """Also the unconstrained bank, whose solve groups close inside
+        chunks: about one and a half images of samples fill a group, so
+        groups of two images cut the first two three-map chunks."""
         manifest, _ = dataset
+        monkeypatch.setattr(priors, "SOLVE_BUDGET", 6000)
         hashes = {}
-        for tag, budget, threads in (("chunks", data.CHUNK_BUDGET, 1),
-                                     ("one_per_chunk", 1, 1), ("threads", data.CHUNK_BUDGET, 2)):
+        for tag, budget in (("chunks", data.CHUNK_BUDGET), ("one_per_chunk", 1)):
             monkeypatch.setattr(data, "CHUNK_BUDGET", budget)
-            run_stages(manifest, tmp_path / tag, threads)
+            run_stages(manifest, tmp_path / tag)
             hashes[tag] = tree_hash(tmp_path / tag)
         assert len(set(hashes.values())) == 1, hashes
 
@@ -116,12 +120,12 @@ class TestChunkInvariance:
             return apply(matrix, probs)
 
         monkeypatch.setattr(kernels, "apply_refinement", counted)
-        run_stages(manifest, tmp_path / "out", 1)
+        run_stages(manifest, tmp_path / "out")
         assert stacks == [3, 3, 1, 1, 1, 1]
 
     def test_bank_rows_match_one_image_priors(self, dataset, tmp_path):
         manifest, records = dataset
-        run_stages(manifest, tmp_path, 1)
+        run_stages(manifest, tmp_path)
         bank = load_prior_bank(tmp_path / "h.segt")
         labels = LabelSet(size=4, void_id=VOID)
         want = np.stack([histogram_prior(load_label_map(r.gt_path, labels), labels).weights
@@ -139,6 +143,8 @@ class TestDefectInsideChunk:
         "confusion-gt-label": ("confusion", "estimation", "gt", "label"),
         "confusion-channels": ("confusion", "estimation", "probs", "channels"),
         "histogram-gt-label": ("prior-histogram", "evaluation", "gt", "label"),
+        "unconstrained-nan": ("prior-unconstrained", "evaluation", "probs", "nan"),
+        "unconstrained-gt-label": ("prior-unconstrained", "evaluation", "gt", "label"),
         "refine-nan": ("refine", "evaluation", "probs", "nan"),
         "refine-channels": ("refine", "evaluation", "probs", "channels"),
         "labelbank-sum": ("labelbank", "evaluation", "probs", "sum"),
@@ -151,7 +157,7 @@ class TestDefectInsideChunk:
         stage, split, file, defect = case
         manifest, _ = dataset
         ready = tmp_path / "ready"
-        run_stages(manifest, ready, 1)
+        run_stages(manifest, ready)
         labels = LabelSet(size=4, void_id=VOID)
         rec = data.load_manifest(manifest, check_files=False).split_records(split)[MIDDLE]
         path = {"probs": rec.probs_path, "gt": rec.gt_path,
@@ -176,6 +182,8 @@ class TestDefectInsideChunk:
         argv = [command, "--manifest", manifest, "--out", str(out)]
         if command == "prior":
             argv += ["--kind", kind]
+            if kind == "unconstrained":
+                argv += ["--confusion", str(ready / "c.segt")]
         elif command == "refine":
             argv += ["--confusion", str(ready / "c.segt"), "--priors", str(ready / "h.segt")]
         elif command == "labelbank":

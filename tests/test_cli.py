@@ -187,25 +187,6 @@ class TestDeterminism:
         assert sha(out) == sha(root / "conf.segt")
         assert sha(out.with_suffix(".json")) == sha(root / "conf.json")
 
-    def test_thread_count_invariance(self, pipeline, tmp_path):
-        root, manifest = pipeline
-        one = tmp_path / "t1.segt"
-        four = tmp_path / "t4.segt"
-        assert main(["confusion", "--manifest", manifest, "--radius", "1",
-                     "--out", str(one), "--threads", "1"]) == 0
-        assert main(["confusion", "--manifest", manifest, "--radius", "1",
-                     "--out", str(four), "--threads", "4"]) == 0
-        assert sha(one) == sha(four)
-        r1 = tmp_path / "ref1"
-        r4 = tmp_path / "ref4"
-        for out, threads in ((r1, "1"), (r4, "4")):
-            assert main(["refine", "--manifest", manifest,
-                         "--confusion", str(root / "conf.segt"),
-                         "--priors", str(root / "histogram.segt"),
-                         "--out", str(out), "--threads", threads]) == 0
-        for path in sorted(r1.iterdir()):
-            assert sha(path) == sha(r4 / path.name)
-
     def test_unconstrained_rerun_identical(self, pipeline, tmp_path):
         root, manifest = pipeline
         out = tmp_path / "uc2.segt"
@@ -214,32 +195,6 @@ class TestDeterminism:
                      "--solver-opts", "max_iters=300",
                      "--out", str(out)]) == 0
         assert sha(out) == sha(root / "unconstrained.segt")
-
-    def test_threads_env_default(self, pipeline, tmp_path, monkeypatch):
-        root, manifest = pipeline
-        monkeypatch.setenv("CONFLENS_THREADS", "3")
-        out = tmp_path / "env.segt"
-        assert main(["confusion", "--manifest", manifest, "--radius", "1",
-                     "--out", str(out)]) == 0
-        assert sha(out) == sha(root / "conf.segt")
-
-    def test_synth_thread_invariance(self, small_spec, tmp_path):
-        import hashlib
-
-        def tree_hash(root):
-            digest = hashlib.sha256()
-            for path in sorted(root.rglob("*")):
-                if path.is_file():
-                    digest.update(path.name.encode())
-                    digest.update(path.read_bytes())
-            return digest.hexdigest()
-
-        small_spec.save(tmp_path / "spec.json")
-        for tag, threads in (("a", "1"), ("b", "4")):
-            assert main(["synth", "--spec", str(tmp_path / "spec.json"),
-                         "--out-dir", str(tmp_path / tag),
-                         "--threads", threads]) == 0
-        assert tree_hash(tmp_path / "a") == tree_hash(tmp_path / "b")
 
 
 class TestEvalThroughFiles:
@@ -316,6 +271,25 @@ class TestExitCodes:
 
     def test_usage_error_missing_subcommand(self):
         assert main([]) == 1
+
+    def test_threads_is_an_unknown_flag(self, pipeline, tmp_path):
+        """Every stage runs on one thread; no subcommand takes --threads."""
+        root, manifest = pipeline
+        out = str(tmp_path / "out")
+        argvs = [
+            ["confusion", "--manifest", manifest, "--out", out],
+            ["prior", "--manifest", manifest, "--kind", "histogram", "--out", out],
+            ["refine", "--manifest", manifest, "--confusion", str(root / "conf.segt"),
+             "--priors", str(root / "histogram.segt"), "--out", out],
+            ["labelbank", "--manifest", manifest, "--priors", str(root / "binary.segt"),
+             "--out", out],
+            ["eval", "--manifest", manifest, "--pred-dir", str(root / "refined_hist"),
+             "--out", out],
+            ["synth", "--spec", str(root / "spec.json"), "--out-dir", out],
+        ]
+        for argv in argvs:
+            assert main(argv + ["--threads", "2"]) == 1, argv[0]
+        assert not (tmp_path / "out").exists()
 
     def test_unconstrained_without_confusion(self, pipeline):
         _, manifest = pipeline

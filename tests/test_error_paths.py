@@ -284,7 +284,7 @@ class TestValidateBeforeWrite:
         argv for a command and an --out directory)."""
         spec, _, data = small_dataset
         monkeypatch.setattr(
-            "conflens.data.WRITE_BUDGET", spec.height * spec.width * (4 * spec.n_classes + 4)
+            "conflens.synth.WRITE_BUDGET", spec.height * spec.width * (4 * spec.n_classes + 4)
         )
         monkeypatch.setattr("conflens.data.CHUNK_BUDGET", spec.height * spec.width * 4)
         shutil.copytree(data, tmp_path / "data")

@@ -3,6 +3,8 @@ small random inputs; the loss kernels and the refinement transform also
 against the formulas the current kernels replaced, and the loss Hessian
 against a plain-Python loop and finite differences."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +206,18 @@ class TestNumpyPath:
         expected = np.zeros((4, 4), dtype=bool)
         expected[1:3, :] = True
         np.testing.assert_array_equal(out, expected)
+
+    def test_huge_radius_is_capped_at_the_map(self):
+        """A radius past the map's extent gives the mask of one that reaches
+        across it, in about the same time: the shifts beyond are empty."""
+        labels = np.zeros((24, 20), dtype=np.int32)
+        labels[5:9, 3:7] = 1
+        start = time.perf_counter()
+        got = kernels.border_excluded(labels, 10**7)
+        elapsed = time.perf_counter() - start
+        np.testing.assert_array_equal(got, kernels.border_excluded(labels, max(labels.shape)))
+        np.testing.assert_array_equal(got, oracles.border_excluded_loop(labels, 10**7))
+        assert elapsed < 0.5, elapsed
 
     def test_backend_reported(self):
         assert kernels.BACKEND == "numpy"

@@ -1,9 +1,9 @@
 """Grouped writes of synthesis, the chunked reads and writes of refine and
 labelbank, and the grouped solves of the unconstrained prior: memory held is
 bounded by the write, chunk or solve budget, and outputs do not depend on
-where groups or chunks close (for solves: on the thread count that loads
-them)."""
+where groups or chunks close."""
 
+import gc
 import hashlib
 import tracemalloc
 
@@ -18,9 +18,8 @@ from conflens import (
     identity_confusion,
     save_confusion,
 )
-from conflens import priors
+from conflens import priors, synth
 from conflens.cli import main
-from conflens.data import _load_groups
 from conflens.synth import _generate_image
 from tests.conftest import mixed_confusion
 
@@ -58,7 +57,15 @@ def large_spec(n_images: int, **overrides) -> SynthSpec:
 
 
 def traced_peak(fn) -> int:
-    """Peak bytes allocated while fn runs, above what was live before."""
+    """Peak bytes allocated while fn runs, above what was live before.
+
+    The cycle collector is off while fn runs, so cyclic garbage that fn
+    makes (argparse's parser, for one) counts until fn returns. Left on,
+    it frees that garbage at a point set by what earlier tests allocated,
+    and two runs compared would differ by when it ran, not by what they
+    hold."""
+    gc.collect()
+    gc.disable()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -67,6 +74,7 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+        gc.enable()
 
 
 def refine_inputs(root, n_images):
@@ -89,18 +97,6 @@ def split_commands(manifest, conf, priors, out):
     }
 
 
-class TestWriteGroups:
-    def test_groups_close_at_the_budget(self, monkeypatch):
-        monkeypatch.setattr(data, "WRITE_BUDGET", 5 * (4 * 3 + 4))
-        shapes = [(1, 2, 3), (1, 3, 3), (2, 3, 3), (1, 1, 3), (1, 1, 3)]
-        groups = list(data._write_groups(range(5), lambda i: shapes[i]))
-        # 2 + 3 pixels reach the 5-pixel budget, 6 exceed it alone, 1 + 1 stay below
-        assert groups == [[0, 1], [2], [3, 4]]
-
-    def test_empty_input_gives_no_group(self):
-        assert list(data._write_groups([], lambda item: (1, 1, 2))) == []
-
-
 class TestMemoryBound:
     """With room for about two maps per group, doubling the image count
     raises a producer's peak by less than one output map (refine and
@@ -112,7 +108,7 @@ class TestMemoryBound:
     def two_map_budget(self, monkeypatch):
         # raising=False so a producer without grouped writes fails the bound,
         # not the set-up
-        monkeypatch.setattr(data, "WRITE_BUDGET", 2 * OUTPUT_BYTES, raising=False)
+        monkeypatch.setattr(synth, "WRITE_BUDGET", 2 * OUTPUT_BYTES, raising=False)
 
     def test_synthesis_peak(self, tmp_path):
         peaks = {
@@ -150,17 +146,15 @@ class TestGroupInvariance:
                           region_scale=7.0, true_confusion=mixed_confusion(4),
                           min_classes_per_image=2, max_classes_per_image=3)
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_synthesis(self, tmp_path, monkeypatch, threads):
+    def test_synthesis(self, tmp_path, monkeypatch):
         hashes = set()
         for tag, budget in self.BUDGETS.items():
-            monkeypatch.setattr(data, "WRITE_BUDGET", budget)
-            generate_dataset(self.small_spec(), tmp_path / tag, threads=threads)
+            monkeypatch.setattr(synth, "WRITE_BUDGET", budget)
+            generate_dataset(self.small_spec(), tmp_path / tag)
             hashes.add(tree_hash(tmp_path / tag))
         assert len(hashes) == 1
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
-    def test_refine_and_labelbank(self, tmp_path, monkeypatch, threads):
+    def test_refine_and_labelbank(self, tmp_path, monkeypatch):
         generate_dataset(self.small_spec(), tmp_path / "data")
         manifest = str(tmp_path / "data" / "manifest.json")
         conf, priors = str(tmp_path / "conf.segt"), str(tmp_path / "hist.segt")
@@ -172,22 +166,15 @@ class TestGroupInvariance:
             monkeypatch.setattr(data, "CHUNK_BUDGET", budget)
             out = tmp_path / tag
             for argv in split_commands(manifest, conf, priors, out).values():
-                assert main(argv + ["--threads", threads]) == 0
+                assert main(argv) == 0
             hashes[tag] = (tree_hash(out / "refine"), tree_hash(out / "labelbank"))
         assert hashes["many_groups"] == hashes["one_group"]
         assert len(list((tmp_path / "one_group" / "refine").iterdir())) == 2 * 6
 
 
-
 class TestSolveGroups:
-    """The prior stage loads, samples and solves images a group at a time."""
-
-    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
-    def test_groups_close_at_budget_whatever_the_threads(self, threads):
-        sizes = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
-        groups = list(_load_groups(list(range(len(sizes))), lambda i: sizes[i],
-                                   lambda size: size, 6, threads))
-        assert groups == [[3, 1, 4], [1, 5], [9], [2, 6], [5, 3]]
+    """The prior stage loads chunks of maps, and samples and solves images
+    a group at a time."""
 
     def spec(self, n_images):
         return large_spec(n_images, n_estimation=4, n_classes=4, height=20, width=20,
@@ -201,9 +188,8 @@ class TestSolveGroups:
         return ["prior", "--manifest", manifest, "--kind", "unconstrained",
                 "--confusion", str(root / "c.segt"), "--out", str(root / "prior.segt")]
 
-    def test_threads_give_identical_banks(self, tmp_path, monkeypatch):
-        """Several groups, loaded 1 or 3 images at a time: the same groups,
-        so the same bytes."""
+    def test_groups_give_identical_banks_on_rerun(self, tmp_path, monkeypatch):
+        """Several groups, and the same bytes when run again."""
         monkeypatch.setattr(priors, "SOLVE_BUDGET", 3 * 20 * 20 * 4 * 8)
         solves = []
         solve = priors.solve_unconstrained_prior
@@ -215,18 +201,20 @@ class TestSolveGroups:
         monkeypatch.setattr(priors, "solve_unconstrained_prior", counted)
         argv = self.prior_argv(tmp_path, 10)
         digests = set()
-        for threads in ("1", "3"):
+        for _ in range(2):
             del solves[:]
-            assert main(argv + ["--threads", threads]) == 0
+            assert main(argv) == 0
             assert len(solves) >= 4
             digests.add(hashlib.sha256((tmp_path / "prior.segt").read_bytes()).hexdigest())
         assert len(digests) == 1
 
     def test_peak_does_not_grow_with_the_split(self, tmp_path, monkeypatch):
         """24 more images add their records and bank rows, but far less
-        than a quarter of their float64 samples."""
+        than a quarter of their float64 samples. The stage holds one chunk
+        of maps and one group of samples, each about three images."""
         samples = 20 * 20 * 4 * 8
         monkeypatch.setattr(priors, "SOLVE_BUDGET", 3 * samples)
+        monkeypatch.setattr(data, "CHUNK_BUDGET", 3 * 20 * 20 * (4 + 1) * 4)
         peaks = {}
         for n in (8, 32):
             argv = self.prior_argv(tmp_path / str(n), n)
