@@ -1,7 +1,8 @@
 """Command-line pipeline: estimate confusions, build priors, refine,
 evaluate, render, and synthesize datasets, wired through manifest files.
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 I/O error.
+Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 I/O error
+or out of memory.
 """
 
 from __future__ import annotations
@@ -201,6 +202,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print("error: out of memory" + (f" ({exc})" if str(exc) else ""), file=sys.stderr)
         return 3
 
 

@@ -16,6 +16,7 @@ from .data import (
     LabelMap,
     LabelSet,
     Manifest,
+    _bad_labels,
     _frozen_array,
     _load_chunks,
     load_with_sidecar,
@@ -127,12 +128,9 @@ def accumulate_counts(
         raise DataError("predictions contain void labels")
     # pair_counts bins each pair at p * L + g, so an out-of-range label would
     # be counted in another cell instead of failing
-    gt_ok = (gt.labels >= 0) & (gt.labels < labels.size)
-    if labels.void_id is not None:
-        gt_ok |= gt.labels == labels.void_id
-    if not gt_ok.all():
+    if _bad_labels(gt.labels, labels).any():
         raise DataError("ground-truth labels outside the label set")
-    if ((pred.labels < 0) | (pred.labels >= labels.size)).any():
+    if _bad_labels(pred.labels, labels).any():  # void ids were refused above
         raise DataError("predicted labels outside the label set")
     counts = kernels.pair_counts(
         gt.labels, pred.labels, mask.included, labels.size, labels.void_sentinel
@@ -147,14 +145,19 @@ def merge_counts(a: CountMatrix, b: CountMatrix) -> CountMatrix:
 
 
 def normalize_confusion(counts: CountMatrix, floor: float = DEFAULT_FLOOR) -> ConfusionModel:
-    """Columns to probabilities: zero cells take the value `floor` as a
-    fractional pseudo-count, then each column is L1-normalized."""
+    """The model of counts: floored_columns of the counts as float64."""
+    matrix = floored_columns(counts.counts.astype(np.float64), floor)
+    return ConfusionModel(matrix=matrix, source_counts=counts, floor=floor)
+
+
+def floored_columns(matrix: np.ndarray, floor: float) -> np.ndarray:
+    """A float64 matrix whose zero cells take the value `floor` as a
+    fractional pseudo-count, with each column then L1-normalized; floor
+    must be finite and positive."""
     if not 0 < floor < np.inf:
         raise DataError(f"floor must be finite and positive, got {floor}")
-    raw = counts.counts.astype(np.float64)
-    floored = np.where(raw == 0.0, floor, raw)
-    matrix = floored / floored.sum(axis=0, keepdims=True)
-    return ConfusionModel(matrix=matrix, source_counts=counts, floor=floor)
+    floored = np.where(matrix == 0.0, floor, matrix)
+    return floored / floored.sum(axis=0, keepdims=True)
 
 
 def identity_confusion(labels: LabelSet) -> ConfusionModel:

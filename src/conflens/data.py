@@ -47,6 +47,10 @@ def _frozen_array(values, dtype):
     return arr
 
 
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LabelSet:
     """The label universe: |L| classes, optional display names, optional
@@ -57,11 +61,16 @@ class LabelSet:
     void_id: int | None = None
 
     def __post_init__(self):
+        # the manifest's JSON type rules, for library callers too
+        if not _is_json_int(self.size):
+            raise DataError(f"label set size {self.size!r} is not an integer")
+        if self.void_id is not None and not _is_json_int(self.void_id):
+            raise DataError(f"void_id {self.void_id!r} is not an integer or None")
         if self.size < 2:
             raise DataError(f"label set needs >= 2 classes, got {self.size}")
         if self.names is not None:
-            if isinstance(self.names, str):
-                raise DataError(f"names {self.names!r} is a string, not a sequence of names")
+            if not isinstance(self.names, (list, tuple)):
+                raise DataError(f"names {self.names!r} is not a list or tuple of names")
             object.__setattr__(self, "names", tuple(self.names))
             if not all(isinstance(name, str) for name in self.names):
                 raise DataError(f"names {self.names!r} are not all strings")
@@ -529,18 +538,10 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
     path = Path(path)
     obj = read_json(path)
     try:
-        size, void_id = obj["labels"]["size"], obj["labels"].get("void_id")
-        names = obj["labels"].get("names")
-        if not _is_json_int(size):
-            raise ValueError(f"label size {size!r} is not an integer")
-        if void_id is not None and not _is_json_int(void_id):
-            raise ValueError(f"void_id {void_id!r} is not an integer or null")
-        if names is not None and not isinstance(names, list):
-            raise ValueError(f"names {names!r} is not a list or null")
         labels = LabelSet(
-            size=size,
-            names=names,
-            void_id=void_id,
+            size=obj["labels"]["size"],
+            names=obj["labels"].get("names"),
+            void_id=obj["labels"].get("void_id"),
         )
         base = path.resolve().parent
         records = tuple(
@@ -558,10 +559,6 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
     if check_files:
         _check_record_files(manifest)
     return manifest
-
-
-def _is_json_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_record_files(manifest: Manifest) -> None:

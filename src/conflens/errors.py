@@ -1,4 +1,5 @@
-"""Exception hierarchy. Exit codes: 1 usage, 2 data/validation, 3 I/O."""
+"""Exception hierarchy. Exit codes: 1 usage, 2 data/validation, 3 I/O or
+out of memory."""
 
 
 class ConflensError(Exception):

@@ -22,6 +22,11 @@ from .data import (
 )
 from .errors import DataError
 
+# Most pixels that render_matrix_heatmap writes into one image: a 16 384 x
+# 16 384 square, 256 MiB at one byte a pixel. It is checked before the image
+# is built, so a huge --block is a DataError, not an allocation.
+MAX_RENDER_PIXELS = 1 << 28
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -146,11 +151,15 @@ def render_matrix_heatmap(
         raise DataError(f"gamma must be positive, got {gamma}")
     if block < 1:
         raise DataError(f"block must be >= 1, got {block}")
+    rows, cols = arr.shape[0] * block, arr.shape[1] * block
+    if rows * cols > MAX_RENDER_PIXELS:
+        raise DataError(f"block {block} renders a {rows}x{cols} image, over the "
+                        f"{MAX_RENDER_PIXELS}-pixel cap")
     if not (float(arr.min()) >= 0.0 and float(arr.max()) <= 1.0):
         raise DataError("heatmap entries must lie in [0, 1], not NaN")
     intensity = np.floor(255.0 * np.power(arr, gamma) + 0.5).astype(np.uint8)
     if block > 1:
-        intensity = np.kron(intensity, np.ones((block, block), dtype=np.uint8))
+        intensity = intensity.repeat(block, axis=0).repeat(block, axis=1)
     write_pgm(intensity, path)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .confusion import ConfusionModel, PixelMask
+from .confusion import ConfusionModel
 from .data import (
     LabelMap,
     LabelSet,
@@ -252,21 +252,16 @@ def sample_set(
     gt: LabelMap,
     probs: ProbabilityMap,
     labels: LabelSet,
-    mask: PixelMask | None = None,
     max_samples: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> SampleSet:
-    """Collect (gt, classifier output) pairs from included, non-void pixels,
-    optionally subsampled without replacement to max_samples."""
+    """Collect (gt, classifier output) pairs from non-void pixels, optionally
+    subsampled without replacement to max_samples."""
     if gt.labels.shape != probs.values.shape[:2]:
         raise DataError(
             f"gt {gt.labels.shape} and probs {probs.values.shape[:2]} disagree"
         )
     keep = gt.labels != labels.void_sentinel
-    if mask is not None:
-        if mask.included.shape != gt.labels.shape:
-            raise DataError("mask shape mismatch")
-        keep &= mask.included
     idx = np.flatnonzero(keep.ravel())
     if max_samples is not None and idx.size > max_samples:
         if rng is None:
@@ -647,7 +642,7 @@ def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
                 # solved weights off the image's true composition
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
                 samples = sample_set(LabelMap(gt.labels[i]), ProbabilityMap(probs.values[i]),
-                                     labels, mask=None, max_samples=subsample, rng=rng)
+                                     labels, max_samples=subsample, rng=rng)
                 if len(samples) == 0:
                     raise DataError(f"{rec.image_id}: no usable solver samples")
                 group.append(samples)

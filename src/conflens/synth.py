@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .confusion import ConfusionModel, DEFAULT_FLOOR
+from .confusion import ConfusionModel, DEFAULT_FLOOR, floored_columns
 from .data import (
     LabelMap,
     LabelSet,
@@ -77,7 +77,8 @@ class SynthSpec:
 
     def __post_init__(self):
         # the JSON path's type rules, so a library caller gets a DataError
-        # rather than a TypeError deep inside generation
+        # rather than a TypeError deep inside generation; float fields are
+        # stored as float, so an integer value saves as it would load
         for key in _INT_FIELDS + _BOUND_FIELDS:
             value = getattr(self, key)
             if not (_is_json_int(value) or (value is None and key in _BOUND_FIELDS)):
@@ -86,6 +87,10 @@ class SynthSpec:
             value = getattr(self, key)
             if not _is_json_number(value):
                 raise DataError(f"{key} {value!r} is not a number")
+            try:
+                object.__setattr__(self, key, float(value))
+            except OverflowError as exc:
+                raise DataError(f"{key} is too large for a float") from exc
         T = np.asarray(self.true_confusion)
         if T.dtype.kind not in "iuf":
             raise DataError(f"true_confusion entries are {T.dtype}, not numbers")
@@ -107,8 +112,9 @@ class SynthSpec:
             raise DataError("image size must be positive")
         if self.n_estimation < 0 or self.n_evaluation < 0:
             raise DataError("split sizes must be >= 0")
-        if not self.region_scale > 0:
-            raise DataError("region_scale must be positive")
+        # a scale below 1 asks for more Voronoi seeds than pixels
+        if not self.region_scale >= 1:
+            raise DataError(f"region_scale must be >= 1, got {self.region_scale}")
         if not self.sharpness > 0:
             raise DataError("sharpness must be positive")
         if not 0.0 <= self.border_noise <= 1.0:
@@ -137,14 +143,10 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthSpec":
-        """Build a spec from its JSON object. Count, size, seed and class
-        bound fields must be JSON integers, and the other scalars and the
-        matrix entries JSON numbers: nothing is truncated or coerced."""
+        """Build a spec from its JSON object. The constructor checks the
+        scalar fields' types, so nothing is truncated or coerced; the matrix
+        entries must be JSON numbers."""
         try:
-            ints = {key: _json_int(obj, key) for key in _INT_FIELDS}
-            bounds = {key: _json_int(obj, key, optional=True) for key in _BOUND_FIELDS}
-            floats = {key: _json_number(obj, key) for key in _FLOAT_FIELDS}
-            floats.update((key, _json_number(obj, key, 0.0)) for key in _OPTIONAL_FLOAT_FIELDS)
             matrix = obj["true_confusion"]
             if not (isinstance(matrix, list) and all(
                 isinstance(row, list) and all(_is_json_number(v) for v in row)
@@ -152,8 +154,11 @@ class SynthSpec:
             )):
                 raise ValueError(f"true_confusion {matrix!r} is not a list of number rows")
             return cls(true_confusion=np.asarray(matrix, dtype=np.float64),
-                       **ints, **bounds, **floats)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                       **{key: obj[key] for key in _INT_FIELDS + _FLOAT_FIELDS},
+                       **{key: obj.get(key) for key in _BOUND_FIELDS},
+                       **{key: obj.get(key, 0.0) for key in _OPTIONAL_FLOAT_FIELDS})
+        # OverflowError: a matrix entry too large for a float
+        except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
             raise DataError(f"malformed synth spec ({exc})") from exc
 
     @classmethod
@@ -176,35 +181,11 @@ def _is_json_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _json_int(obj: dict, key: str, optional: bool = False):
-    """obj[key] as a JSON integer; with optional, a missing key or null is
-    None."""
-    value = obj.get(key) if optional else obj[key]
-    if value is None and optional:
-        return None
-    if not _is_json_int(value):
-        raise ValueError(f"{key} {value!r} is not an integer")
-    return value
-
-
-def _json_number(obj: dict, key: str, default=None) -> float:
-    """obj[key] as a float from a JSON number; default if it is missing."""
-    value = obj[key] if default is None else obj.get(key, default)
-    if not _is_json_number(value):
-        raise ValueError(f"{key} {value!r} is not a number")
-    return float(value)
-
-
 def true_confusion(spec: SynthSpec, floor: float = DEFAULT_FLOOR) -> ConfusionModel:
-    """The generator's matrix with the same flooring normalize_confusion
-    applies, for direct comparison against estimated models."""
-    T = np.asarray(spec.true_confusion, dtype=np.float64)
-    floored = np.where(T == 0.0, floor, T)
-    return ConfusionModel(
-        matrix=floored / floored.sum(axis=0, keepdims=True),
-        source_counts=None,
-        floor=floor,
-    )
+    """The generator's matrix floored as normalize_confusion floors counts,
+    for direct comparison against estimated models."""
+    return ConfusionModel(matrix=floored_columns(spec.true_confusion, floor),
+                          source_counts=None, floor=floor)
 
 
 def eval_confusion_matrix(spec: SynthSpec) -> np.ndarray:

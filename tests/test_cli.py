@@ -27,6 +27,7 @@ from conflens import (
     save_manifest,
     save_probability_map,
 )
+from conflens import synth
 from conflens.cli import main
 from conflens.synth import SynthSpec, generate_dataset
 from tests.conftest import mixed_confusion
@@ -290,6 +291,21 @@ class TestExitCodes:
         for argv in argvs:
             assert main(argv + ["--threads", "2"]) == 1, argv[0]
         assert not (tmp_path / "out").exists()
+
+    def test_out_of_memory_exits_3_without_a_traceback(self, small_spec, tmp_path,
+                                                       monkeypatch, capsys):
+        """A MemoryError escaping a stage is one `error:` line and exit 3,
+        and the stage publishes nothing."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(synth, "_generate_image", exhausted)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(small_spec.to_dict()))
+        out = tmp_path / "data"
+        assert main(["synth", "--spec", str(spec_path), "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == "error: out of memory (Unable to allocate 1.00 TiB)\n"
+        assert not out.exists()
 
     def test_unconstrained_without_confusion(self, pipeline):
         _, manifest = pipeline

@@ -41,13 +41,13 @@ from conflens import (
     validate_probability_map,
     write_pgm,
 )
-from conflens import data, refine, segt
+from conflens import data, metrics, refine, segt, synth
 from conflens.cli import main
 from conflens.errors import DataError
 from conflens.metrics import MetricAccumulator
 from conflens.priors import PriorBank
 from conflens.refine import RefinementMatrix
-from conflens.synth import SynthSpec
+from conflens.synth import SynthSpec, true_confusion
 from tests.conftest import mixed_confusion
 
 
@@ -169,6 +169,18 @@ class TestDataValidation:
         )
         with pytest.raises(DataError, match="malformed manifest"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(size=3.0), "size"), (dict(size="3"), "size"),
+        (dict(size=3, void_id=7.5), "void_id"), (dict(size=3, void_id="255"), "void_id"),
+        (dict(size=2, names={"a": 0, "b": 1}), "names"),
+    ], ids=["float-size", "string-size", "float-void-id", "string-void-id", "dict-names"])
+    def test_label_set_rejects_wrong_types(self, kwargs, field):
+        """LabelSet applies the manifest's type rules when it is built
+        directly: a float size would fail later as a TypeError, and a float
+        void id can match no int32 label."""
+        with pytest.raises(DataError, match=field):
+            LabelSet(**kwargs)
 
     def test_manifest_names_round_trip(self, tmp_path):
         from conflens import Manifest, ManifestRecord, save_manifest, save_probability_map
@@ -711,6 +723,15 @@ class TestConfusionValidation:
         with pytest.raises(DataError, match="floor"):
             normalize_confusion(counts, floor=floor)
 
+    @pytest.mark.parametrize("floor", [0.0, -1e-4, float("nan"), float("inf")], ids=str)
+    def test_true_confusion_rejects_bad_floor(self, floor):
+        """true_confusion floors through the same function, and check, as
+        normalize_confusion."""
+        spec = SynthSpec(n_classes=3, height=4, width=4, n_estimation=1, n_evaluation=1,
+                         region_scale=2.0, true_confusion=np.eye(3), sharpness=2.0, seed=1)
+        with pytest.raises(DataError, match="floor"):
+            true_confusion(spec, floor=floor)
+
     def test_load_confusion_without_sidecar(self, tmp_path):
         """The prior-bank loader's rule: a tensor without its sidecar is a
         DataError."""
@@ -862,6 +883,38 @@ class TestMetricsValidation:
         with pytest.raises(DataError):
             render_matrix_heatmap(np.eye(2), tmp_path / "x.pgm", block=0)
 
+    def test_render_caps_the_image_before_allocating(self, tmp_path, monkeypatch, capsys):
+        """--block 10**7 on a 3x3 matrix asks for a 9e14-pixel image. It is
+        refused from the shape and block alone: the numpy calls that would
+        make the block image are patched to fail, so the test allocates
+        nothing even where they are reached."""
+        matrix = tmp_path / "m.segt"
+        store_tensor(matrix, np.full((3, 3), 0.5, dtype=np.float32))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("render built the block image")
+
+        monkeypatch.setattr(np, "ones", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
+        out = tmp_path / "x.pgm"
+        assert main(["render", "--matrix", str(matrix), "--out", str(out),
+                     "--block", str(10**7)]) == 2
+        assert "pixel cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block, code", [(2, 0), (3, 2)])
+    def test_render_cap_admits_an_image_of_exactly_the_cap(self, tmp_path, monkeypatch,
+                                                           block, code):
+        """With a 36-pixel cap, a 3x3 matrix renders at block 2 (6x6) and
+        is refused at block 3 (9x9)."""
+        monkeypatch.setattr(metrics, "MAX_RENDER_PIXELS", 36)
+        matrix = tmp_path / "m.segt"
+        store_tensor(matrix, np.full((3, 3), 0.5, dtype=np.float32))
+        out = tmp_path / "x.pgm"
+        assert main(["render", "--matrix", str(matrix), "--out", str(out),
+                     "--block", str(block)]) == code
+        assert out.exists() == (code == 0)
+
     def test_accumulator_shape_mismatch(self):
         acc = MetricAccumulator(LabelSet(size=2))
         with pytest.raises(DataError):
@@ -902,6 +955,7 @@ class TestSynthValidation:
         for bad in (
             dict(sharpness=0.0),
             dict(region_scale=-1.0),
+            dict(region_scale=0.5),
             dict(border_noise=1.5),
             dict(eval_confusion_drift=1.0),
             dict(height=0),
@@ -925,6 +979,7 @@ class TestSynthValidation:
         ("min_classes_per_image", 1.5), ("max_classes_per_image", "3"),
         ("region_scale", "4.0"), ("sharpness", True), ("border_noise", None),
         ("true_confusion", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+        pytest.param("region_scale", 10**400, id="region_scale-10**400"),
     ])
     def test_constructor_rejects_wrong_types(self, key, value):
         spec = SynthSpec(**self.base())
@@ -936,6 +991,9 @@ class TestSynthValidation:
         ("min_classes_per_image", 1.7), ("max_classes_per_image", "3"),
         ("region_scale", "4.0"), ("sharpness", True), ("border_noise", "0"),
         ("eval_confusion_drift", False), ("true_confusion", [["1", 0, 0], [0, 1, 0], [0, 0, 1]]),
+        pytest.param("sharpness", 10**400, id="sharpness-10**400"),
+        pytest.param("true_confusion", [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]],
+                     id="true_confusion-10**400"),
     ])
     def test_from_dict_rejects_coercible_types(self, key, value):
         obj = SynthSpec(**self.base()).to_dict()
@@ -956,6 +1014,36 @@ class TestSynthValidation:
         out = tmp_path / "data"
         assert main(["synth", "--spec", str(spec_path), "--out-dir", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["constructor", "from_dict", "cli"])
+    def test_integer_valued_floats_are_stored_as_floats(self, tmp_path, route):
+        """A float field given as an integer saves as the float it means,
+        whether the spec is built directly, read from JSON or read by
+        `synth --spec`."""
+        ints = dict(region_scale=4, sharpness=2, border_noise=0, eval_confusion_drift=0)
+        expected = json.dumps(SynthSpec(**self.base()).to_dict(), sort_keys=True)
+        if route == "constructor":
+            got = SynthSpec(**self.base(**ints)).to_dict()
+        elif route == "from_dict":
+            got = SynthSpec.from_dict({**SynthSpec(**self.base()).to_dict(), **ints}).to_dict()
+        else:
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps({**SynthSpec(**self.base()).to_dict(), **ints}))
+            out = tmp_path / "data"
+            assert main(["synth", "--spec", str(spec_path), "--out-dir", str(out)]) == 0
+            got = json.loads((out / synth.SPEC_FILENAME).read_text())
+        assert json.dumps(got, sort_keys=True) == expected
+
+    @pytest.mark.parametrize("scale", [0.5, 0.999])
+    def test_cli_synth_rejects_region_scale_below_1(self, tmp_path, capsys, scale):
+        """A scale below 1 asks for more Voronoi seeds than pixels."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**SynthSpec(**self.base()).to_dict(),
+                                         "region_scale": scale}))
+        out = tmp_path / "data"
+        assert main(["synth", "--spec", str(spec_path), "--out-dir", str(out)]) == 2
+        assert "region_scale" in capsys.readouterr().err
         assert not out.exists()
 
     def test_load_invalid_json(self, tmp_path):

@@ -208,6 +208,17 @@ class TestHeatmap:
         np.testing.assert_array_equal(img[:3, :3], 255)
         np.testing.assert_array_equal(img[:3, 3:], 0)
 
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_block_expansion_matches_kron(self, tmp_path, block):
+        """Each cell is a block x block square of its intensity, as the
+        Kronecker product with a ones block gives it."""
+        matrix = np.random.default_rng(85).random((4, 3))
+        path = tmp_path / "k.pgm"
+        render_matrix_heatmap(matrix, path, gamma=0.5, block=block)
+        intensity = np.floor(255.0 * np.power(matrix, 0.5) + 0.5).astype(np.uint8)
+        np.testing.assert_array_equal(self.read_pgm(path),
+                                      np.kron(intensity, np.ones((block, block), np.uint8)))
+
     def test_byte_determinism(self, tmp_path):
         rng = np.random.default_rng(84)
         matrix = rng.random((5, 5))
