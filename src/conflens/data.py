@@ -25,7 +25,8 @@ _RANGE_BITS = np.float32(1.0 + 1e-6).view(np.uint32)
 
 # Bytes of stacked maps (float32 probabilities, int32 labels) that a stage
 # loads into one chunk, which it checks and computes on with one call per
-# check and kernel instead of one per image. 24x24 maps of 8 classes come
+# check and kernel instead of one per image, and that synthesis computes
+# before it writes them. 24x24 maps of 8 classes come
 # about 55 to a chunk, and a map at least this large is a chunk by itself.
 # On the benchmark's many_small workload (2-core VM, tmpfs), 256 KiB chunks
 # took about 5% longer than 1 MiB chunks, and 1 MiB chunks held less at

@@ -35,9 +35,9 @@ _ZERO_WEIGHT = 1e-12
 PRIOR_KINDS = ("uniform", "global", "binary", "histogram", "unconstrained")
 DEFAULT_SUBSAMPLE = 100_000
 # Bytes of float64 sample classifier outputs, the size of their evidence,
-# that the prior stage cuts from its chunks of maps before it solves them as
-# one lockstep group. A solve holds the samples and the stacked evidence,
-# about twice this, and the chunk that the group's last image came from.
+# that the prior stage cuts from its chunks of maps into one lockstep group
+# before it solves them. A solve holds the group's evidence, about this
+# much, and the chunk that the group's last image came from.
 # Larger groups take fewer lockstep iterations: on the benchmark's
 # many_small workload (2-core VM), 2 MiB groups made the stage about 7%
 # faster than 1 MiB groups, and 4 MiB about 5% faster again, but 4 MiB
@@ -241,56 +241,50 @@ def histogram_prior(gt: LabelMap, labels: LabelSet) -> Prior:
 # solved prior: Eq-style negative log-loss over the simplex
 # ---------------------------------------------------------------------------
 
-def _as_weights(prior, n_labels: int) -> np.ndarray:
-    w = np.asarray(getattr(prior, "weights", prior), dtype=np.float64)
-    if w.shape != (n_labels,):
-        raise DataError(f"prior shape {w.shape} does not match {n_labels} labels")
-    return w
-
-
-def sample_set(
-    gt: LabelMap,
-    probs: ProbabilityMap,
-    labels: LabelSet,
-    max_samples: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> SampleSet:
+def sample_set(gt: LabelMap, probs: ProbabilityMap, labels: LabelSet,
+               max_samples: int | None = None, rng: np.random.Generator | None = None) -> SampleSet:
     """Collect (gt, classifier output) pairs from non-void pixels, optionally
     subsampled without replacement to max_samples."""
     if gt.labels.shape != probs.values.shape[:2]:
-        raise DataError(
-            f"gt {gt.labels.shape} and probs {probs.values.shape[:2]} disagree"
-        )
-    keep = gt.labels != labels.void_sentinel
-    idx = np.flatnonzero(keep.ravel())
+        raise DataError(f"gt {gt.labels.shape} and probs {probs.values.shape[:2]} disagree")
+    idx = _sites(gt.labels.ravel(), labels, max_samples, rng)
+    flat_probs = probs.values.reshape(-1, probs.channels)
+    return SampleSet(gt=gt.labels.ravel()[idx], probs=flat_probs[idx])
+
+
+def _sites(flat_labels: np.ndarray, labels: LabelSet, max_samples: int | None,
+           rng: np.random.Generator | None) -> np.ndarray:
+    """Ascending flat indices of the non-void pixels of a map, subsampled
+    without replacement to max_samples."""
+    idx = np.flatnonzero(flat_labels != labels.void_sentinel)
     if max_samples is not None and idx.size > max_samples:
         if rng is None:
             rng = np.random.default_rng(0)
         idx = np.sort(rng.choice(idx, size=max_samples, replace=False))
-    flat_gt = gt.labels.ravel()[idx].astype(np.int64)
-    flat_probs = probs.values.reshape(-1, probs.channels)[idx].astype(np.float64)
-    return SampleSet(gt=flat_gt, probs=flat_probs)
+    return idx
+
+
+def _loss_inputs(prior, confusion: ConfusionModel, samples: SampleSet):
+    """The loss kernels' matrix, weights, gt and evidence for prior on samples."""
+    if len(samples) == 0:
+        raise DataError("empty sample set")
+    w = np.asarray(getattr(prior, "weights", prior), dtype=np.float64)
+    if w.shape != (confusion.n_labels,):
+        raise DataError(f"prior shape {w.shape} does not match {confusion.n_labels} labels")
+    evidence = kernels.sample_evidence(confusion.matrix, samples.gt, samples.probs)
+    return confusion.matrix, w, samples.gt, evidence
 
 
 def refinement_loss(prior, confusion: ConfusionModel, samples: SampleSet,
                     epsilon: float = EPSILON) -> float:
     """Sum over samples of -log(max(refined gt probability, epsilon))."""
-    if len(samples) == 0:
-        raise DataError("empty sample set")
-    w = _as_weights(prior, confusion.n_labels)
-    evidence = kernels.sample_evidence(confusion.matrix, samples.gt, samples.probs)
-    return kernels.loss_value(confusion.matrix, w, samples.gt, evidence, epsilon)
+    return kernels.loss_value(*_loss_inputs(prior, confusion, samples), epsilon)
 
 
 def refinement_loss_gradient(prior, confusion: ConfusionModel, samples: SampleSet,
                              epsilon: float = EPSILON) -> np.ndarray:
     """d(loss)/d(prior), accounting for P(C=c) = sum_l P(C=c|l) P(l)."""
-    if len(samples) == 0:
-        raise DataError("empty sample set")
-    w = _as_weights(prior, confusion.n_labels)
-    evidence = kernels.sample_evidence(confusion.matrix, samples.gt, samples.probs)
-    _, grad = kernels.loss_grad(confusion.matrix, w, samples.gt, evidence, epsilon)
-    return grad
+    return kernels.loss_grad(*_loss_inputs(prior, confusion, samples), epsilon)[1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -369,11 +363,6 @@ def _newton_directions(w, grad, hess):
     return direction, found
 
 
-def _take(evidence, rows):
-    """evidence[rows] for (B, N, L) evidence, kept label-major."""
-    return np.swapaxes(np.swapaxes(evidence, 1, 2)[rows], 1, 2)
-
-
 def _partition(keep, *arrays):
     """Reorder the rows of each array in place, by swaps, so that the rows
     where keep is True come first; returns the new order as indices of the
@@ -420,7 +409,9 @@ def _first_decrease(matrix, gt, evidence, floor, w, loss, direction, t, t_min, p
             searching[pending] = True
         else:
             tried_rows = pending
-            sub_gt, sub_evidence, sub_floor = gt[pending], _take(evidence, pending), floor[pending]
+            sub_gt, sub_floor = gt[pending], floor[pending]
+            # evidence[pending], kept label-major
+            sub_evidence = np.swapaxes(np.swapaxes(evidence, 1, 2)[pending], 1, 2)
             sub_w, sub_dir, sub_loss = w[pending], direction[pending], loss[pending]
             searching = np.ones(pending.size, dtype=bool)
         tries = max(1, _TRIES // tried_rows.size)
@@ -524,53 +515,69 @@ def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
     return end_w, end_loss, iterations, order
 
 
-def _stack(matrix, sample_sets, epsilon):
-    """The group's evidence as a (B, N, L) view of label-major (B, L, N)
-    zeros, filled per image up to its sample count; gt (B, N), zero where
-    padded; and the clamp floors (B, N): epsilon, and 1 at the padding."""
-    counts = np.array([len(samples) for samples in sample_sets])
-    size = counts.max()
-    evidence = np.zeros((len(sample_sets), matrix.shape[0], size))
-    gt = np.zeros((len(sample_sets), size), dtype=np.int64)
-    for b, samples in enumerate(sample_sets):
-        np.multiply(matrix[:, samples.gt], samples.probs.T, out=evidence[b, :, :counts[b]])
-        gt[b, :counts[b]] = samples.gt
-    floor = np.where(np.arange(size) < counts[:, None], epsilon, 1.0)
-    return np.swapaxes(evidence, 1, 2), gt, floor
+class _SolveGroup:
+    """The arrays a lockstep solve reads, cut in one image at a time: the
+    float64 evidence M[:, g] * p of each sample in label-major (B, L, N)
+    zeros, and gt (B, N), zero where padded. N is the largest of the
+    images' sample counts. Where an image needs more rows or columns than
+    the arrays have, they grow by a copy."""
+
+    def __init__(self, matrix: np.ndarray, rows: int = 0, width: int = 0):
+        self.matrix, self.counts = matrix, []
+        self.evidence = np.zeros((rows, matrix.shape[0], width))
+        self.gt = np.zeros((rows, width), dtype=np.int64)
+
+    def add(self, gt: np.ndarray, probs: np.ndarray, rows: int = 0) -> None:
+        """Cut in one image's samples, gt (n,) and probs (n, L); full arrays
+        grow to n columns and `rows` rows, or one more than they fill."""
+        b, n, (had, width) = len(self.counts), len(gt), self.gt.shape
+        if b == had or n > width:
+            grown = _SolveGroup(self.matrix, max(rows, b + 1), max(n, width))
+            grown.evidence[:b, :, :width], grown.gt[:b, :width] = self.evidence[:b], self.gt[:b]
+            self.evidence, self.gt = grown.evidence, grown.gt
+        np.multiply(self.matrix[:, gt], probs.T, out=self.evidence[b, :, :n])
+        self.gt[b, :n] = gt
+        self.counts.append(n)
 
 
 def solve_unconstrained_prior(
     confusion: ConfusionModel,
-    samples: SampleSet | Sequence[SampleSet],
+    samples: SampleSet | Sequence[SampleSet] | _SolveGroup,
     opts: SolverOptions = SolverOptions(),
     reports: list[SolveReport] | None = None,
 ) -> Prior | list[Prior]:
     """Minimize the refinement log-loss over the simplex.
 
     `samples` is one SampleSet, giving one Prior, or a sequence of them,
-    solved together in lockstep and giving a list of Priors in order.
+    solved together in lockstep and giving a list of Priors in order; the
+    prior stage passes the images' samples already cut into a _SolveGroup.
     Descends from the configured init (sample histogram by default); where
     the uniform prior scores better than that result, descends again from
     uniform and keeps the better endpoint. A result therefore never loses to
     its init, the histogram prior, or the uniform prior. `reports`, when a
     list, receives one SolveReport per image.
     """
+    n, matrix = confusion.n_labels, confusion.matrix
     single = isinstance(samples, SampleSet)
-    sample_sets = [samples] if single else list(samples)
-    n = confusion.n_labels
-    matrix = confusion.matrix
-    for item in sample_sets:
-        if len(item) == 0:
-            raise DataError("empty sample set")
-        if item.probs.shape[1] != n:
-            raise DataError(f"samples have {item.probs.shape[1]} labels, confusion {n}")
-    evidence, gt, floor = _stack(matrix, sample_sets, opts.epsilon)
-    counts = np.array([len(item) for item in sample_sets], dtype=np.float64)
-    uniform = np.full((len(sample_sets), n), 1.0 / n)
+    group = samples
+    if not isinstance(group, _SolveGroup):
+        sample_sets = [samples] if single else list(samples)
+        for item in sample_sets:
+            if len(item) == 0:
+                raise DataError("empty sample set")
+            if item.probs.shape[1] != n:
+                raise DataError(f"samples have {item.probs.shape[1]} labels, confusion {n}")
+        group = _SolveGroup(matrix, len(sample_sets), max(len(item) for item in sample_sets))
+        for item in sample_sets:
+            group.add(item.gt, item.probs)
+    counts = np.array(group.counts)
+    evidence, gt = np.swapaxes(group.evidence[:counts.size], 1, 2), group.gt[:counts.size]
+    floor = np.where(np.arange(gt.shape[1]) < counts[:, None], opts.epsilon, 1.0)
+    uniform = np.full((counts.size, n), 1.0 / n)
     if opts.init == "uniform":
         start = uniform
     else:
-        start = np.stack([np.bincount(item.gt, minlength=n) for item in sample_sets])
+        start = np.stack([np.bincount(row[:c], minlength=n) for row, c in zip(gt, counts)])
         start = start / counts[:, None]
     start_loss = kernels.loss_value(matrix, start, gt, evidence, floor)
     if not np.isfinite(start_loss).all():
@@ -590,8 +597,7 @@ def solve_unconstrained_prior(
     total = w.sum(axis=1, keepdims=True)
     w = np.where(np.abs(total - 1.0) > 1e-12, w / total, w)
     if reports is not None:
-        restarted = np.zeros(len(sample_sets), dtype=bool)
-        restarted[again] = True
+        restarted = np.isin(np.arange(counts.size), again)
         reports.extend(
             SolveReport((int(a), int(b)) if r else (int(a),), float(value))
             for a, b, r, value in zip(first, second, restarted, loss)
@@ -628,31 +634,33 @@ def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
         if confusion is None:
             raise DataError("the unconstrained prior needs a confusion model")
         if confusion.n_labels != labels.size:
-            raise DataError(
-                f"confusion has {confusion.n_labels} labels, manifest {labels.size}"
-            )
+            raise DataError(f"confusion has {confusion.n_labels} labels, manifest {labels.size}")
 
-        rows, group, size = [], [], 0
+        rows, group, size = [], _SolveGroup(confusion.matrix), 0
         for chunk, (gt, probs) in _load_chunks(
                 list(enumerate(eval_records)), lambda item: (item[1].gt_path, item[1].probs_path),
                 (LABELS, PROBS), labels):
+            flat_gt = gt.labels.reshape(len(chunk), -1)
+            flat_probs = probs.values.reshape(len(chunk), -1, labels.size)
             for i, (idx, rec) in enumerate(chunk):
                 # fit on every annotated, classified site of the image; the
                 # evaluation scores all pixels, so masked fitting skews the
                 # solved weights off the image's true composition
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-                samples = sample_set(LabelMap(gt.labels[i]), ProbabilityMap(probs.values[i]),
-                                     labels, max_samples=subsample, rng=rng)
-                if len(samples) == 0:
+                sites = _sites(flat_gt[i], labels, subsample, rng)
+                if not sites.size:
                     raise DataError(f"{rec.image_id}: no usable solver samples")
-                group.append(samples)
-                size += samples.probs.nbytes
+                # rows for as many padded images as the budget has room for
+                padded = 8 * labels.size * max(sites.size, group.gt.shape[1])
+                fits = min(-(-(SOLVE_BUDGET - size) // padded), len(ids) - idx)
+                group.add(flat_gt[i, sites], flat_probs[i, sites], len(group.counts) + fits)
+                size += 8 * labels.size * sites.size
                 # a group closes where its samples reach the budget, not at
                 # a chunk's end: where groups close decides the bank's bytes
                 if size >= SOLVE_BUDGET or idx == len(ids) - 1:
                     rows += [p.weights for p in solve_unconstrained_prior(confusion, group, opts)]
-                    group, size = [], 0
-            del gt, probs  # free the chunk before the next one loads
+                    group, size = _SolveGroup(confusion.matrix), 0
+            del gt, probs, flat_gt, flat_probs  # free the chunk before the next one loads
         weights = np.stack(rows)
         solver_meta = {**asdict(opts), "subsample": subsample, "seed": seed}
 

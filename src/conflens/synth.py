@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
+from . import data, kernels
 from .confusion import ConfusionModel, DEFAULT_FLOOR, floored_columns
 from .data import (
     LabelMap,
@@ -36,15 +36,6 @@ from .errors import DataError
 
 SPEC_FILENAME = "synthspec.json"
 MANIFEST_FILENAME = "manifest.json"
-
-# Bytes of computed maps (float32 probabilities, int32 labels) that
-# generate_dataset holds before it writes them. Writing each map as soon as
-# it is computed would hold the least, but file creates interleaved with
-# compute cost more system time than the same creates back to back, so small
-# maps are written in a few long bursts, and a map at least this large is
-# written alone.
-WRITE_BUDGET = 16 << 20
-
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -112,19 +103,18 @@ class SynthSpec:
             raise DataError("image size must be positive")
         if self.n_estimation < 0 or self.n_evaluation < 0:
             raise DataError("split sizes must be >= 0")
-        # a scale below 1 asks for more Voronoi seeds than pixels
-        if not self.region_scale >= 1:
-            raise DataError(f"region_scale must be >= 1, got {self.region_scale}")
+        # a scale below 1 asks for more Voronoi seeds than pixels, and the
+        # seed count divides by its square
+        if not (self.region_scale >= 1 and math.isfinite(self.region_scale * self.region_scale)):
+            raise DataError(f"region_scale {self.region_scale} is not >= 1 with a finite square")
         if not self.sharpness > 0:
             raise DataError("sharpness must be positive")
         if not 0.0 <= self.border_noise <= 1.0:
             raise DataError("border_noise must lie in [0, 1]")
         if not 0.0 <= self.eval_confusion_drift < 1.0:
             raise DataError("eval_confusion_drift must lie in [0, 1)")
-        lo = self.min_classes_per_image
-        hi = self.max_classes_per_image
-        lo = self.n_classes if lo is None else lo
-        hi = self.n_classes if hi is None else hi
+        lo = self.n_classes if self.min_classes_per_image is None else self.min_classes_per_image
+        hi = self.n_classes if self.max_classes_per_image is None else self.max_classes_per_image
         if not 1 <= lo <= hi <= self.n_classes:
             raise DataError(f"bad class subset bounds [{lo}, {hi}]")
         object.__setattr__(self, "min_classes_per_image", lo)
@@ -277,26 +267,26 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> Manifest:
     """Write per-image SEGT tensors, synthspec.json and manifest.json under
     out_dir; returns the manifest. Each image derives from its own spawned
     stream, so output is deterministic given spec.seed. Images are built and
-    written in groups of WRITE_BUDGET bytes of maps, and published with
-    manifest.json last."""
+    written in groups of data.CHUNK_BUDGET bytes of maps (float32
+    probabilities, int32 labels), a map at least that large alone, and
+    published with manifest.json last. Writing each map as soon as it is
+    computed would hold less, but file creates interleaved with compute cost
+    more system time than the same creates back to back."""
     out = Path(out_dir)
     eval_matrix = eval_confusion_matrix(spec)
     true_matrix = np.asarray(spec.true_confusion, dtype=np.float64)
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_images)
     records = []
 
-    def build(idx):
-        split = "estimation" if idx < spec.n_estimation else "evaluation"
-        hard_matrix = true_matrix if split == "estimation" else eval_matrix
-        rng = np.random.default_rng(children[idx])
-        gt, probs = _generate_image(spec, rng, hard_matrix)
-        return split, gt, probs
-
     # each group is built and written inside a call: a loop variable bound
     # to built maps would keep them alive while the next group is built
     with publish(out) as stage:
         def write_group(indices):
-            for idx, (split, gt, probs) in zip(indices, [build(idx) for idx in indices]):
+            built = [_generate_image(spec, np.random.default_rng(children[idx]),
+                                     true_matrix if idx < spec.n_estimation else eval_matrix)
+                     for idx in indices]
+            for idx, (gt, probs) in zip(indices, built):
+                split = "estimation" if idx < spec.n_estimation else "evaluation"
                 image_id = f"img_{idx:04d}"
                 probs_name, gt_name = f"{image_id}_probs.segt", f"{image_id}_gt.segt"
                 save_probability_map(probs, stage(probs_name))
@@ -308,7 +298,8 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> Manifest:
                     split=split,
                 ))
 
-        per_group = math.ceil(WRITE_BUDGET / (spec.height * spec.width * (4 * spec.n_classes + 4)))
+        per_group = math.ceil(data.CHUNK_BUDGET
+                              / (spec.height * spec.width * (4 * spec.n_classes + 4)))
         for start in range(0, spec.n_images, per_group):
             write_group(range(spec.n_images)[start:start + per_group])
         manifest = Manifest(label_set=spec.label_set, records=tuple(records))
@@ -324,16 +315,14 @@ def bayes_optimal_accuracy(spec: SynthSpec, manifest: Manifest) -> float:
     on the same pixels the pipeline scores. The soft residual carries no
     label information, so the hard label is sufficient."""
     matrix = eval_confusion_matrix(spec)
-    correct = 0
-    total = 0
+    correct = total = 0
     for rec in manifest.split_records("evaluation"):
         gt = load_label_map(rec.gt_path, manifest.label_set).labels.ravel()
         probs = load_probability_map(rec.probs_path, manifest.label_set)
         hard = probs.values.reshape(-1, spec.n_classes).argmax(axis=1)
         histogram = np.bincount(gt, minlength=spec.n_classes).astype(np.float64)
         histogram /= histogram.sum()
-        scores = matrix[hard, :] * histogram[None, :]
-        pred = scores.argmax(axis=1)
+        pred = (matrix[hard, :] * histogram[None, :]).argmax(axis=1)
         correct += int((pred == gt).sum())
         total += gt.size
     if total == 0:

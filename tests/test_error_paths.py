@@ -295,9 +295,6 @@ class TestValidateBeforeWrite:
         confusion and a uniform prior bank; returns (evaluation records,
         argv for a command and an --out directory)."""
         spec, _, data = small_dataset
-        monkeypatch.setattr(
-            "conflens.synth.WRITE_BUDGET", spec.height * spec.width * (4 * spec.n_classes + 4)
-        )
         monkeypatch.setattr("conflens.data.CHUNK_BUDGET", spec.height * spec.width * 4)
         shutil.copytree(data, tmp_path / "data")
         manifest = str(tmp_path / "data" / "manifest.json")
@@ -1038,6 +1035,20 @@ class TestSynthValidation:
     @pytest.mark.parametrize("scale", [0.5, 0.999])
     def test_cli_synth_rejects_region_scale_below_1(self, tmp_path, capsys, scale):
         """A scale below 1 asks for more Voronoi seeds than pixels."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**SynthSpec(**self.base()).to_dict(),
+                                         "region_scale": scale}))
+        out = tmp_path / "data"
+        assert main(["synth", "--spec", str(spec_path), "--out-dir", str(out)]) == 2
+        assert "region_scale" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e200, 1.4e154])
+    def test_cli_synth_rejects_region_scale_with_infinite_square(self, tmp_path, capsys, scale):
+        """The seed count divides by the square of region_scale, which
+        overflows a float here."""
+        with pytest.raises(DataError, match="region_scale"):
+            SynthSpec(**self.base(region_scale=float("inf")))
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({**SynthSpec(**self.base()).to_dict(),
                                          "region_scale": scale}))

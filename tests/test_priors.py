@@ -678,6 +678,43 @@ class TestBatchedSolver:
                 confusion, [good, SampleSet(gt=np.array([0]), probs=np.full((1, 4), 0.25))])
 
 
+    def test_stage_bank_is_the_library_solve_of_its_groups(self, tmp_path, monkeypatch):
+        """The prior stage cuts each image's samples straight into its
+        group's arrays, which grow where an image has more samples than the
+        group's first, or the group more images than the first promised.
+        Its bank holds the bytes of solving the same groups' sample_sets."""
+        n, void, cap, budget, seed = 4, 255, 100, 6000, 3
+        labels = LabelSet(size=n, void_id=void)
+        monkeypatch.setattr(priors, "SOLVE_BUDGET", budget)
+        rng = np.random.default_rng(11)
+        records, maps = [], []
+        # non-void pixels of each 12x10 map, at most `cap` of them sampled
+        for k, kept in enumerate((120, 40, 40, 40, 30, 120, 120, 60, 7, 120)):
+            gt = rng.integers(0, n, size=(12, 10)).astype(np.int32)
+            gt.flat[kept:] = void
+            probs = rng.dirichlet(np.full(n, 0.5), size=(12, 10)).astype(np.float32)
+            probs /= probs.sum(axis=2, keepdims=True)
+            maps.append((LabelMap(gt), ProbabilityMap(probs)))
+            record = ManifestRecord(image_id=f"img{k}", probs_path=tmp_path / f"p{k}.segt",
+                                    gt_path=tmp_path / f"g{k}.segt", split="evaluation")
+            save_label_map(maps[-1][0], record.gt_path)
+            save_probability_map(maps[-1][1], record.probs_path)
+            records.append(record)
+        confusion = ConfusionModel(matrix=mixed_confusion(n), floor=1e-4)
+        opts = SolverOptions(max_iters=20)
+        bank = priors.build_prior_bank(Manifest(labels, tuple(records)), "unconstrained",
+                                       tmp_path / "u.segt", confusion, opts, cap, seed)
+        want, group = [], []
+        for idx, (gt, probs) in enumerate(maps):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
+            group.append(sample_set(gt, probs, labels, cap, rng))
+            if sum(map(len, group)) * n * 8 >= budget or idx == len(maps) - 1:
+                want += [p.weights for p in solve_unconstrained_prior(confusion, group, opts)]
+                group = []
+        assert len(want) == len(records)
+        np.testing.assert_array_equal(bank.weights, np.stack(want))
+
+
 class TestPriorBankPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(51)

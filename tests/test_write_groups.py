@@ -1,7 +1,7 @@
 """Grouped writes of synthesis, the chunked reads and writes of refine and
 labelbank, and the grouped solves of the unconstrained prior: memory held is
-bounded by the write, chunk or solve budget, and outputs do not depend on
-where groups or chunks close."""
+bounded by the chunk or solve budget, and outputs do not depend on where
+groups or chunks close."""
 
 import gc
 import hashlib
@@ -16,11 +16,14 @@ from conflens import (
     data,
     generate_dataset,
     identity_confusion,
+    load_label_map,
+    load_manifest,
+    load_probability_map,
     save_confusion,
 )
-from conflens import priors, synth
+from conflens import priors
 from conflens.cli import main
-from conflens.synth import _generate_image
+from conflens.synth import _generate_image, true_confusion
 from tests.conftest import mixed_confusion
 
 SIDE, CLASSES = 128, 20
@@ -106,9 +109,7 @@ class TestMemoryBound:
 
     @pytest.fixture(autouse=True)
     def two_map_budget(self, monkeypatch):
-        # raising=False so a producer without grouped writes fails the bound,
-        # not the set-up
-        monkeypatch.setattr(synth, "WRITE_BUDGET", 2 * OUTPUT_BYTES, raising=False)
+        monkeypatch.setattr(data, "CHUNK_BUDGET", 2 * OUTPUT_BYTES)
 
     def test_synthesis_peak(self, tmp_path):
         peaks = {
@@ -149,7 +150,7 @@ class TestGroupInvariance:
     def test_synthesis(self, tmp_path, monkeypatch):
         hashes = set()
         for tag, budget in self.BUDGETS.items():
-            monkeypatch.setattr(synth, "WRITE_BUDGET", budget)
+            monkeypatch.setattr(data, "CHUNK_BUDGET", budget)
             generate_dataset(self.small_spec(), tmp_path / tag)
             hashes.add(tree_hash(tmp_path / tag))
         assert len(hashes) == 1
@@ -220,3 +221,52 @@ class TestSolveGroups:
             argv = self.prior_argv(tmp_path / str(n), n)
             peaks[n] = traced_peak(lambda: main(argv))
         assert peaks[32] - peaks[8] < 24 * samples / 4, peaks
+
+
+class TestProducerPeaks:
+    """Each producer holds about one CHUNK_BUDGET of maps, whatever the
+    split's size."""
+
+    def test_synthesis_holds_one_chunk_of_maps(self, tmp_path):
+        """30 64x64 maps of 8 classes, 4.4 MB, are built and written about
+        1 MiB at a time."""
+        spec = large_spec(30, n_classes=8, height=64, width=64, region_scale=16.0,
+                          true_confusion=mixed_confusion(8))
+        image = 64 * 64 * (4 * 8 + 4)
+        generate_dataset(large_spec(1), tmp_path / "warm")  # first-call allocations
+        peak = traced_peak(lambda: generate_dataset(spec, tmp_path / "data"))
+        assert peak < 2 * data.CHUNK_BUDGET + image, peak
+
+    def test_prior_stage_holds_samples_once(self, tmp_path, monkeypatch):
+        """Each image's samples go straight into its group's evidence: above
+        what solving one group takes, the stage holds one chunk of maps and
+        about one image's samples. A stage that held the group's samples
+        again beside the evidence would hold three images' samples more."""
+        side, n_labels, n_images = 32, 4, 12
+        samples = side * side * n_labels * 8
+        chunk = 3 * side * side * (n_labels + 1) * 4
+        monkeypatch.setattr(priors, "SOLVE_BUDGET", 3 * samples)
+        monkeypatch.setattr(data, "CHUNK_BUDGET", chunk)
+        spec = large_spec(n_images, n_classes=n_labels, height=side, width=side,
+                          region_scale=10.0, true_confusion=mixed_confusion(n_labels),
+                          min_classes_per_image=2, max_classes_per_image=3)
+        generate_dataset(spec, tmp_path / "data")
+        manifest = load_manifest(tmp_path / "data" / "manifest.json")
+        labels, confusion = manifest.label_set, true_confusion(spec)
+        sets = []
+        for idx, rec in enumerate(manifest.split_records("evaluation")):
+            rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(idx,)))
+            sets.append(priors.sample_set(load_label_map(rec.gt_path, labels),
+                                          load_probability_map(rec.probs_path, labels),
+                                          labels, priors.DEFAULT_SUBSAMPLE, rng))
+        solve_peak = max(
+            traced_peak(lambda: priors.solve_unconstrained_prior(confusion, sets[g:g + 3]))
+            for g in range(0, n_images, 3))
+        del sets
+
+        def stage():
+            priors.build_prior_bank(manifest, "unconstrained", tmp_path / "p.segt", confusion)
+
+        stage()  # first-call allocations
+        peak = traced_peak(stage)
+        assert peak - solve_peak < chunk + samples, (peak, solve_peak)
