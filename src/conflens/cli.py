@@ -14,9 +14,16 @@ from pathlib import Path
 
 from .confusion import DEFAULT_FLOOR, DEFAULT_RADIUS, estimate_confusion, load_confusion
 from .data import load_manifest
-from .errors import ConflensError, UsageError
+from .errors import ConflensError, DataError, UsageError
 from .metrics import evaluate_split, render_matrix_file
-from .priors import DEFAULT_SUBSAMPLE, SolverOptions, build_prior_bank, load_prior_bank
+from .priors import (
+    DEFAULT_SUBSAMPLE,
+    PRIOR_KINDS,
+    SolverOptions,
+    build_prior_bank,
+    check_sampling,
+    load_prior_bank,
+)
 from .refine import refine_split
 from .synth import SynthSpec, generate_dataset
 
@@ -45,8 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prior", help="build a prior bank for the evaluation split")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--kind", required=True,
-                   choices=["uniform", "global", "binary", "histogram", "unconstrained"])
+    p.add_argument("--kind", required=True, choices=PRIOR_KINDS)
     p.add_argument("--confusion", default=None,
                    help="confusion .segt (required for --kind unconstrained)")
     p.add_argument("--solver-opts", default="",
@@ -98,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def cmd_confusion(args) -> int:
-    manifest = load_manifest(args.manifest, check_files=False)
+    manifest = load_manifest(args.manifest)
     if args.radius < 0:
         raise UsageError("--radius must be >= 0")
     if not 0 < args.floor < math.inf:
@@ -131,15 +137,15 @@ def _parse_solver_opts(raw: str) -> tuple[SolverOptions, int, int]:
         raise UsageError(f"bad --solver-opts value ({exc})") from exc
     if fields:
         raise UsageError(f"unknown --solver-opts keys: {sorted(fields)}")
-    if subsample < 1:
-        raise UsageError(f"--solver-opts subsample must be >= 1, got {subsample}")
-    if seed < 0:
-        raise UsageError(f"--solver-opts seed must be >= 0, got {seed}")
+    try:
+        check_sampling(subsample, seed)
+    except DataError as exc:
+        raise UsageError(f"--solver-opts {exc}") from exc
     return SolverOptions(**kwargs), subsample, seed
 
 
 def cmd_prior(args) -> int:
-    manifest = load_manifest(args.manifest, check_files=False)
+    manifest = load_manifest(args.manifest)
     model, opts, subsample, seed = None, SolverOptions(), DEFAULT_SUBSAMPLE, 0
     if args.kind == "unconstrained":
         if not args.confusion:
@@ -152,7 +158,7 @@ def cmd_prior(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    manifest = load_manifest(args.manifest, check_files=False)
+    manifest = load_manifest(args.manifest)
     model = load_confusion(args.confusion)[0] if args.confusion else None
     n = refine_split(manifest, load_prior_bank(args.priors), args.out, model)
     print(f"{args.command}: {n} images -> {Path(args.out)}")
@@ -160,7 +166,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest = load_manifest(args.manifest, check_files=False)
+    manifest = load_manifest(args.manifest)
     if args.radius < 0:
         raise UsageError("--radius must be >= 0")
     report = evaluate_split(manifest, args.pred_dir, args.out,

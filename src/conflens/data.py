@@ -258,15 +258,12 @@ def save_probability_map(probs: ProbabilityMap, path: str | Path) -> None:
     segt.store_tensor(path, probs.values)
 
 
-def load_probability_map(
-    path: str | Path,
-    labels: LabelSet | None = None,
-    tol: float = DEFAULT_SUM_TOL,
-) -> ProbabilityMap:
-    """Load and validate a probability map: dtype/rank, value range, channel
-    count when `labels` is given, and per-pixel sums at `tol`."""
+def load_probability_map(path: str | Path, labels: LabelSet | None = None) -> ProbabilityMap:
+    """Load and validate a probability map: the layout _check_layout sets
+    (its channel count when `labels` is given), the value range, and
+    per-pixel sums within DEFAULT_SUM_TOL."""
     arr = _read_map(path, PROBS, labels)
-    _check_probs(path, arr, tol)
+    _check_probs(path, arr)
     return ProbabilityMap(arr)
 
 
@@ -286,27 +283,27 @@ def load_label_map(path: str | Path, labels: LabelSet | None = None) -> LabelMap
     return LabelMap(out)
 
 
+def _check_layout(path, kind: str, dtype, shape, labels: LabelSet | None) -> None:
+    """The layout of a map file, from its header or its loaded array: a
+    PROBS map is a 3-d float32 tensor with |L| channels (when labels is
+    given), a LABELS map a 2-d uint16 tensor."""
+    want, ndim = (np.dtype(np.float32), 3) if kind == PROBS else (np.dtype(np.uint16), 2)
+    if dtype != want or len(shape) != ndim:
+        raise DataError(f"{path}: expected {ndim}-d {want.name} tensor")
+    if kind == PROBS and labels is not None and shape[2] != labels.size:
+        raise DataError(f"{path}: {shape[2]} channels, label set has {labels.size}")
+
+
 def _read_map(path, kind: str, labels: LabelSet | None) -> np.ndarray:
-    """A map file's array, with the checks its header and shape allow: a 3-d
-    float32 tensor with |L| channels (when labels is given) for PROBS, a 2-d
-    uint16 tensor for LABELS."""
+    """A map file's array, its layout checked."""
     arr = segt.load_tensor(path)
-    if kind == LABELS:
-        if arr.dtype != np.uint16 or arr.ndim != 2:
-            raise DataError(f"{path}: expected 2-d uint16 tensor")
-        return arr
-    if arr.dtype != np.float32 or arr.ndim != 3:
-        raise DataError(f"{path}: expected 3-d float32 tensor")
-    if labels is not None and arr.shape[2] != labels.size:
-        raise DataError(
-            f"{path}: {arr.shape[2]} channels, label set has {labels.size}"
-        )
+    _check_layout(path, kind, arr.dtype, arr.shape, labels)
     return arr
 
 
-def _probs_ok(values: np.ndarray, tol: float) -> bool:
+def _probs_ok(values: np.ndarray) -> bool:
     """Whether every value of a ... x W x L float32 array lies in [0, 1] and
-    every site's channels sum to 1 within tol."""
+    every site's channels sum to 1 within DEFAULT_SUM_TOL."""
     # One pass clears most maps: as unsigned integers, the float32 bit
     # patterns of [+0, 1 + 1e-6] are exactly those up to the bound's, and
     # negative values (-0.0 too), inf and NaN all lie above it. Only a map
@@ -316,19 +313,20 @@ def _probs_ok(values: np.ndarray, tol: float) -> bool:
     ):
         return False
     # the range check leaves no negative or NaN value, so skip the minimum
-    return not _sum_failures(values.reshape((-1,) + values.shape[-2:]), tol, nonnegative=True)
+    return not _sum_failures(values.reshape((-1,) + values.shape[-2:]), DEFAULT_SUM_TOL,
+                             nonnegative=True)
 
 
-def _check_probs(path, values: np.ndarray, tol: float) -> None:
+def _check_probs(path, values: np.ndarray) -> None:
     """DataError naming path unless the H x W x L map passes _probs_ok."""
-    if _probs_ok(values, tol):
+    if _probs_ok(values):
         return
     if not (values.min() >= 0.0 and values.max() <= 1.0 + 1e-6):
         raise DataError(f"{path}: values outside [0, 1] or NaN")
-    bad = _sum_failures(values, tol, nonnegative=True)
+    bad = _sum_failures(values, DEFAULT_SUM_TOL, nonnegative=True)
     (i, j), dev = bad[0]
     raise DataError(
-        f"{path}: {len(bad)} sites fail sum check at tol {tol}, "
+        f"{path}: {len(bad)} sites fail sum check at tol {DEFAULT_SUM_TOL}, "
         f"first ({i},{j}) deviates by {dev:.2e}"
     )
 
@@ -384,10 +382,10 @@ def _load_chunks(items, paths, kinds, labels: LabelSet):
             return arrays, exc
         return arrays, None
 
-    def check_files(item, arrays):
+    def check_item(item, arrays):
         for path, kind, arr in zip(paths(item), kinds, arrays):
             if kind == PROBS:
-                _check_probs(path, arr, DEFAULT_SUM_TOL)
+                _check_probs(path, arr)
             else:
                 _check_labels(path, arr.astype(np.int32), labels)
 
@@ -399,10 +397,10 @@ def _load_chunks(items, paths, kinds, labels: LabelSet):
                   for dtype, maps in zip(dtypes, zip(*(arrays for _, arrays in chunk)))]
         chunk_items = [item for item, _ in chunk]
         chunk.clear()
-        if not all(_probs_ok(s, DEFAULT_SUM_TOL) if kind == PROBS
+        if not all(_probs_ok(s) if kind == PROBS
                    else not _bad_labels(s, labels).any() for s, kind in zip(stacks, kinds)):
             for i, item in enumerate(chunk_items):
-                check_files(item, [s[i] for s in stacks])
+                check_item(item, [s[i] for s in stacks])
         return chunk_items, tuple(
             ProbabilityMap(s) if kind == PROBS else LabelMap(s) for s, kind in zip(stacks, kinds))
 
@@ -414,7 +412,7 @@ def _load_chunks(items, paths, kinds, labels: LabelSet):
             yield close(chunk)
             size = 0
         if exc is not None:
-            check_files(item, arrays)
+            check_item(item, arrays)
             raise exc
         chunk.append((item, arrays))
         size += 4 * sum(arr.size for arr in arrays)  # float32 or int32 in the stack
@@ -533,9 +531,9 @@ def _relativize(p: Path, base: Path) -> str:
         return Path(p).resolve().as_posix()
 
 
-def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
-    """Parse a manifest; with check_files, every record's tensor headers are
-    read and must agree on height/width with probs channels == |L|."""
+def load_manifest(path: str | Path) -> Manifest:
+    """Parse a manifest. No tensor file is opened: each stage checks a map
+    file where it loads it."""
     path = Path(path)
     obj = read_json(path)
     try:
@@ -556,26 +554,4 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
         )
     except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"{path}: malformed manifest ({exc})") from exc
-    manifest = Manifest(label_set=labels, records=records)
-    if check_files:
-        _check_record_files(manifest)
-    return manifest
-
-
-def _check_record_files(manifest: Manifest) -> None:
-    for rec in manifest.records:
-        p_dtype, p_dims = segt.read_header(rec.probs_path)
-        g_dtype, g_dims = segt.read_header(rec.gt_path)
-        if len(p_dims) != 3 or p_dtype != np.float32:
-            raise DataError(f"{rec.probs_path}: expected 3-d float32 tensor")
-        if len(g_dims) != 2 or g_dtype != np.uint16:
-            raise DataError(f"{rec.gt_path}: expected 2-d uint16 tensor")
-        if p_dims[:2] != g_dims:
-            raise DataError(
-                f"{rec.image_id}: probs {p_dims[:2]} and gt {g_dims} disagree"
-            )
-        if p_dims[2] != manifest.label_set.size:
-            raise DataError(
-                f"{rec.image_id}: {p_dims[2]} channels, label set has "
-                f"{manifest.label_set.size}"
-            )
+    return Manifest(label_set=labels, records=records)

@@ -37,8 +37,8 @@ class EvalReport:
 
 
 class MetricAccumulator:
-    """Mergeable per-class tallies; adds of single maps or stacks of maps
-    may run in any order."""
+    """Per-class tallies; adds of single maps or stacks of maps may run in
+    any order."""
 
     def __init__(self, labels: LabelSet):
         self.labels = labels
@@ -70,13 +70,6 @@ class MetricAccumulator:
         self.tp += hits
         self.fp += confusion.sum(axis=0) - hits
         self.fn += confusion.sum(axis=1) - hits
-
-    def merge(self, other: "MetricAccumulator") -> None:
-        self.correct += other.correct
-        self.scored += other.scored
-        self.tp += other.tp
-        self.fp += other.fp
-        self.fn += other.fn
 
     def report(self) -> EvalReport:
         if self.scored == 0:

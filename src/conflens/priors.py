@@ -606,6 +606,15 @@ def solve_unconstrained_prior(
     return priors[0] if single else priors
 
 
+def check_sampling(subsample: int, seed: int) -> None:
+    """DataError unless the unconstrained prior's sampling options are
+    integers, subsample >= 1 and seed >= 0."""
+    if not _is_json_int(subsample) or subsample < 1:
+        raise DataError(f"subsample must be an integer >= 1, got {subsample!r}")
+    if not _is_json_int(seed) or seed < 0:
+        raise DataError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
                      confusion: ConfusionModel | None = None,
                      opts: SolverOptions = SolverOptions(), subsample: int = DEFAULT_SUBSAMPLE,
@@ -615,9 +624,11 @@ def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
     it loads the maps a chunk at a time, cuts from each image up to
     `subsample` sites drawn with seed and the image's index, solves the
     images in lockstep groups that close once their samples reach
-    SOLVE_BUDGET bytes, and records its options in the sidecar."""
+    SOLVE_BUDGET bytes, and records its options in the sidecar. Bad
+    options are a DataError before any map is read."""
     if kind not in PRIOR_KINDS:
         raise DataError(f"unknown prior kind {kind!r}")
+    check_sampling(subsample, seed)
     labels = manifest.label_set
     eval_records = manifest.split_records("evaluation")
     ids = tuple(r.image_id for r in eval_records)

@@ -16,6 +16,7 @@ from .data import (
     LabelMap,
     Manifest,
     ProbabilityMap,
+    _check_layout,
     _frozen_array,
     _load_chunks,
     publish,
@@ -153,8 +154,9 @@ def refine_split(manifest: Manifest, bank: PriorBank, out: str | Path,
     `<id>_refined.segt` (refine_map, or labelbank_mask over the prior's
     support) and its argmax `<id>_pred.segt` per evaluation image in the
     directory out; returns the image count. The widths, a prior per id and
-    each map's header are checked before out is touched. The maps are then
-    read once, in chunks of equal-shape maps that are checked, transformed,
+    each map's layout (read from its header: dtype, rank and channel count)
+    are checked before out is touched. The maps are then read once, in
+    chunks of equal-shape maps whose values are checked, transformed,
     reduced to their argmax and staged together, so memory does not grow
     with the split, and a failed run publishes nothing."""
     labels = manifest.label_set
@@ -167,9 +169,7 @@ def refine_split(manifest: Manifest, bank: PriorBank, out: str | Path,
     records = manifest.split_records("evaluation")
     items = list(zip(records, bank.rows([rec.image_id for rec in records])))
     for rec in records:
-        dtype, dims = segt.read_header(rec.probs_path)
-        if dtype != np.float32 or len(dims) != 3:
-            raise DataError(f"{rec.probs_path}: expected 3-d float32 tensor")
+        _check_layout(rec.probs_path, PROBS, *segt.read_header(rec.probs_path), labels)
 
     def transform(probs, weights):
         if confusion is None:

@@ -159,7 +159,7 @@ class TestDefectInsideChunk:
         ready = tmp_path / "ready"
         run_stages(manifest, ready)
         labels = LabelSet(size=4, void_id=VOID)
-        rec = data.load_manifest(manifest, check_files=False).split_records(split)[MIDDLE]
+        rec = data.load_manifest(manifest).split_records(split)[MIDDLE]
         path = {"probs": rec.probs_path, "gt": rec.gt_path,
                 "pred": ready / "refined" / f"{rec.image_id}_pred.segt"}[file]
         values = load_tensor(path).copy()

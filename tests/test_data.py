@@ -20,6 +20,7 @@ from conflens import (
     store_tensor,
     validate_probability_map,
 )
+from conflens import segt
 from conflens.errors import DataError
 from tests.oracles import sum_check_formula
 
@@ -263,15 +264,21 @@ class TestManifest:
                 ),
             )
 
-    def test_check_files_catches_channel_mismatch(self, tmp_path):
+    def test_load_manifest_opens_no_tensor_file(self, tmp_path, monkeypatch):
         p0, g0 = self._write_pair(tmp_path, "a", channels=3)
         manifest = Manifest(
             label_set=LabelSet(size=2),
             records=(ManifestRecord("a", p0, g0, "estimation"),),
         )
         save_manifest(manifest, tmp_path / "manifest.json")
-        with pytest.raises(DataError):
-            load_manifest(tmp_path / "manifest.json")
+
+        def opened(path):
+            raise AssertionError(f"load_manifest opened {path}")
+
+        monkeypatch.setattr(segt, "read_header", opened)
+        monkeypatch.setattr(segt, "load_tensor", opened)
+        back = load_manifest(tmp_path / "manifest.json")
+        assert back.records[0].probs_path == p0.resolve()
 
     def test_immutable_arrays(self):
         lm = LabelMap(np.zeros((2, 2), dtype=np.int32))

@@ -45,7 +45,7 @@ from conflens import data, metrics, refine, segt, synth
 from conflens.cli import main
 from conflens.errors import DataError
 from conflens.metrics import MetricAccumulator
-from conflens.priors import PriorBank
+from conflens.priors import PriorBank, build_prior_bank
 from conflens.refine import RefinementMatrix
 from conflens.synth import SynthSpec, true_confusion
 from tests.conftest import mixed_confusion
@@ -244,7 +244,7 @@ class TestImageIds:
     def test_load_manifest_rejects_path_like_id(self, small_dataset, tmp_path, image_id):
         path = self.escaped_manifest(small_dataset, tmp_path, image_id)
         with pytest.raises(DataError, match="plain file name"):
-            load_manifest(path, check_files=False)
+            load_manifest(path)
 
     def test_refine_writes_nothing_outside_out(self, small_dataset, tmp_path):
         manifest = str(self.escaped_manifest(small_dataset, tmp_path, "../escaped"))
@@ -433,7 +433,7 @@ class TestStageFileChecks:
                 args += ["--pred-dir", preds]
             return args
 
-        return load_manifest(manifest, check_files=False), Path(preds), argv
+        return load_manifest(manifest), Path(preds), argv
 
     @staticmethod
     def spoil(manifest, preds, split, file, defect):
@@ -487,6 +487,40 @@ class TestStageFileChecks:
         manifest, preds, argv = data
         self.spoil(manifest, preds, split, file, defect)
         assert main(argv(stage, tmp_path / "result")) == 0
+
+
+class TestRefineHeaderPass:
+    """refine and labelbank check the layout of every evaluation map from its
+    header before they load any map."""
+
+    @pytest.mark.parametrize("command", ["refine", "labelbank"])
+    def test_channel_mismatch_exits_2_before_any_map_loads(self, small_dataset, tmp_path,
+                                                            monkeypatch, capsys, command):
+        _, _, src = small_dataset
+        shutil.copytree(src, tmp_path / "data")
+        manifest = str(tmp_path / "data" / "manifest.json")
+        conf, bank = str(tmp_path / "c.segt"), str(tmp_path / "b.segt")
+        assert main(["confusion", "--manifest", manifest, "--out", conf]) == 0
+        assert main(["prior", "--manifest", manifest, "--kind", "binary", "--out", bank]) == 0
+        parsed = load_manifest(manifest)
+        TestStageFileChecks.spoil(parsed, tmp_path, "evaluation", "probs", "channels")
+        spoilt = parsed.split_records("evaluation")[-1].probs_path
+        maps = {str(path) for r in parsed.records for path in (r.probs_path, r.gt_path)}
+        real, loaded = segt.load_tensor, []
+
+        def load(p):
+            loaded.append(str(p))
+            return real(p)
+
+        monkeypatch.setattr(segt, "load_tensor", load)
+        capsys.readouterr()
+        argv = [command, "--manifest", manifest, "--priors", bank, "--out",
+                str(tmp_path / "out")] + (["--confusion", conf] if command == "refine" else [])
+        assert main(argv) == 2
+        channels = parsed.label_set.size + 1
+        assert f"{spoilt}: {channels} channels" in capsys.readouterr().err
+        assert not maps & set(loaded)
+        assert not (tmp_path / "out").exists()
 
 
 class TestWriterCrashes:
@@ -796,6 +830,23 @@ class TestPriorValidation:
         assert len(a) == 50
         np.testing.assert_array_equal(a.gt, b.gt)
         np.testing.assert_array_equal(a.probs, b.probs)
+
+    @pytest.mark.parametrize("subsample, seed, option", [
+        (-3, 0, "subsample"), (0, 0, "subsample"), (2.5, 0, "subsample"),
+        (100, -1, "seed"), (100, 1.0, "seed"),
+    ], ids=["subsample-negative", "subsample-zero", "subsample-float", "seed-negative",
+            "seed-float"])
+    def test_build_prior_bank_rejects_bad_sampling(self, small_dataset, tmp_path, monkeypatch,
+                                                   subsample, seed, option):
+        spec, manifest, _ = small_dataset
+        loaded = []
+        monkeypatch.setattr(segt, "load_tensor", lambda path: loaded.append(path))
+        out = tmp_path / "out" / "bank.segt"
+        with pytest.raises(DataError, match=f"^{option} must be an integer"):
+            build_prior_bank(manifest, "unconstrained", out, identity_confusion(spec.label_set),
+                             subsample=subsample, seed=seed)
+        assert loaded == []
+        assert not (tmp_path / "out").exists()
 
     def test_bank_requires_known_kind(self):
         with pytest.raises(DataError):

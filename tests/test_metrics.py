@@ -108,25 +108,6 @@ class TestMeanIoU:
         assert acc == pytest.approx(base_acc)
         assert miou == pytest.approx(base_miou)
 
-    def test_accumulator_merge_equals_single_pass(self):
-        rng = np.random.default_rng(83)
-        labels = LabelSet(size=3)
-        pairs = [
-            (lm(rng.integers(0, 3, size=(6, 6))), lm(rng.integers(0, 3, size=(6, 6))))
-            for _ in range(4)
-        ]
-        single = MetricAccumulator(labels)
-        for pred, gt in pairs:
-            single.add(pred, gt)
-        merged = MetricAccumulator(labels)
-        for pred, gt in pairs:
-            part = MetricAccumulator(labels)
-            part.add(pred, gt)
-            merged.merge(part)
-        a, b = single.report(), merged.report()
-        assert a.pixel_accuracy == b.pixel_accuracy
-        assert a.mean_iou == b.mean_iou
-
 
 def three_bincount_tallies(pred, gt, labels, include=None):
     """The per-class tallies as separate bincounts over hits and misses:

@@ -1,0 +1,43 @@
+"""The names the benchmark harness (perfbench/) reads from conflens and from
+benchmarks/bench_kernels.py still exist, so deleting one fails here and not
+only in a benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import conflens
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_bench_kernels():
+    """benchmarks/bench_kernels.py loaded by path, as the harness loads it."""
+    path = ROOT / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_harness_names_exist():
+    cli = importlib.import_module("conflens.cli")  # perfbench/run.py imports it so
+    assert callable(conflens.synth.reference_spec)
+    assert callable(cli.main)
+    assert isinstance(conflens.kernels.BACKEND, str)
+    for name in ("generate_dataset", "save_confusion", "identity_confusion"):
+        assert callable(getattr(conflens, name)), name
+
+
+def test_bench_kernels_inputs_run_every_timed_kernel():
+    """make_inputs, and each kernel the harness times called as the harness
+    calls it."""
+    kernels, data = conflens.kernels, load_bench_kernels().make_inputs(16, 3)
+    loss_args = (data["matrix"], data["weights"], data["sample_gt"], data["sample_probs"], 1e-10)
+    assert kernels.border_excluded(data["labels"], 2).shape == (16, 16)
+    assert kernels.pair_counts(data["pred"], data["labels"], data["included"], 3, -1).shape == (3, 3)
+    assert kernels.apply_refinement(data["matrix"], data["probs"]).shape == (16, 16, 3)
+    assert np.isfinite(kernels.loss_value(*loss_args)).all()
+    kernels.loss_grad(*loss_args)
+    kernels.nearest_seed(16, 16, *data["seeds"])
