@@ -236,7 +236,10 @@ def _sum_failures(values: np.ndarray, tol: float, nonnegative: bool):
         dev32 = flat @ np.ones(channels, np.float32)
         dev32 -= 1
         np.abs(dev32, out=dev32)
-        candidates = np.flatnonzero(~(dev32 <= threshold))
+        cleared = dev32 <= threshold
+        if cleared.all():
+            return []
+        candidates = np.flatnonzero(~cleared)
         dev = np.abs(flat[candidates].sum(axis=-1, dtype=np.float64) - 1.0)
     bad = ~(dev <= tol)
     rows, cols = np.divmod(candidates[bad], width)
@@ -347,6 +350,14 @@ def _check_labels(path, values: np.ndarray, labels: LabelSet) -> None:
         raise DataError(f"{path}: label {values[bad].flat[0]} outside the label set")
 
 
+def _check_same_size(path, values: np.ndarray, first_path, first: np.ndarray) -> None:
+    """DataError unless the map at path has the height and width of the
+    first map of its item, at first_path."""
+    (h, w), (h0, w0) = values.shape[:2], first.shape[:2]
+    if (h, w) != (h0, w0):
+        raise DataError(f"{path}: {h}x{w} map, {first_path} is {h0}x{w0}")
+
+
 # ---------------------------------------------------------------------------
 # chunked loading
 # ---------------------------------------------------------------------------
@@ -375,9 +386,7 @@ def _load_chunks(items, paths, kinds, labels: LabelSet):
             for path, kind in zip(paths(item), kinds):
                 arrays.append(_read_map(path, kind, labels))
                 arrays[-1].flags.writeable = False  # so a stack of one is a frozen view
-                (h, w), (h0, w0) = arrays[-1].shape[:2], arrays[0].shape[:2]
-                if (h, w) != (h0, w0):
-                    raise DataError(f"{path}: {h}x{w} map, {paths(item)[0]} is {h0}x{w0}")
+                _check_same_size(path, arrays[-1], paths(item)[0], arrays[0])
         except Exception as exc:  # raised after the checks of the files before it
             return arrays, exc
         return arrays, None

@@ -150,6 +150,30 @@ def _flat_labels(gt, weights):
     return gt + n_labels * np.arange(weights.size // n_labels).reshape(weights.shape[:-1] + (1,))
 
 
+def _refined(weights, labels, s):
+    """The refined ground-truth probabilities weights[gt] * s, from the flat
+    labels of _flat_labels, in a new (..., N) buffer that the caller may
+    overwrite."""
+    refined = weights.take(labels)
+    refined *= s
+    return refined
+
+
+def _clamped_loss(refined, eps):
+    """-sum(log(max(refined, eps))) over the last axis, computed in
+    refined's buffer; a float for one image."""
+    np.maximum(refined, eps, out=refined)
+    np.log(refined, out=refined)
+    loss = -refined.sum(axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
+
+
+def _inverse_live(s, live, out):
+    """1 / s where live, else 0, written into out, a buffer shaped like s."""
+    out.fill(0.0)
+    return np.divide(1.0, s, out=out, where=live)
+
+
 def loss_value(matrix, weights, gt, evidence, eps, scores=None):
     """Negative log-loss of refined ground-truth probabilities.
 
@@ -161,9 +185,7 @@ def loss_value(matrix, weights, gt, evidence, eps, scores=None):
     receives s. Stacked images give an array of losses, one per prior.
     """
     _, s = _scores(matrix, weights, evidence, scores)
-    refined = weights.take(_flat_labels(gt, weights)) * s
-    loss = -np.log(np.maximum(refined, eps)).sum(axis=-1)
-    return float(loss) if loss.ndim == 0 else loss
+    return _clamped_loss(_refined(weights, _flat_labels(gt, weights), s), eps)
 
 
 def loss_grad(matrix, weights, gt, evidence, eps, scores=None):
@@ -173,15 +195,16 @@ def loss_grad(matrix, weights, gt, evidence, eps, scores=None):
     by loss_value, and is not recomputed."""
     m, s = _scores(matrix, weights, evidence) if scores is None else (weights @ matrix.T, scores)
     labels = _flat_labels(gt, weights)
-    refined = weights.take(labels) * s
-    loss = -np.log(np.maximum(refined, eps)).sum(axis=-1)
+    refined = _refined(weights, labels, s)
     live = refined > eps
     counts = np.bincount(labels[live], minlength=weights.size).reshape(weights.shape)
+    del labels
+    loss = _clamped_loss(refined, eps)
     direct = counts / np.maximum(weights, 1e-300)
-    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=live)
+    inv_s = _inverse_live(s, live, refined)
     v = np.matmul(inv_s[..., None, :], evidence)[..., 0, :] / (m * m)
     grad = -direct + v @ matrix
-    return (float(loss) if loss.ndim == 0 else loss), grad
+    return loss, grad
 
 
 # Elements of the scaled evidence A^T / s that loss_hessian forms at a
@@ -211,10 +234,12 @@ def loss_hessian(matrix, weights, gt, evidence, eps, scores=None):
     n_labels = weights.shape[-1]
     m, s = _scores(matrix, weights, evidence) if scores is None else (weights @ matrix.T, scores)
     labels = _flat_labels(gt, weights)
-    live = weights.take(labels) * s > eps
+    refined = _refined(weights, labels, s)
+    live = refined > eps
     counts = np.bincount(labels[live], minlength=weights.size).reshape(weights.shape)
+    del labels
     direct = np.divide(counts, weights * weights, out=np.zeros(weights.shape), where=weights > 0)
-    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=live)
+    inv_s = _inverse_live(s, live, refined)
     inv_m2 = 1.0 / (m * m)
     p = matrix.T * inv_m2[:, None, :]
     v = np.matmul(inv_s[:, None, :], evidence)[:, 0, :] * inv_m2

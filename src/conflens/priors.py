@@ -21,8 +21,10 @@ from .data import (
     _frozen_array,
     _is_json_int,
     LABELS,
-    PROBS,
+    _check_same_size,
     _load_chunks,
+    load_label_map,
+    load_probability_map,
     load_with_sidecar,
     store_with_sidecar,
 )
@@ -184,12 +186,16 @@ def uniform_prior(labels: LabelSet) -> Prior:
 
 def _label_counts(gt: LabelMap, labels: LabelSet) -> np.ndarray:
     """Non-void pixels per label, float64: (L,) for one map, (B, L) for a
-    stack of B maps, counted by one bincount with each map's labels offset
-    by L times its index."""
-    stack = gt.labels.reshape((-1,) + gt.labels.shape[-2:])
-    valid = stack != labels.void_sentinel
-    offsets = labels.size * np.arange(len(stack), dtype=np.int32)[:, None, None]
-    counts = np.bincount((stack + offsets)[valid], minlength=len(stack) * labels.size)
+    stack of B maps. Counted over kernels._pixel_blocks, by one bincount per
+    block with each map's labels offset by L times its place in the block,
+    so no temporary is larger than a block."""
+    flat = gt.labels.reshape(-1, gt.labels.shape[-2] * gt.labels.shape[-1])
+    counts = np.zeros((len(flat), labels.size), dtype=np.int64)
+    for images, pixels in kernels._pixel_blocks(*flat.shape):
+        block = flat[images, pixels]
+        offsets = labels.size * np.arange(len(block), dtype=block.dtype)[:, None]
+        valid = (block + offsets)[block != labels.void_sentinel]
+        counts[images] += np.bincount(valid, minlength=counts[images].size).reshape(-1, labels.size)
     return counts.reshape(gt.labels.shape[:-2] + (labels.size,)).astype(np.float64)
 
 
@@ -253,13 +259,13 @@ def sample_set(gt: LabelMap, probs: ProbabilityMap, labels: LabelSet,
 
 
 def _sites(flat_labels: np.ndarray, labels: LabelSet, max_samples: int | None,
-           rng: np.random.Generator | None) -> np.ndarray:
+           rng: np.random.Generator | np.random.SeedSequence | None) -> np.ndarray:
     """Ascending flat indices of the non-void pixels of a map, subsampled
-    without replacement to max_samples."""
+    without replacement to max_samples. rng is a Generator or the seed of
+    one, made only when there are more sites than max_samples."""
     idx = np.flatnonzero(flat_labels != labels.void_sentinel)
     if max_samples is not None and idx.size > max_samples:
-        if rng is None:
-            rng = np.random.default_rng(0)
+        rng = np.random.default_rng(0 if rng is None else rng)
         idx = np.sort(rng.choice(idx, size=max_samples, replace=False))
     return idx
 
@@ -363,23 +369,36 @@ def _newton_directions(w, grad, hess):
     return direction, found
 
 
+# Bytes of rows that _partition copies at a time, loss_hessian's block.
+_SWAP_BUDGET = 8 * kernels.HESSIAN_BLOCK
+
+
 def _partition(keep, *arrays):
     """Reorder the rows of each array in place, by swaps, so that the rows
     where keep is True come first; returns the new order as indices of the
-    old rows. The other rows keep their data, behind them."""
+    old rows. The other rows keep their data, behind them.
+
+    The rows before the count of keep where it is False, ascending, swap
+    with the rows behind them where it is True, descending. Blocks of pairs
+    swap at once as long as their copies stay within _SWAP_BUDGET bytes;
+    where two rows are larger than that, a pair swaps through a copy of one
+    row."""
+    k = int(np.count_nonzero(keep))
+    front, back = (~keep[:k]).nonzero()[0], k + keep[k:].nonzero()[0][::-1]
+    rows, swapped = np.empty((2, 2 * front.size), dtype=np.intp)
+    rows[0::2] = swapped[1::2] = front
+    rows[1::2] = swapped[0::2] = back
+    for arr in arrays:
+        step = _SWAP_BUDGET // arr[0].nbytes // 2 * 2 if front.size else 0
+        if not step:
+            for i, j in zip(front.tolist(), back.tolist()):
+                arr[i], arr[j] = arr[j], arr[i].copy()
+            continue
+        for start in range(0, rows.size, step):
+            arr[rows[start:start + step]] = arr[swapped[start:start + step]]
     order = np.arange(keep.size)
-    keep = keep.copy()
-    front, back = 0, keep.size - 1
-    while True:
-        while front < back and keep[front]:
-            front += 1
-        while front < back and not keep[back]:
-            back -= 1
-        if front >= back:
-            return order
-        pair, swapped = [front, back], [back, front]
-        for arr in (keep, order, *arrays):
-            arr[pair] = arr[swapped]
+    order[rows] = swapped
+    return order
 
 
 def _first_decrease(matrix, gt, evidence, floor, w, loss, direction, t, t_min, pending,
@@ -389,36 +408,40 @@ def _first_decrease(matrix, gt, evidence, floor, w, loss, direction, t, t_min, p
     to the first strict decrease of the row's loss. A row that finds one
     gets the candidate in cand, its loss in loss and its s in scores (which
     loss_grad reuses); t keeps each row's last t tried. Returns the mask of
-    rows that found one.
+    rows that found one, and the new order of the rows of gt, evidence,
+    floor and scores as indices of their rows at the call, or None where
+    none moved; the other arrays keep the call's order.
 
     While more than half the rows search, every row is tried where it lies
-    and only the searching ones count; after that, the searching rows'
-    arrays are copied once each time one of them leaves the search. With P
-    rows tried, each call tries max(1, _TRIES // P) successive halvings of
+    and only the searching ones count; after that, _partition moves the
+    searching rows of gt, evidence, floor and scores to the front, in
+    place, and they are tried there, so no row is copied whole. With P rows
+    tried, each call tries max(1, _TRIES // P) successive halvings of
     every row at once, and a row takes the first that decreases: a lone
     row's loss costs little more than the call, so its next tries come
     almost free."""
-    found = np.zeros(w.shape[0], dtype=bool)
+    n = w.shape[0]
+    found, layout = np.zeros(n, dtype=bool), None
+    # positions in gt, evidence, floor and scores: the rows' own until one moves
     pending = pending[t[pending] >= t_min]
     while pending.size:
-        if 2 * pending.size > w.shape[0]:
-            tried_rows = np.arange(w.shape[0])
+        searching = np.zeros(n, dtype=bool)
+        searching[pending] = True
+        if 2 * pending.size > n:  # so no row has moved yet
+            rows = np.arange(n)
             sub_gt, sub_evidence, sub_floor = gt, evidence, floor
             sub_w, sub_dir, sub_loss = w, direction, loss
-            searching = np.zeros(w.shape[0], dtype=bool)
-            searching[pending] = True
         else:
-            tried_rows = pending
-            sub_gt, sub_floor = gt[pending], floor[pending]
-            # evidence[pending], kept label-major
-            sub_evidence = np.swapaxes(np.swapaxes(evidence, 1, 2)[pending], 1, 2)
-            sub_w, sub_dir, sub_loss = w[pending], direction[pending], loss[pending]
-            searching = np.ones(pending.size, dtype=bool)
-        tries = max(1, _TRIES // tried_rows.size)
-        direct = tries == 1 and pending.size == w.shape[0]  # s lands in scores
-        out = scores[:, None] if direct else np.empty((tried_rows.size, tries, gt.shape[1]))
+            moved = _partition(searching, gt, evidence, floor, scores)
+            layout = moved if layout is None else layout[moved]
+            rows, searching = layout[:pending.size], np.ones(pending.size, dtype=bool)
+            sub_gt, sub_evidence, sub_floor = (arr[:rows.size] for arr in (gt, evidence, floor))
+            sub_w, sub_dir, sub_loss = w[rows], direction[rows], loss[rows]
+        tries = max(1, _TRIES // rows.size)
+        direct = tries == 1 and pending.size == n  # s lands in scores
+        out = scores[:, None] if direct else np.empty((rows.size, tries, gt.shape[1]))
         halvings = 0.5 ** np.arange(tries)
-        sub_t = t[tried_rows]
+        sub_t = t[rows]
         while True:
             tried = sub_t[:, None] * halvings
             trial = project_to_simplex(sub_w[:, None] + tried[..., None] * sub_dir[:, None])
@@ -433,16 +456,16 @@ def _first_decrease(matrix, gt, evidence, floor, w, loss, direction, t, t_min, p
         hit = better.any(axis=1)
         if hit.any():
             first = better.argmax(axis=1)
-            pick = (hit.nonzero()[0], first[hit])
-            won = tried_rows[hit]
+            pick = (hit.nonzero()[0], first[hit])  # the tried rows lie at [0, P)
+            won = rows[hit]
             cand[won], loss[won], found[won] = trial[pick], trial_loss[pick], True
             if not direct:
-                scores[won] = out[pick]
-            sub_t = np.where(hit, tried[np.arange(tried_rows.size), first], tried[:, -1] * 0.5)
-        t[tried_rows[searching]] = sub_t[searching]
-        lost = tried_rows[searching & ~hit]
-        pending = lost[t[lost] >= t_min]
-    return found
+                scores[pick[0]] = out[pick]
+            sub_t = np.where(hit, tried[np.arange(rows.size), first], tried[:, -1] * 0.5)
+        t[rows[searching]] = sub_t[searching]
+        lost = (searching & ~hit).nonzero()[0]
+        pending = lost[t[rows[lost]] >= t_min]
+    return found, layout
 
 
 def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
@@ -459,7 +482,8 @@ def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
     A stopped image leaves the group: _partition moves the rows of gt,
     evidence and floor of the running images to the front, in place, and
     the rest of the descent works on that prefix, so nothing is copied.
-    Returns the end weights (B, L), their losses (B,) and each image's
+    The line search moves rows the same way, and the descent's own row
+    arrays follow. Returns the end weights (B, L), their losses (B,) and each image's
     Newton iterations (B,), in the input row order, and the row order it
     leaves behind: row i of the arrays then holds input row order[i].
     """
@@ -470,6 +494,15 @@ def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
     loss, grad = kernels.loss_grad(matrix, w, gt, evidence, floor)
     scores = np.empty(gt.shape)
     known = None
+
+    def follow(moved, *extra):
+        """Reorder the rows of the descent's arrays as _first_decrease
+        reordered those of the group's; returns the extra row arrays
+        reordered."""
+        nonlocal w, loss, grad, step
+        order[:moved.size] = order[:moved.size][moved]
+        w, loss, grad, step = w[moved], loss[moved], grad[moved], step[moved]
+        return [arr[moved] for arr in extra]
 
     def leave(stop, *extra):
         """Drop the stopped rows; returns the extra row arrays of the
@@ -490,11 +523,16 @@ def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
         direction, newton = _newton_directions(w, grad, hess)
         cand, cand_loss = w.copy(), loss.copy()
         t = np.ones(w.shape[0])
-        accepted = _first_decrease(matrix, gt, evidence, floor, w, cand_loss, direction, t,
-                                   _NEWTON_MIN_STEP, newton.nonzero()[0], cand, scores)
+        accepted, moved = _first_decrease(matrix, gt, evidence, floor, w, cand_loss, direction,
+                                          t, _NEWTON_MIN_STEP, newton.nonzero()[0], cand, scores)
+        if moved is not None:
+            cand, cand_loss, accepted = follow(moved, cand, cand_loss, accepted)
         fallback = (~accepted).nonzero()[0]
-        by_gradient = _first_decrease(matrix, gt, evidence, floor, w, cand_loss, -grad, step,
-                                      opts.step_tolerance, fallback, cand, scores)
+        by_gradient, moved = _first_decrease(matrix, gt, evidence, floor, w, cand_loss, -grad,
+                                             step, opts.step_tolerance, fallback, cand, scores)
+        if moved is not None:
+            cand, cand_loss, accepted, by_gradient = follow(moved, cand, cand_loss, accepted,
+                                                            by_gradient)
         step[by_gradient] *= 2.0
         accepted |= by_gradient
         drop = loss - cand_loss
@@ -621,7 +659,7 @@ def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
                      seed: int = 0) -> PriorBank:
     """The prior stage: publish a bank of one `kind` prior per evaluation
     image at out, and return it. The unconstrained kind needs `confusion`;
-    it loads the maps a chunk at a time, cuts from each image up to
+    it loads one image's maps at a time, cuts from each image up to
     `subsample` sites drawn with seed and the image's index, solves the
     images in lockstep groups that close once their samples reach
     SOLVE_BUDGET bytes, and records its options in the sidecar. Bad
@@ -648,30 +686,30 @@ def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
             raise DataError(f"confusion has {confusion.n_labels} labels, manifest {labels.size}")
 
         rows, group, size = [], _SolveGroup(confusion.matrix), 0
-        for chunk, (gt, probs) in _load_chunks(
-                list(enumerate(eval_records)), lambda item: (item[1].gt_path, item[1].probs_path),
-                (LABELS, PROBS), labels):
-            flat_gt = gt.labels.reshape(len(chunk), -1)
-            flat_probs = probs.values.reshape(len(chunk), -1, labels.size)
-            for i, (idx, rec) in enumerate(chunk):
-                # fit on every annotated, classified site of the image; the
-                # evaluation scores all pixels, so masked fitting skews the
-                # solved weights off the image's true composition
-                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-                sites = _sites(flat_gt[i], labels, subsample, rng)
-                if not sites.size:
-                    raise DataError(f"{rec.image_id}: no usable solver samples")
-                # rows for as many padded images as the budget has room for
-                padded = 8 * labels.size * max(sites.size, group.gt.shape[1])
-                fits = min(-(-(SOLVE_BUDGET - size) // padded), len(ids) - idx)
-                group.add(flat_gt[i, sites], flat_probs[i, sites], len(group.counts) + fits)
-                size += 8 * labels.size * sites.size
-                # a group closes where its samples reach the budget, not at
-                # a chunk's end: where groups close decides the bank's bytes
-                if size >= SOLVE_BUDGET or idx == len(ids) - 1:
-                    rows += [p.weights for p in solve_unconstrained_prior(confusion, group, opts)]
-                    group, size = _SolveGroup(confusion.matrix), 0
-            del gt, probs, flat_gt, flat_probs  # free the chunk before the next one loads
+        for idx, rec in enumerate(eval_records):
+            gt = load_label_map(rec.gt_path, labels).labels
+            probs = load_probability_map(rec.probs_path, labels).values
+            _check_same_size(rec.probs_path, probs, rec.gt_path, gt)
+            flat_gt = gt.ravel()
+            # fit on every annotated, classified site of the image; the
+            # evaluation scores all pixels, so masked fitting skews the
+            # solved weights off the image's true composition
+            sites = _sites(flat_gt, labels, subsample,
+                           np.random.SeedSequence(seed, spawn_key=(idx,)))
+            if not sites.size:
+                raise DataError(f"{rec.image_id}: no usable solver samples")
+            # rows for as many padded images as the budget has room for
+            padded = 8 * labels.size * max(sites.size, group.gt.shape[1])
+            fits = min(-(-(SOLVE_BUDGET - size) // padded), len(ids) - idx)
+            group.add(flat_gt[sites], probs.reshape(-1, labels.size)[sites],
+                      len(group.counts) + fits)
+            del gt, probs, flat_gt  # the image's maps go before its group is solved
+            size += 8 * labels.size * sites.size
+            # a group closes where its samples reach the budget: where
+            # groups close decides the bank's bytes
+            if size >= SOLVE_BUDGET or idx == len(ids) - 1:
+                rows += [p.weights for p in solve_unconstrained_prior(confusion, group, opts)]
+                group, size = _SolveGroup(confusion.matrix), 0
         weights = np.stack(rows)
         solver_meta = {**asdict(opts), "subsample": subsample, "seed": seed}
 

@@ -36,6 +36,11 @@ from .errors import DataError
 
 SPEC_FILENAME = "synthspec.json"
 MANIFEST_FILENAME = "manifest.json"
+# Bytes of one image's float32 probabilities and its three per-pixel 8-byte
+# draws (hard-label uniforms, corruption coin, replacement labels), all held
+# while it is built; a spec whose maps pass this is refused before anything
+# is allocated. A 512x512 map of 20 classes takes 27 MB.
+MAX_IMAGE_BYTES = 1 << 31
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -101,6 +106,13 @@ class SynthSpec:
             raise DataError("need >= 2 classes")
         if min(self.height, self.width) < 1:
             raise DataError("image size must be positive")
+        image_bytes = self.height * self.width * (4 * self.n_classes + 3 * 8)
+        if image_bytes > MAX_IMAGE_BYTES:
+            raise DataError(f"a {self.height}x{self.width} map of {self.n_classes} classes "
+                            f"takes {image_bytes} bytes to build, over the "
+                            f"{MAX_IMAGE_BYTES}-byte cap")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.n_estimation < 0 or self.n_evaluation < 0:
             raise DataError("split sizes must be >= 0")
         # a scale below 1 asks for more Voronoi seeds than pixels, and the

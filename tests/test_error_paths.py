@@ -1007,9 +1007,20 @@ class TestSynthValidation:
             dict(border_noise=1.5),
             dict(eval_confusion_drift=1.0),
             dict(height=0),
+            dict(seed=-1),
         ):
             with pytest.raises(DataError):
                 SynthSpec(**self.base(**bad))
+
+    def test_map_size_cap(self):
+        """A map too large to build is refused when the spec is built, before
+        anything is allocated; the largest maps the tests and the benchmark
+        build stay valid. Only specs are built here, never datasets."""
+        SynthSpec(**self.base(n_classes=20, height=512, width=512,
+                              true_confusion=mixed_confusion(20)))
+        for height, width in ((1 << 15, 1 << 15), (1, 1 << 26)):
+            with pytest.raises(DataError, match="cap"):
+                SynthSpec(**self.base(height=height, width=width))
 
     def test_non_finite_fields(self):
         nan_matrix = mixed_confusion(3)
@@ -1062,6 +1073,16 @@ class TestSynthValidation:
         out = tmp_path / "data"
         assert main(["synth", "--spec", str(spec_path), "--out-dir", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_synth_rejects_negative_seed(self, tmp_path, capsys):
+        obj = SynthSpec(**self.base()).to_dict()
+        obj["seed"] = -1
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(obj))
+        out = tmp_path / "data"
+        assert main(["synth", "--spec", str(spec_path), "--out-dir", str(out)]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("route", ["constructor", "from_dict", "cli"])

@@ -3,6 +3,7 @@ benchmarks/bench_kernels.py still exist, so deleting one fails here and not
 only in a benchmark run."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -41,3 +42,18 @@ def test_bench_kernels_inputs_run_every_timed_kernel():
     assert np.isfinite(kernels.loss_value(*loss_args)).all()
     kernels.loss_grad(*loss_args)
     kernels.nearest_seed(16, 16, *data["seeds"])
+
+
+def test_hooked_parameters_keep_their_positions():
+    """perfbench/layers.py HOOKS read these arguments by position, so a
+    parameter added before them would make `--trace 1` measure the wrong
+    array."""
+    positions = {
+        conflens.kernels.loss_value: {"gt": 2, "evidence": 3},
+        conflens.kernels.loss_grad: {"gt": 2, "evidence": 3},
+        conflens.kernels.apply_refinement: {"probs": 1},
+        conflens.segt.store_tensor: {"tensor": 1},
+    }
+    for fn, want in positions.items():
+        names = list(inspect.signature(fn).parameters)
+        assert {name: names.index(name) for name in want} == want, fn.__name__
