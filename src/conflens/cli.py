@@ -55,9 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=PRIOR_KINDS)
     p.add_argument("--confusion", default=None,
                    help="confusion .segt (required for --kind unconstrained)")
-    p.add_argument("--solver-opts", default="",
+    p.add_argument("--solver-opts", default=None,
                    help="comma list k=v: max_iters, step_tolerance, loss_tolerance, "
-                        "init, subsample, seed")
+                        "init, subsample, seed (--kind unconstrained only)")
     p.add_argument("--out", required=True, help="output .segt path (sidecar .json alongside)")
     p.set_defaults(func=cmd_prior)
 
@@ -145,12 +145,14 @@ def _parse_solver_opts(raw: str) -> tuple[SolverOptions, int, int]:
 
 
 def cmd_prior(args) -> int:
+    if args.kind != "unconstrained" and (args.confusion, args.solver_opts) != (None, None):
+        raise UsageError(f"--kind {args.kind} takes neither --confusion nor --solver-opts")
     manifest = load_manifest(args.manifest)
     model, opts, subsample, seed = None, SolverOptions(), DEFAULT_SUBSAMPLE, 0
     if args.kind == "unconstrained":
         if not args.confusion:
             raise UsageError("--kind unconstrained requires --confusion")
-        opts, subsample, seed = _parse_solver_opts(args.solver_opts)
+        opts, subsample, seed = _parse_solver_opts(args.solver_opts or "")
         model, _ = load_confusion(args.confusion)
     bank = build_prior_bank(manifest, args.kind, args.out, model, opts, subsample, seed)
     print(f"prior[{args.kind}]: {len(bank.ids)} images -> {args.out}")

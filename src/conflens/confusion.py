@@ -16,6 +16,7 @@ from .data import (
     LabelMap,
     LabelSet,
     Manifest,
+    SUM_TOL,
     _bad_labels,
     _frozen_array,
     _load_chunks,
@@ -27,7 +28,6 @@ from .refine import argmax_labels
 
 DEFAULT_FLOOR = 1e-4
 DEFAULT_RADIUS = 2
-COLUMN_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,12 @@ class ConfusionModel:
 
     def __post_init__(self):
         arr = _frozen_array(self.matrix, np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DataError(f"confusion matrix must be square, got {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
+            raise DataError(f"confusion matrix must be square with >= 2 labels, got {arr.shape}")
         if not (arr >= 0).all():
             raise DataError("confusion entries must be >= 0, not NaN")
         colsums = arr.sum(axis=0)
-        if np.abs(colsums - 1.0).max() > COLUMN_SUM_TOL:
+        if np.abs(colsums - 1.0).max() > SUM_TOL:
             worst = int(np.abs(colsums - 1.0).argmax())
             raise DataError(
                 f"column {worst} sums to {colsums[worst]:.12f}, not 1"

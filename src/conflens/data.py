@@ -20,6 +20,9 @@ from .errors import DataError
 SPLITS = ("estimation", "evaluation")
 
 DEFAULT_SUM_TOL = 1e-4
+# How far from 1 the sum of a float64 distribution may be: a confusion or
+# refinement column, or a prior.
+SUM_TOL = 1e-9
 # bit pattern of the largest float32 value load_probability_map accepts
 _RANGE_BITS = np.float32(1.0 + 1e-6).view(np.uint32)
 

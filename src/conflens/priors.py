@@ -18,6 +18,7 @@ from .data import (
     LabelSet,
     Manifest,
     ProbabilityMap,
+    SUM_TOL,
     _frozen_array,
     _is_json_int,
     LABELS,
@@ -30,7 +31,6 @@ from .data import (
 )
 from .errors import DataError
 
-SUM_TOL = 1e-9
 EPSILON = 1e-10
 _NEWTON_MIN_STEP = 1e-6
 _ZERO_WEIGHT = 1e-12
@@ -333,7 +333,7 @@ def _newton_directions(w, grad, hess):
     A row's free labels are the support of w plus the zero weights whose
     gradient is below the support's mean, where moving mass in lowers the
     loss; the rest stay fixed. Weights up to _ZERO_WEIGHT count as zero:
-    the simplex projection leaves rounding-level mass on labels a step did
+    the simplex projection keeps rounding-level mass on labels a step did
     not move, and freeing those would let their gradient, far above the
     mean, swamp the direction. The Hessian is restricted to the sum-zero
     subspace of the free labels. The loss is not convex, so each eigenvalue
@@ -401,71 +401,65 @@ def _partition(keep, *arrays):
     return order
 
 
-def _first_decrease(matrix, gt, evidence, floor, w, loss, direction, t, t_min, pending,
-                    cand, scores):
-    """Backtrack project_to_simplex(w + t * direction) for each row in
-    `pending`, halving the row's t from its value in `t` while t >= t_min,
-    to the first strict decrease of the row's loss. A row that finds one
-    gets the candidate in cand, its loss in loss and its s in scores (which
-    loss_grad reuses); t keeps each row's last t tried. Returns the mask of
-    rows that found one, and the new order of the rows of gt, evidence,
-    floor and scores as indices of their rows at the call, or None where
-    none moved; the other arrays keep the call's order.
+def _first_decrease(matrix, group, w, loss, direction, t, t_min, searching, cand, carried):
+    """Backtrack project_to_simplex(w + t * direction) for each row where
+    `searching` is True, halving the row's t from its value in `t` while
+    t >= t_min, to the first strict decrease of the row's loss. A row that
+    finds one gets the candidate in cand, its loss in loss and its s in the
+    scores of `group` (gt, evidence, floor, scores), which loss_grad
+    reuses; t keeps each row's last t tried. Returns the mask of rows that
+    found one.
 
     While more than half the rows search, every row is tried where it lies
-    and only the searching ones count; after that, _partition moves the
-    searching rows of gt, evidence, floor and scores to the front, in
-    place, and they are tried there, so no row is copied whole. With P rows
-    tried, each call tries max(1, _TRIES // P) successive halvings of
+    and only the searching ones count. After that, _partition moves the
+    searching rows to the front, in place, of every array given: the
+    group's, this search's own and `carried`, the caller's other arrays
+    with one row per image, none of them memory that another array given
+    holds, since a second swap of the same rows would undo the first. They
+    are tried there as a prefix, so no row is copied out and row i of every
+    array still describes one image. With P
+    rows tried, each call tries max(1, _TRIES // P) successive halvings of
     every row at once, and a row takes the first that decreases: a lone
     row's loss costs little more than the call, so its next tries come
     almost free."""
     n = w.shape[0]
-    found, layout = np.zeros(n, dtype=bool), None
-    # positions in gt, evidence, floor and scores: the rows' own until one moves
-    pending = pending[t[pending] >= t_min]
-    while pending.size:
-        searching = np.zeros(n, dtype=bool)
-        searching[pending] = True
-        if 2 * pending.size > n:  # so no row has moved yet
-            rows = np.arange(n)
-            sub_gt, sub_evidence, sub_floor = gt, evidence, floor
-            sub_w, sub_dir, sub_loss = w, direction, loss
-        else:
-            moved = _partition(searching, gt, evidence, floor, scores)
-            layout = moved if layout is None else layout[moved]
-            rows, searching = layout[:pending.size], np.ones(pending.size, dtype=bool)
-            sub_gt, sub_evidence, sub_floor = (arr[:rows.size] for arr in (gt, evidence, floor))
-            sub_w, sub_dir, sub_loss = w[rows], direction[rows], loss[rows]
-        tries = max(1, _TRIES // rows.size)
-        direct = tries == 1 and pending.size == n  # s lands in scores
-        out = scores[:, None] if direct else np.empty((rows.size, tries, gt.shape[1]))
+    gt, evidence, floor, scores = group
+    found = np.zeros(n, dtype=bool)
+    searching = searching & (t >= t_min)
+    while p := int(np.count_nonzero(searching)):
+        m = n  # rows tried: all of them, or the searching prefix
+        if 2 * p <= n:
+            _partition(searching, *group, w, loss, direction, t, cand, found, *carried)
+            m, searching = p, np.arange(n) < p
+        mask = searching[:m]
+        tries = max(1, _TRIES // m)
+        direct = tries == 1 and p == n  # s lands in scores
+        out = scores[:, None] if direct else np.empty((m, tries, gt.shape[1]))
         halvings = 0.5 ** np.arange(tries)
-        sub_t = t[rows]
+        sub_t = t[:m]
         while True:
             tried = sub_t[:, None] * halvings
-            trial = project_to_simplex(sub_w[:, None] + tried[..., None] * sub_dir[:, None])
-            trial_loss = kernels.loss_value(matrix, trial, sub_gt[:, None],
-                                            sub_evidence[:, None], sub_floor[:, None], out)
-            better = (trial_loss < sub_loss[:, None]) & (tried >= t_min) & searching[:, None]
+            trial = project_to_simplex(w[:m, None] + tried[..., None] * direction[:m, None])
+            trial_loss = kernels.loss_value(matrix, trial, gt[:m, None], evidence[:m, None],
+                                            floor[:m, None], out)
+            better = (trial_loss < loss[:m, None]) & (tried >= t_min) & mask[:, None]
             if better.any():
                 break
             sub_t = tried[:, -1] * 0.5
-            if not (sub_t[searching] >= t_min).all():
+            if not (sub_t[mask] >= t_min).all():
                 break
         hit = better.any(axis=1)
         if hit.any():
             first = better.argmax(axis=1)
-            pick = (hit.nonzero()[0], first[hit])  # the tried rows lie at [0, P)
-            won = rows[hit]
+            won = hit.nonzero()[0]
+            pick = (won, first[won])
             cand[won], loss[won], found[won] = trial[pick], trial_loss[pick], True
             if not direct:
-                scores[pick[0]] = out[pick]
-            sub_t = np.where(hit, tried[np.arange(rows.size), first], tried[:, -1] * 0.5)
-        t[rows[searching]] = sub_t[searching]
-        lost = (searching & ~hit).nonzero()[0]
-        pending = lost[t[rows[lost]] >= t_min]
-    return found, layout
+                scores[won] = out[pick]
+            sub_t = np.where(hit, tried[np.arange(m), first], tried[:, -1] * 0.5)
+        t[:m][mask] = sub_t[mask]
+        searching[:m] = mask & ~hit & (t[:m] >= t_min)
+    return found
 
 
 def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
@@ -479,78 +473,59 @@ def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
     gradient step. An image stops when no step decreases its loss, when the
     decrease falls below loss_tolerance, or after max_iters iterations.
 
-    A stopped image leaves the group: _partition moves the rows of gt,
-    evidence and floor of the running images to the front, in place, and
-    the rest of the descent works on that prefix, so nothing is copied.
-    The line search moves rows the same way, and the descent's own row
-    arrays follow. Returns the end weights (B, L), their losses (B,) and each image's
-    Newton iterations (B,), in the input row order, and the row order it
-    leaves behind: row i of the arrays then holds input row order[i].
+    Row i of each array the descent works on describes one image: gt,
+    evidence and floor, and the image's weights, loss, gradient, step
+    length, input row and iterations. The running images are the first k
+    rows of every array. Where images stop, or a line search sets its
+    searching images apart, _partition reorders all the arrays in place by
+    the same swaps, so nothing is copied. A stopped image stays behind the
+    prefix with its final weights, loss and iterations. Returns the end
+    weights (B, L), their losses (B,) and each image's Newton iterations
+    (B,), in the input row order, and the row order it gives gt,
+    evidence and floor: row i then holds input row order[i].
     """
-    end_w, end_loss = start.copy(), np.empty(start.shape[0])
-    iterations = np.zeros(start.shape[0], dtype=np.int64)
-    order = np.arange(start.shape[0])
-    w, step = start, step.copy()
+    n = start.shape[0]
+    w = start.copy()
     loss, grad = kernels.loss_grad(matrix, w, gt, evidence, floor)
-    scores = np.empty(gt.shape)
-    known = None
-
-    def follow(moved, *extra):
-        """Reorder the rows of the descent's arrays as _first_decrease
-        reordered those of the group's; returns the extra row arrays
-        reordered."""
-        nonlocal w, loss, grad, step
-        order[:moved.size] = order[:moved.size][moved]
-        w, loss, grad, step = w[moved], loss[moved], grad[moved], step[moved]
-        return [arr[moved] for arr in extra]
-
-    def leave(stop, *extra):
-        """Drop the stopped rows; returns the extra row arrays of the
-        running ones."""
-        nonlocal w, loss, grad, step, gt, evidence, floor, scores
-        rows = order[:stop.size]
-        end_w[rows[stop]], end_loss[rows[stop]] = w[stop], loss[stop]
-        moved = _partition(~stop, gt, evidence, floor, scores)
-        order[:stop.size] = rows[moved]
-        k = stop.size - int(stop.sum())
-        w, loss, grad, step = w[moved[:k]], loss[moved[:k]], grad[moved[:k]], step[moved[:k]]
-        gt, evidence, floor, scores = gt[:k], evidence[:k], floor[:k], scores[:k]
-        return [arr[moved[:k]] for arr in extra]
-
-    for _ in range(opts.max_iters):
-        iterations[order[:w.shape[0]]] += 1
-        hess = kernels.loss_hessian(matrix, w, gt, evidence, floor, known)
+    every = (gt, evidence, floor, np.empty(gt.shape), w, loss, grad, step.copy(), np.arange(n),
+             np.zeros(n, dtype=np.int64))
+    k = n
+    for it in range(opts.max_iters):
+        rows = [arr[:k] for arr in every]
+        gt, evidence, floor, scores, w, loss, grad, step, order, iterations = rows
+        iterations += 1
+        # scores holds s at w from the second iteration on
+        hess = kernels.loss_hessian(matrix, w, gt, evidence, floor, scores if it else None)
         direction, newton = _newton_directions(w, grad, hess)
         cand, cand_loss = w.copy(), loss.copy()
-        t = np.ones(w.shape[0])
-        accepted, moved = _first_decrease(matrix, gt, evidence, floor, w, cand_loss, direction,
-                                          t, _NEWTON_MIN_STEP, newton.nonzero()[0], cand, scores)
-        if moved is not None:
-            cand, cand_loss, accepted = follow(moved, cand, cand_loss, accepted)
-        fallback = (~accepted).nonzero()[0]
-        by_gradient, moved = _first_decrease(matrix, gt, evidence, floor, w, cand_loss, -grad,
-                                             step, opts.step_tolerance, fallback, cand, scores)
-        if moved is not None:
-            cand, cand_loss, accepted, by_gradient = follow(moved, cand, cand_loss, accepted,
-                                                            by_gradient)
+        group = rows[:4]
+        accepted = _first_decrease(matrix, group, w, cand_loss, direction, np.ones(k),
+                                   _NEWTON_MIN_STEP, newton, cand,
+                                   (loss, grad, step, order, iterations))
+        by_gradient = _first_decrease(matrix, group, w, cand_loss, -grad, step,
+                                      opts.step_tolerance, ~accepted, cand,
+                                      (loss, grad, order, iterations, accepted))
         step[by_gradient] *= 2.0
         accepted |= by_gradient
         drop = loss - cand_loss
-        if not accepted.all():
-            cand, drop = leave(~accepted, cand, drop)
-            if not w.shape[0]:
+        if not accepted.all():  # the stopped images keep w and loss, behind the prefix
+            _partition(accepted, *rows, cand, drop)
+            k = int(np.count_nonzero(accepted))
+            if not k:
                 break
-        w = cand
-        loss, grad = kernels.loss_grad(matrix, w, gt, evidence, floor, scores)
-        small = drop < opts.loss_tolerance
+        rows = [arr[:k] for arr in every]
+        gt, evidence, floor, scores, w, loss, grad = rows[:7]
+        w[...] = cand[:k]
+        loss[...], grad[...] = kernels.loss_grad(matrix, w, gt, evidence, floor, scores)
+        small = drop[:k] < opts.loss_tolerance
         if small.any():
-            leave(small)
-            if not w.shape[0]:
+            _partition(~small, *rows)
+            k -= int(np.count_nonzero(small))
+            if not k:
                 break
-        known = scores
-    else:
-        leave(np.ones(w.shape[0], dtype=bool))
-    return end_w, end_loss, iterations, order
+    w, loss, order, iterations = every[4], every[5], every[8], every[9]
+    inverse = np.argsort(order)
+    return w[inverse], loss[inverse], iterations[inverse], order
 
 
 class _SolveGroup:

@@ -16,6 +16,7 @@ from .data import (
     LabelMap,
     Manifest,
     ProbabilityMap,
+    SUM_TOL as COLUMN_SUM_TOL,
     _check_layout,
     _frozen_array,
     _load_chunks,
@@ -28,8 +29,6 @@ from .errors import DataError
 if TYPE_CHECKING:  # confusion imports this module for argmax_labels
     from .confusion import ConfusionModel
     from .priors import PriorBank
-
-COLUMN_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -720,6 +720,9 @@ class TestConfusionValidation:
             ConfusionModel(matrix=np.full((2, 2), 0.4))
         with pytest.raises(DataError):
             ConfusionModel(matrix=np.array([[1.2, 0.0], [-0.2, 1.0]]))
+        for few_labels in (np.zeros((0, 0)), np.ones((1, 1))):
+            with pytest.raises(DataError, match=">= 2 labels"):
+                ConfusionModel(matrix=few_labels)
 
     def test_confusion_model_rejects_nan_column(self):
         with pytest.raises(DataError, match="NaN"):
@@ -1165,6 +1168,19 @@ class TestCliFlagValidation:
                      "--solver-opts", opts, "--out", str(out)]) == code
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["uniform", "global", "binary", "histogram"])
+    @pytest.mark.parametrize("flag", [("--solver-opts", "garbage,,=x"),
+                                      ("--confusion", "/nonexistent")], ids=lambda f: f[0])
+    def test_closed_form_kind_rejects_solver_flags(self, small_dataset, tmp_path, capsys, kind,
+                                                   flag):
+        """A closed-form prior reads neither flag, so passing one is a usage
+        error, not an option silently dropped."""
+        _, _, data = small_dataset
+        assert main(["prior", "--manifest", str(data / "manifest.json"), "--kind", kind, *flag,
+                     "--out", str(tmp_path / "x.segt")]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_solver_opts_key(self, small_dataset, tmp_path):
         _, _, out = small_dataset

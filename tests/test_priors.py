@@ -658,6 +658,30 @@ class TestBatchedSolver:
             assert got <= oracle + 1e-9 * abs(oracle)
             assert report.restarted == (len(iterations) == 2)
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_solve_does_not_depend_on_row_position(self, seed):
+        """The group's images solved in another order give each image the
+        same bits: a per-image array that stopped following its image's row
+        would hand it another image's state."""
+        rng = np.random.default_rng(seed)
+        n, count = int(rng.integers(2, 9)), int(rng.integers(2, 12))
+        matrix = rng.dirichlet(np.full(n, 0.5), size=n).T + 1e-4
+        matrix /= matrix.sum(axis=0, keepdims=True)
+        confusion = ConfusionModel(matrix=matrix, floor=1e-4)
+        sets = []
+        for size in rng.integers(1, 300, size=count):
+            sets.append(SampleSet(gt=rng.integers(0, n, size=size),
+                                  probs=rng.dirichlet(np.full(n, 0.3), size=size)))
+        opts = SolverOptions(max_iters=int(rng.integers(1, 60)))
+        perm = rng.permutation(count)
+        reports, permuted_reports = [], []
+        solved = solve_unconstrained_prior(confusion, sets, opts, reports)
+        permuted = solve_unconstrained_prior(confusion, [sets[i] for i in perm], opts,
+                                             permuted_reports)
+        for j, i in enumerate(perm):
+            np.testing.assert_array_equal(permuted[j].weights, solved[i].weights)
+            assert permuted_reports[j] == reports[i]
+
     def test_group_of_one_is_the_single_solve(self):
         confusion = ConfusionModel(matrix=mixed_confusion(4), floor=1e-4)
         rng = np.random.default_rng(7)
@@ -713,6 +737,31 @@ class TestBatchedSolver:
                 group = []
         assert len(want) == len(records)
         np.testing.assert_array_equal(bank.weights, np.stack(want))
+
+
+class TestPartition:
+    """priors._partition, the one routine that reorders the rows of a
+    lockstep solve's per-image arrays."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_kept_rows_first_and_every_array_in_one_order(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 12))
+        keep = rng.random(n) < rng.random()
+        arrays = [rng.random(n), rng.integers(-9, 9, size=n), rng.random(n) < 0.5,
+                  # five 48 000-byte rows fit the budget: blocks of two pairs
+                  rng.random((n, 6000)),
+                  # rows above the budget swap pair by pair through a copy
+                  rng.random((n, 2, priors._SWAP_BUDGET // 16 + 1))]
+        assert 5 * arrays[3][:1].nbytes <= priors._SWAP_BUDGET < 6 * arrays[3][:1].nbytes
+        assert arrays[4][:1].nbytes > priors._SWAP_BUDGET
+        before = [arr.copy() for arr in arrays]
+        order = priors._partition(keep, *arrays)
+        k = int(np.count_nonzero(keep))
+        assert sorted(order.tolist()) == list(range(n))
+        assert keep[order[:k]].all() and not keep[order[k:]].any()
+        for arr, old in zip(arrays, before):
+            np.testing.assert_array_equal(arr, old[order])
 
 
 class TestPriorBankPersistence:
