@@ -129,23 +129,28 @@ def sample_evidence(matrix, gt, probs):
 # are padded with zero evidence, and eps is then an array of clamp floors,
 # broadcast like gt, that is 1 at the padding: a padded sample adds
 # -log(1) = 0 to its image's loss and, never above its floor, nothing to the
-# gradient or Hessian.
+# gradient or Hessian. Every product of a prior, or of a per-image vector,
+# with a matrix runs per row through _rowwise, so an image's results have
+# the bits of the same image passed alone as a stack of one; padding an
+# image to another width can still change the last bits of its sums.
 
-def _scores(matrix, weights, evidence, out=None):
-    """s = evidence @ (1 / m) per image, with m = matrix @ weights; returns
-    (m, s)."""
-    m = weights @ matrix.T
-    if weights.ndim == 1:
-        return m, np.dot(evidence, 1.0 / m, out=out)
+def _rowwise(a, b):
+    """a @ b for each row of a (..., K), against b (K, J) or a stack of them
+    that broadcasts against a's rows, as one product per row: a row's bits do
+    not depend on the rows beside it, as they can in one 2-D product."""
+    return np.matmul(a[..., None, :], b)[..., 0, :]
+
+
+def _scores(m, evidence, out=None):
+    """s = evidence @ (1 / m) per image, for the output marginals
+    m = matrix @ weights."""
     s = np.matmul(evidence, (1.0 / m)[..., None], out=None if out is None else out[..., None])
-    return m, s[..., 0]
+    return s[..., 0]
 
 
 def _flat_labels(gt, weights):
     """gt as indices into the flattened weights: label l of the prior at
     flat position p is p * L + l."""
-    if weights.ndim == 1:
-        return gt
     n_labels = weights.shape[-1]
     return gt + n_labels * np.arange(weights.size // n_labels).reshape(weights.shape[:-1] + (1,))
 
@@ -184,7 +189,7 @@ def loss_value(matrix, weights, gt, evidence, eps, scores=None):
     below eps are clamped. A float64 (N,) `scores` buffer, when given,
     receives s. Stacked images give an array of losses, one per prior.
     """
-    _, s = _scores(matrix, weights, evidence, scores)
+    s = _scores(_rowwise(weights, matrix.T), evidence, scores)
     return _clamped_loss(_refined(weights, _flat_labels(gt, weights), s), eps)
 
 
@@ -193,7 +198,8 @@ def loss_grad(matrix, weights, gt, evidence, eps, scores=None):
     the output marginal on the prior. Clamped samples contribute zero
     gradient. `scores`, when given, holds s for these weights as filled in
     by loss_value, and is not recomputed."""
-    m, s = _scores(matrix, weights, evidence) if scores is None else (weights @ matrix.T, scores)
+    m = _rowwise(weights, matrix.T)
+    s = _scores(m, evidence) if scores is None else scores
     labels = _flat_labels(gt, weights)
     refined = _refined(weights, labels, s)
     live = refined > eps
@@ -202,8 +208,8 @@ def loss_grad(matrix, weights, gt, evidence, eps, scores=None):
     loss = _clamped_loss(refined, eps)
     direct = counts / np.maximum(weights, 1e-300)
     inv_s = _inverse_live(s, live, refined)
-    v = np.matmul(inv_s[..., None, :], evidence)[..., 0, :] / (m * m)
-    grad = -direct + v @ matrix
+    v = _rowwise(inv_s, evidence) / (m * m)
+    grad = -direct + _rowwise(v, matrix)
     return loss, grad
 
 
@@ -232,7 +238,8 @@ def loss_hessian(matrix, weights, gt, evidence, eps, scores=None):
         weights, gt, evidence = weights[None], gt[None], evidence[None]
         scores = None if scores is None else scores[None]
     n_labels = weights.shape[-1]
-    m, s = _scores(matrix, weights, evidence) if scores is None else (weights @ matrix.T, scores)
+    m = _rowwise(weights, matrix.T)
+    s = _scores(m, evidence) if scores is None else scores
     labels = _flat_labels(gt, weights)
     refined = _refined(weights, labels, s)
     live = refined > eps
@@ -242,7 +249,7 @@ def loss_hessian(matrix, weights, gt, evidence, eps, scores=None):
     inv_s = _inverse_live(s, live, refined)
     inv_m2 = 1.0 / (m * m)
     p = matrix.T * inv_m2[:, None, :]
-    v = np.matmul(inv_s[:, None, :], evidence)[:, 0, :] * inv_m2
+    v = _rowwise(inv_s, evidence) * inv_m2
     gram = np.empty(weights.shape + (n_labels,))
     block = max(1, HESSIAN_BLOCK // evidence[0].size)
     for start in range(0, weights.shape[0], block):

@@ -44,7 +44,9 @@ DEFAULT_SUBSAMPLE = 100_000
 # many_small workload (2-core VM), 2 MiB groups made the stage about 7%
 # faster than 1 MiB groups, and 4 MiB about 5% faster again, but 4 MiB
 # raised the benchmark's peak memory by about 4 MB where 2 MiB stayed
-# within 1 MB.
+# within 1 MB. Where the images have equal sample counts, the budget changes
+# no prior; where counts differ, padding an image to a wider group can
+# change its last bits.
 SOLVE_BUDGET = 2 << 20
 # Line-search tries per call when one image is still searching; see
 # _first_decrease.
@@ -362,9 +364,10 @@ def _newton_directions(w, grad, hess):
         if not (top > 0).all():
             ok = top[:, 0] > 0
             rows, idx, mag, top, vecs = rows[ok], idx[ok], mag[ok], top[ok], vecs[ok]
-        reduced_grad = grad[rows[:, None], idx] @ basis
-        coef = (reduced_grad[:, None, :] @ vecs)[:, 0, :] / np.maximum(mag, 1e-8 * top)
-        direction[rows[:, None], idx] = -((vecs @ coef[:, :, None])[:, :, 0] @ basis.T)
+        reduced_grad = kernels._rowwise(grad[rows[:, None], idx], basis)
+        coef = kernels._rowwise(reduced_grad, vecs) / np.maximum(mag, 1e-8 * top)
+        direction[rows[:, None], idx] = -kernels._rowwise((vecs @ coef[:, :, None])[:, :, 0],
+                                                          basis.T)
         found[rows] = True
     return direction, found
 
@@ -410,43 +413,37 @@ def _first_decrease(matrix, group, w, loss, direction, t, t_min, searching, cand
     reuses; t keeps each row's last t tried. Returns the mask of rows that
     found one.
 
-    While more than half the rows search, every row is tried where it lies
-    and only the searching ones count. After that, _partition moves the
-    searching rows to the front, in place, of every array given: the
-    group's, this search's own and `carried`, the caller's other arrays
-    with one row per image, none of them memory that another array given
-    holds, since a second swap of the same rows would undo the first. They
-    are tried there as a prefix, so no row is copied out and row i of every
-    array still describes one image. With P
-    rows tried, each call tries max(1, _TRIES // P) successive halvings of
-    every row at once, and a row takes the first that decreases: a lone
-    row's loss costs little more than the call, so its next tries come
-    almost free."""
+    Before each call of the loss, _partition moves the searching rows to
+    the front, in place, of every array given: the group's, this search's
+    own and `carried`, the caller's other arrays with one row per image (no
+    two sharing memory, since a second swap of the same rows would undo the
+    first). So row i of every array still describes one image, and the
+    searching rows are tried as a prefix. With P rows searching, a call
+    tries max(1, _TRIES // P) successive halvings of every row at once (a
+    lone row's next tries come almost free), and a row takes the first
+    that decreases; a call of one try writes s straight into scores. The
+    loss kernels compute each row on its own, so neither P nor the number
+    of tries changes a row's result."""
     n = w.shape[0]
     gt, evidence, floor, scores = group
     found = np.zeros(n, dtype=bool)
     searching = searching & (t >= t_min)
     while p := int(np.count_nonzero(searching)):
-        m = n  # rows tried: all of them, or the searching prefix
-        if 2 * p <= n:
-            _partition(searching, *group, w, loss, direction, t, cand, found, *carried)
-            m, searching = p, np.arange(n) < p
-        mask = searching[:m]
-        tries = max(1, _TRIES // m)
-        direct = tries == 1 and p == n  # s lands in scores
-        out = scores[:, None] if direct else np.empty((m, tries, gt.shape[1]))
+        _partition(searching, *group, w, loss, direction, t, cand, found, *carried)
+        tries = max(1, _TRIES // p)
+        out = scores[:p, None] if tries == 1 else np.empty((p, tries, gt.shape[1]))
         halvings = 0.5 ** np.arange(tries)
-        sub_t = t[:m]
+        sub_t = t[:p]
         while True:
             tried = sub_t[:, None] * halvings
-            trial = project_to_simplex(w[:m, None] + tried[..., None] * direction[:m, None])
-            trial_loss = kernels.loss_value(matrix, trial, gt[:m, None], evidence[:m, None],
-                                            floor[:m, None], out)
-            better = (trial_loss < loss[:m, None]) & (tried >= t_min) & mask[:, None]
+            trial = project_to_simplex(w[:p, None] + tried[..., None] * direction[:p, None])
+            trial_loss = kernels.loss_value(matrix, trial, gt[:p, None], evidence[:p, None],
+                                            floor[:p, None], out)
+            better = (trial_loss < loss[:p, None]) & (tried >= t_min)
             if better.any():
                 break
             sub_t = tried[:, -1] * 0.5
-            if not (sub_t[mask] >= t_min).all():
+            if not (sub_t >= t_min).all():
                 break
         hit = better.any(axis=1)
         if hit.any():
@@ -454,11 +451,12 @@ def _first_decrease(matrix, group, w, loss, direction, t, t_min, searching, cand
             won = hit.nonzero()[0]
             pick = (won, first[won])
             cand[won], loss[won], found[won] = trial[pick], trial_loss[pick], True
-            if not direct:
+            if tries > 1:
                 scores[won] = out[pick]
-            sub_t = np.where(hit, tried[np.arange(m), first], tried[:, -1] * 0.5)
-        t[:m][mask] = sub_t[mask]
-        searching[:m] = mask & ~hit & (t[:m] >= t_min)
+            sub_t = np.where(hit, tried[np.arange(p), first], tried[:, -1] * 0.5)
+        t[:p] = sub_t
+        searching = np.zeros(n, dtype=bool)
+        searching[:p] = ~hit & (sub_t >= t_min)
     return found
 
 
@@ -470,62 +468,53 @@ def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
     1e-6. If that gives no decrease, or there is no Newton direction, it
     takes a projected-gradient step instead, backtracking from a step
     length that halves on each rejection and doubles after each accepted
-    gradient step. An image stops when no step decreases its loss, when the
-    decrease falls below loss_tolerance, or after max_iters iterations.
+    gradient step. An image stops when its loss falls by less than
+    loss_tolerance, which covers the case where no step decreases it (a
+    drop of 0), or after max_iters iterations.
 
     Row i of each array the descent works on describes one image: gt,
     evidence and floor, and the image's weights, loss, gradient, step
-    length, input row and iterations. The running images are the first k
-    rows of every array. Where images stop, or a line search sets its
-    searching images apart, _partition reorders all the arrays in place by
-    the same swaps, so nothing is copied. A stopped image stays behind the
-    prefix with its final weights, loss and iterations. Returns the end
-    weights (B, L), their losses (B,) and each image's Newton iterations
-    (B,), in the input row order, and the row order it gives gt,
-    evidence and floor: row i then holds input row order[i].
+    length and input row. The running images are the first k rows of every
+    array. Where images stop, or a line search sets its searching images
+    apart, _partition reorders the arrays in place by the same swaps, so
+    nothing is copied. A stopped image stays behind the prefix with its
+    final weights and loss, and its iteration count is written at its
+    input row. Returns the end weights (B, L), their losses (B,) and each
+    image's Newton iterations (B,), in the input row order, and the row
+    order it gives gt, evidence and floor: row i then holds input row
+    order[i].
     """
     n = start.shape[0]
     w = start.copy()
     loss, grad = kernels.loss_grad(matrix, w, gt, evidence, floor)
-    every = (gt, evidence, floor, np.empty(gt.shape), w, loss, grad, step.copy(), np.arange(n),
-             np.zeros(n, dtype=np.int64))
+    every = (gt, evidence, floor, np.empty(gt.shape), w, loss, grad, step.copy(), np.arange(n))
+    iterations = np.full(n, opts.max_iters)
     k = n
     for it in range(opts.max_iters):
         rows = [arr[:k] for arr in every]
-        gt, evidence, floor, scores, w, loss, grad, step, order, iterations = rows
-        iterations += 1
+        gt, evidence, floor, scores, w, loss, grad, step, order = rows
         # scores holds s at w from the second iteration on
         hess = kernels.loss_hessian(matrix, w, gt, evidence, floor, scores if it else None)
         direction, newton = _newton_directions(w, grad, hess)
         cand, cand_loss = w.copy(), loss.copy()
         group = rows[:4]
         accepted = _first_decrease(matrix, group, w, cand_loss, direction, np.ones(k),
-                                   _NEWTON_MIN_STEP, newton, cand,
-                                   (loss, grad, step, order, iterations))
+                                   _NEWTON_MIN_STEP, newton, cand, (loss, grad, step, order))
         by_gradient = _first_decrease(matrix, group, w, cand_loss, -grad, step,
-                                      opts.step_tolerance, ~accepted, cand,
-                                      (loss, grad, order, iterations, accepted))
+                                      opts.step_tolerance, ~accepted, cand, (loss, order))
         step[by_gradient] *= 2.0
-        accepted |= by_gradient
-        drop = loss - cand_loss
-        if not accepted.all():  # the stopped images keep w and loss, behind the prefix
-            _partition(accepted, *rows, cand, drop)
-            k = int(np.count_nonzero(accepted))
+        going = loss - cand_loss >= opts.loss_tolerance
+        w[...], loss[...] = cand, cand_loss
+        if not going.all():  # the stopped images keep w and loss, behind the prefix
+            _partition(going, *rows)
+            k = int(np.count_nonzero(going))
+            iterations[order[k:]] = it + 1
             if not k:
                 break
-        rows = [arr[:k] for arr in every]
-        gt, evidence, floor, scores, w, loss, grad = rows[:7]
-        w[...] = cand[:k]
-        loss[...], grad[...] = kernels.loss_grad(matrix, w, gt, evidence, floor, scores)
-        small = drop[:k] < opts.loss_tolerance
-        if small.any():
-            _partition(~small, *rows)
-            k -= int(np.count_nonzero(small))
-            if not k:
-                break
-    w, loss, order, iterations = every[4], every[5], every[8], every[9]
+        grad[:k] = kernels.loss_grad(matrix, w[:k], gt[:k], evidence[:k], floor[:k], scores[:k])[1]
+    w, loss, order = every[4], every[5], every[8]
     inverse = np.argsort(order)
-    return w[inverse], loss[inverse], iterations[inverse], order
+    return w[inverse], loss[inverse], iterations, order
 
 
 class _SolveGroup:
@@ -680,8 +669,8 @@ def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
                       len(group.counts) + fits)
             del gt, probs, flat_gt  # the image's maps go before its group is solved
             size += 8 * labels.size * sites.size
-            # a group closes where its samples reach the budget: where
-            # groups close decides the bank's bytes
+            # a group closes where its samples reach the budget; where
+            # groups close moves the bank's bytes only through padding
             if size >= SOLVE_BUDGET or idx == len(ids) - 1:
                 rows += [p.weights for p in solve_unconstrained_prior(confusion, group, opts)]
                 group, size = _SolveGroup(confusion.matrix), 0

@@ -16,7 +16,7 @@ from .data import (
     LabelMap,
     Manifest,
     ProbabilityMap,
-    SUM_TOL as COLUMN_SUM_TOL,
+    SUM_TOL,
     _check_layout,
     _frozen_array,
     _load_chunks,
@@ -53,7 +53,7 @@ class RefinementMatrix:
             raise DataError("marginal must be finite")
         live = marg > 0
         colsums = mat.sum(axis=-2)
-        if not (np.abs(colsums[live] - 1.0) <= COLUMN_SUM_TOL).all():
+        if not (np.abs(colsums[live] - 1.0) <= SUM_TOL).all():
             raise DataError("live refinement columns must sum to 1")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "marginal", marg)

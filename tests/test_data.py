@@ -1,5 +1,7 @@
 """Domain types, probability-map validation, and manifest I/O."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +254,20 @@ class TestManifest:
         assert [r.image_id for r in back.records] == ["a", "b"]
         assert len(back.split_records("estimation")) == 1
         assert back.label_set.size == 2
+
+    def test_record_outside_the_manifest_directory(self, tmp_path):
+        """A map path that is not under the manifest's directory is stored
+        absolute, and reads back as the same file."""
+        p0, g0 = self._write_pair(tmp_path, "a")
+        manifest = Manifest(label_set=LabelSet(size=2),
+                            records=(ManifestRecord("a", p0, g0, "estimation"),))
+        path = tmp_path / "sub" / "manifest.json"
+        save_manifest(manifest, path)
+        stored = json.loads(path.read_text())["records"][0]
+        assert stored["probs"] == p0.resolve().as_posix()
+        assert stored["gt"] == g0.resolve().as_posix()
+        back = load_manifest(path).records[0]
+        assert (back.probs_path, back.gt_path) == (p0.resolve(), g0.resolve())
 
     def test_duplicate_ids_rejected(self, tmp_path):
         p0, g0 = self._write_pair(tmp_path, "a")

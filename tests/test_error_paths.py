@@ -1182,6 +1182,14 @@ class TestCliFlagValidation:
         assert "usage error" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_negative_eval_radius(self, small_dataset, tmp_path, capsys):
+        _, _, data = small_dataset
+        assert main(["eval", "--manifest", str(data / "manifest.json"),
+                     "--pred-dir", str(tmp_path / "preds"), "--exclude-borders",
+                     "--radius", "-1", "--out", str(tmp_path / "report.json")]) == 1
+        assert "--radius must be >= 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_solver_opts_key(self, small_dataset, tmp_path):
         _, _, out = small_dataset
         manifest = str(out / "manifest.json")

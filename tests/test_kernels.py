@@ -370,6 +370,62 @@ class TestLossHessian:
                                           kernels.loss_hessian(*args))
 
 
+class TestRowInvariance:
+    """Each image of a stack gets the loss, gradient and Hessian bits of the
+    same image passed alone, as a stack of one, so the lockstep solver
+    gives an image the same result in any group of images padded to its
+    width. Images have unequal sample counts, padded with zero evidence,
+    and every third prior has a zero weight, so clamped samples occur."""
+
+    @staticmethod
+    def stack(seed):
+        rng = np.random.default_rng(seed)
+        b, n = int(rng.integers(2, 41)), int(rng.integers(2, 21))
+        counts = rng.integers(1, 300, size=b)
+        matrix = rng.random((n, n)) + 0.05
+        matrix /= matrix.sum(axis=0, keepdims=True)
+        weights = rng.dirichlet(np.ones(n), size=b)
+        weights[::3, 0] = 0.0
+        weights /= weights.sum(axis=1, keepdims=True)
+        width = int(counts.max())
+        gt = np.zeros((b, width), dtype=np.int64)
+        evidence = np.zeros((b, n, width))  # label-major, like the solver's
+        for i, count in enumerate(counts):
+            gt[i, :count] = rng.integers(0, n, size=count)
+            probs = rng.dirichlet(np.ones(n), size=count)
+            evidence[i, :, :count] = kernels.sample_evidence(matrix, gt[i, :count], probs).T
+        floor = np.where(np.arange(width) < counts[:, None], 1e-10, 1.0)
+        return matrix, weights, gt, np.swapaxes(evidence, 1, 2), floor
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_each_row_is_the_row_alone(self, seed):
+        matrix, weights, gt, evidence, floor = self.stack(200 + seed)
+        scores = np.empty(gt.shape)
+        loss = kernels.loss_value(matrix, weights, gt, evidence, floor, scores)
+        _, grad = kernels.loss_grad(matrix, weights, gt, evidence, floor, scores)
+        hess = kernels.loss_hessian(matrix, weights, gt, evidence, floor, scores)
+        for i in range(len(weights)):
+            one = slice(i, i + 1)
+            args = (matrix, weights[one], gt[one], evidence[one], floor[one])
+            alone = np.empty((1, gt.shape[1]))
+            np.testing.assert_array_equal(kernels.loss_value(*args, alone), loss[one])
+            np.testing.assert_array_equal(alone, scores[one])
+            np.testing.assert_array_equal(kernels.loss_grad(*args, alone)[1], grad[one])
+            np.testing.assert_array_equal(kernels.loss_hessian(*args, alone), hess[one])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_try_is_the_try_alone(self, seed):
+        """The line search's (B, K, L) tries, K priors per image."""
+        matrix, weights, gt, evidence, floor = self.stack(300 + seed)
+        tries = np.stack([weights, weights[::-1], np.roll(weights, 1, axis=1)], axis=1)
+        loss = kernels.loss_value(matrix, tries, gt[:, None], evidence[:, None], floor[:, None])
+        for i, j in np.ndindex(loss.shape):
+            one = slice(i, i + 1)
+            alone = kernels.loss_value(matrix, tries[i, j][None], gt[one], evidence[one],
+                                       floor[one])
+            np.testing.assert_array_equal(alone, loss[i, j:j + 1])
+
+
 def whole_map_refinement(matrix, probs):
     """The unblocked transform apply_refinement replaced: one float64
     copy of the whole map, one product, one cast back."""

@@ -662,7 +662,9 @@ class TestBatchedSolver:
     def test_solve_does_not_depend_on_row_position(self, seed):
         """The group's images solved in another order give each image the
         same bits: a per-image array that stopped following its image's row
-        would hand it another image's state."""
+        would hand it another image's state. Where the images have equal
+        sample counts, so none is padded, each one solved alone, and each
+        half of the group, gives the whole group's bits too."""
         rng = np.random.default_rng(seed)
         n, count = int(rng.integers(2, 9)), int(rng.integers(2, 12))
         matrix = rng.dirichlet(np.full(n, 0.5), size=n).T + 1e-4
@@ -681,6 +683,18 @@ class TestBatchedSolver:
         for j, i in enumerate(perm):
             np.testing.assert_array_equal(permuted[j].weights, solved[i].weights)
             assert permuted_reports[j] == reports[i]
+        size = int(rng.integers(1, 300))
+        sets = [SampleSet(gt=rng.integers(0, n, size=size),
+                          probs=rng.dirichlet(np.full(n, 0.3), size=size)) for _ in range(count)]
+        reports = []
+        solved = solve_unconstrained_prior(confusion, sets, opts, reports)
+        half = count // 2
+        for part in [slice(0, half), slice(half, count)] + [slice(i, i + 1) for i in range(count)]:
+            part_reports = []
+            got = solve_unconstrained_prior(confusion, sets[part], opts, part_reports)
+            for prior, want in zip(got, solved[part]):
+                np.testing.assert_array_equal(prior.weights, want.weights)
+            assert part_reports == reports[part]
 
     def test_group_of_one_is_the_single_solve(self):
         confusion = ConfusionModel(matrix=mixed_confusion(4), floor=1e-4)

@@ -24,7 +24,7 @@ from conflens import (
 )
 from conflens import kernels
 from conflens.errors import DataError
-from conflens.refine import COLUMN_SUM_TOL
+from conflens.data import SUM_TOL
 
 
 def refinement_oracle(matrix, weights, pixel):
@@ -173,7 +173,7 @@ class TestRefinementMatrixProperties:
         assert (R.matrix >= 0).all()
         # a floored model is strictly positive, so every column is live
         assert (R.marginal > 0).all()
-        np.testing.assert_allclose(R.matrix.sum(axis=0), 1.0, rtol=0, atol=COLUMN_SUM_TOL)
+        np.testing.assert_allclose(R.matrix.sum(axis=0), 1.0, rtol=0, atol=SUM_TOL)
 
 
 class TestRefineMap:

@@ -211,6 +211,16 @@ class TestDrift:
         np.testing.assert_allclose(drifted.sum(axis=0), 1.0, atol=1e-12)
         assert np.abs(drifted - spec.true_confusion).max() > 0.01
 
+    def test_even_column_without_confusions_is_kept(self):
+        """An even column has no off-diagonal mass to spread its diagonal
+        over, so drift leaves it as it is."""
+        matrix = mixed_confusion(4)
+        matrix[:, 2] = np.eye(4)[2]
+        spec = base_spec(true_confusion=matrix, eval_confusion_drift=0.4)
+        drifted = eval_confusion_matrix(spec)
+        np.testing.assert_array_equal(drifted[:, 2], matrix[:, 2])
+        assert np.abs(drifted[:, 0] - matrix[:, 0]).max() > 0.01
+
     def test_estimation_split_unaffected_by_drift(self, tmp_path):
         plain = base_spec(n_evaluation=0)
         drifted = base_spec(n_evaluation=0, eval_confusion_drift=0.4)

@@ -138,7 +138,8 @@ class TestMemoryBound:
 
 class TestGroupInvariance:
     """Outputs spanning several groups (refine and labelbank: chunks) are
-    byte-identical to one."""
+    byte-identical to one. small_spec's maps have no void, so every image
+    gives the prior solver the same sample count."""
 
     BUDGETS = {"many_groups": 3 * (20 * 20 * (4 * 4 + 4)), "one_group": 1 << 40}
 
@@ -171,6 +172,23 @@ class TestGroupInvariance:
             hashes[tag] = (tree_hash(out / "refine"), tree_hash(out / "labelbank"))
         assert hashes["many_groups"] == hashes["one_group"]
         assert len(list((tmp_path / "one_group" / "refine").iterdir())) == 2 * 6
+
+
+    def test_unconstrained_prior(self, tmp_path, monkeypatch):
+        """A group of one image per solve, the default budget and one group
+        of every image give the same bank."""
+        generate_dataset(self.small_spec(), tmp_path / "data")
+        manifest = str(tmp_path / "data" / "manifest.json")
+        conf = str(tmp_path / "conf.segt")
+        assert main(["confusion", "--manifest", manifest, "--out", conf]) == 0
+        banks = set()
+        for budget in (1, priors.SOLVE_BUDGET, 1 << 40):
+            monkeypatch.setattr(priors, "SOLVE_BUDGET", budget)
+            out = tmp_path / f"prior_{budget}.segt"
+            assert main(["prior", "--manifest", manifest, "--kind", "unconstrained",
+                         "--confusion", conf, "--out", str(out)]) == 0
+            banks.add(out.read_bytes())
+        assert len(banks) == 1
 
 
 class TestSolveGroups:
