@@ -164,21 +164,6 @@ def _refined(weights, labels, s):
     return refined
 
 
-def _clamped_loss(refined, eps):
-    """-sum(log(max(refined, eps))) over the last axis, computed in
-    refined's buffer; a float for one image."""
-    np.maximum(refined, eps, out=refined)
-    np.log(refined, out=refined)
-    loss = -refined.sum(axis=-1)
-    return float(loss) if loss.ndim == 0 else loss
-
-
-def _inverse_live(s, live, out):
-    """1 / s where live, else 0, written into out, a buffer shaped like s."""
-    out.fill(0.0)
-    return np.divide(1.0, s, out=out, where=live)
-
-
 def loss_value(matrix, weights, gt, evidence, eps, scores=None):
     """Negative log-loss of refined ground-truth probabilities.
 
@@ -190,27 +175,38 @@ def loss_value(matrix, weights, gt, evidence, eps, scores=None):
     receives s. Stacked images give an array of losses, one per prior.
     """
     s = _scores(_rowwise(weights, matrix.T), evidence, scores)
-    return _clamped_loss(_refined(weights, _flat_labels(gt, weights), s), eps)
+    refined = _refined(weights, _flat_labels(gt, weights), s)
+    np.maximum(refined, eps, out=refined)
+    np.log(refined, out=refined)
+    loss = -refined.sum(axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
-def loss_grad(matrix, weights, gt, evidence, eps, scores=None):
-    """Loss together with d(loss)/d(weights), including the dependence of
-    the output marginal on the prior. Clamped samples contribute zero
-    gradient. `scores`, when given, holds s for these weights as filled in
-    by loss_value, and is not recomputed."""
+def _live_terms(matrix, weights, gt, evidence, eps, scores):
+    """What loss_grad and loss_hessian share: the output marginals m, the
+    live samples per label, where a sample is live if its refined
+    probability is above eps, and 1 / s on the live samples, 0 elsewhere.
+    `scores`, when given, holds s for these weights as filled in by
+    loss_value, and is not recomputed."""
     m = _rowwise(weights, matrix.T)
     s = _scores(m, evidence) if scores is None else scores
     labels = _flat_labels(gt, weights)
-    refined = _refined(weights, labels, s)
-    live = refined > eps
+    inv_s = _refined(weights, labels, s)  # its buffer then holds 1 / s
+    live = inv_s > eps
     counts = np.bincount(labels[live], minlength=weights.size).reshape(weights.shape)
-    del labels
-    loss = _clamped_loss(refined, eps)
+    inv_s.fill(0.0)
+    np.divide(1.0, s, out=inv_s, where=live)
+    return m, counts, inv_s
+
+
+def loss_grad(matrix, weights, gt, evidence, eps, scores=None):
+    """d(loss)/d(weights) of loss_value's loss, including the dependence of
+    the output marginal on the prior. Clamped samples contribute zero
+    gradient. `scores` as in _live_terms."""
+    m, counts, inv_s = _live_terms(matrix, weights, gt, evidence, eps, scores)
     direct = counts / np.maximum(weights, 1e-300)
-    inv_s = _inverse_live(s, live, refined)
     v = _rowwise(inv_s, evidence) / (m * m)
-    grad = -direct + _rowwise(v, matrix)
-    return loss, grad
+    return -direct + _rowwise(v, matrix)
 
 
 # Elements of the scaled evidence A^T / s that loss_hessian forms at a
@@ -230,7 +226,7 @@ def loss_hessian(matrix, weights, gt, evidence, eps, scores=None):
     vector loss_grad builds. With P = M^T / m^2 and B = A^T / s (live
     samples only), Q^T = P @ B, so Q^T Q = P (B B^T) P^T: one O(N * L^2)
     product on the label-major evidence, the rest is L x L. `scores` as in
-    loss_grad. The solver calls it once per Newton iteration, and (B, L)
+    _live_terms. The solver calls it once per Newton iteration, and (B, L)
     weights on B stacked images give a (B, L, L) stack.
     """
     single = weights.ndim == 1
@@ -238,15 +234,8 @@ def loss_hessian(matrix, weights, gt, evidence, eps, scores=None):
         weights, gt, evidence = weights[None], gt[None], evidence[None]
         scores = None if scores is None else scores[None]
     n_labels = weights.shape[-1]
-    m = _rowwise(weights, matrix.T)
-    s = _scores(m, evidence) if scores is None else scores
-    labels = _flat_labels(gt, weights)
-    refined = _refined(weights, labels, s)
-    live = refined > eps
-    counts = np.bincount(labels[live], minlength=weights.size).reshape(weights.shape)
-    del labels
+    m, counts, inv_s = _live_terms(matrix, weights, gt, evidence, eps, scores)
     direct = np.divide(counts, weights * weights, out=np.zeros(weights.shape), where=weights > 0)
-    inv_s = _inverse_live(s, live, refined)
     inv_m2 = 1.0 / (m * m)
     p = matrix.T * inv_m2[:, None, :]
     v = _rowwise(inv_s, evidence) * inv_m2

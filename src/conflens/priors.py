@@ -21,6 +21,7 @@ from .data import (
     SUM_TOL,
     _frozen_array,
     _is_json_int,
+    _is_json_number,
     LABELS,
     _check_same_size,
     _load_chunks,
@@ -95,25 +96,29 @@ class SolverOptions:
     def __post_init__(self):
         if not _is_json_int(self.max_iters) or self.max_iters < 1:
             raise DataError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not all(0 < tol < np.inf for tol in (self.step_tolerance, self.loss_tolerance,
-                                                 self.epsilon)):
-            raise DataError("solver tolerances must be finite and positive")
+        # SynthSpec's rule: a JSON number, stored as a float
+        for key in ("step_tolerance", "loss_tolerance", "epsilon"):
+            value = getattr(self, key)
+            if not _is_json_number(value):
+                raise DataError(f"{key} {value!r} is not a number")
+            try:
+                value = float(value)
+            except OverflowError as exc:
+                raise DataError(f"{key} is too large for a float") from exc
+            if not 0 < value < np.inf:
+                raise DataError(f"{key} must be finite and positive, got {value!r}")
+            object.__setattr__(self, key, value)
         if self.init not in ("uniform", "histogram"):
             raise DataError(f"unknown solver init {self.init!r}")
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """What the solver did for one image: the Newton iterations of each
-    descent it ran, the second being the restart from uniform, and the
-    image's final loss."""
+    """What the solver did for one image: the Newton iterations of its
+    descent and the image's final loss."""
 
-    iterations: tuple[int, ...]
+    iterations: int
     loss: float
-
-    @property
-    def restarted(self) -> bool:
-        return len(self.iterations) == 2
 
 
 @dataclass(frozen=True)
@@ -292,7 +297,7 @@ def refinement_loss(prior, confusion: ConfusionModel, samples: SampleSet,
 def refinement_loss_gradient(prior, confusion: ConfusionModel, samples: SampleSet,
                              epsilon: float = EPSILON) -> np.ndarray:
     """d(loss)/d(prior), accounting for P(C=c) = sum_l P(C=c|l) P(l)."""
-    return kernels.loss_grad(*_loss_inputs(prior, confusion, samples), epsilon)[1]
+    return kernels.loss_grad(*_loss_inputs(prior, confusion, samples), epsilon)
 
 
 @functools.lru_cache(maxsize=64)
@@ -409,9 +414,9 @@ def _first_decrease(matrix, group, w, loss, direction, t, t_min, searching, cand
     `searching` is True, halving the row's t from its value in `t` while
     t >= t_min, to the first strict decrease of the row's loss. A row that
     finds one gets the candidate in cand, its loss in loss and its s in the
-    scores of `group` (gt, evidence, floor, scores), which loss_grad
-    reuses; t keeps each row's last t tried. Returns the mask of rows that
-    found one.
+    scores of `group` (gt, evidence, floor, scores), which the next
+    iteration's derivatives reuse; t keeps each row's last t tried. Returns
+    the mask of rows that found one.
 
     Before each call of the loss, _partition moves the searching rows to
     the front, in place, of every array given: the group's, this search's
@@ -464,37 +469,36 @@ def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
     """Monotone projected Newton descent of a group of images in lockstep,
     from start (B, L), with `step` each image's first gradient step length.
 
-    Each iteration backtracks along the Newton direction from t = 1 down to
-    1e-6. If that gives no decrease, or there is no Newton direction, it
-    takes a projected-gradient step instead, backtracking from a step
-    length that halves on each rejection and doubles after each accepted
-    gradient step. An image stops when its loss falls by less than
-    loss_tolerance, which covers the case where no step decreases it (a
-    drop of 0), or after max_iters iterations.
+    Each iteration takes the gradient and Hessian at the image's weights,
+    then backtracks along the Newton direction from t = 1 down to 1e-6. If
+    that gives no decrease, or there is no Newton direction, it takes a
+    projected-gradient step instead, backtracking from a step length that
+    halves on each rejection and doubles after each accepted gradient step.
+    An image stops when its loss falls by less than loss_tolerance, which
+    covers the case where no step decreases it (a drop of 0), or after
+    max_iters iterations.
 
     Row i of each array the descent works on describes one image: gt,
-    evidence and floor, and the image's weights, loss, gradient, step
-    length and input row. The running images are the first k rows of every
-    array. Where images stop, or a line search sets its searching images
-    apart, _partition reorders the arrays in place by the same swaps, so
-    nothing is copied. A stopped image stays behind the prefix with its
-    final weights and loss, and its iteration count is written at its
-    input row. Returns the end weights (B, L), their losses (B,) and each
-    image's Newton iterations (B,), in the input row order, and the row
-    order it gives gt, evidence and floor: row i then holds input row
-    order[i].
+    evidence, floor and scores, and the image's weights, loss, step length
+    and input row. The running images are the first k rows of every array.
+    Where images stop, or a line search sets its searching images apart,
+    _partition reorders the arrays in place by the same swaps, so nothing
+    is copied. A stopped image stays behind the prefix with its final
+    weights and loss, and its iteration count is written at its input row.
+    Returns the end weights (B, L), their losses (B,) and each image's
+    Newton iterations (B,), in the input row order.
     """
     n = start.shape[0]
-    w = start.copy()
-    loss, grad = kernels.loss_grad(matrix, w, gt, evidence, floor)
-    every = (gt, evidence, floor, np.empty(gt.shape), w, loss, grad, step.copy(), np.arange(n))
+    w, scores = start.copy(), np.empty(gt.shape)
+    loss = kernels.loss_value(matrix, w, gt, evidence, floor, scores)
+    every = (gt, evidence, floor, scores, w, loss, step.copy(), np.arange(n))
     iterations = np.full(n, opts.max_iters)
     k = n
     for it in range(opts.max_iters):
         rows = [arr[:k] for arr in every]
-        gt, evidence, floor, scores, w, loss, grad, step, order = rows
-        # scores holds s at w from the second iteration on
-        hess = kernels.loss_hessian(matrix, w, gt, evidence, floor, scores if it else None)
+        gt, evidence, floor, scores, w, loss, step, order = rows
+        grad = kernels.loss_grad(matrix, w, gt, evidence, floor, scores)
+        hess = kernels.loss_hessian(matrix, w, gt, evidence, floor, scores)
         direction, newton = _newton_directions(w, grad, hess)
         cand, cand_loss = w.copy(), loss.copy()
         group = rows[:4]
@@ -511,10 +515,9 @@ def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
             iterations[order[k:]] = it + 1
             if not k:
                 break
-        grad[:k] = kernels.loss_grad(matrix, w[:k], gt[:k], evidence[:k], floor[:k], scores[:k])[1]
-    w, loss, order = every[4], every[5], every[8]
+    w, loss, order = every[4], every[5], every[7]
     inverse = np.argsort(order)
-    return w[inverse], loss[inverse], iterations, order
+    return w[inverse], loss[inverse], iterations
 
 
 class _SolveGroup:
@@ -553,17 +556,19 @@ def solve_unconstrained_prior(
     `samples` is one SampleSet, giving one Prior, or a sequence of them,
     solved together in lockstep and giving a list of Priors in order; the
     prior stage passes the images' samples already cut into a _SolveGroup.
-    Descends from the configured init (sample histogram by default); where
-    the uniform prior scores better than that result, descends again from
-    uniform and keeps the better endpoint. A result therefore never loses to
-    its init, the histogram prior, or the uniform prior. `reports`, when a
-    list, receives one SolveReport per image.
+    Each image descends once, from the configured init (sample histogram
+    by default) or, where the uniform prior scores strictly better, from
+    uniform. The descent is monotone, so a result never loses to its init,
+    the histogram prior, or the uniform prior. `reports`, when a list,
+    receives one SolveReport per image.
     """
     n, matrix = confusion.n_labels, confusion.matrix
     single = isinstance(samples, SampleSet)
     group = samples
     if not isinstance(group, _SolveGroup):
         sample_sets = [samples] if single else list(samples)
+        if not sample_sets:
+            raise DataError("no sample sets to solve")
         for item in sample_sets:
             if len(item) == 0:
                 raise DataError("empty sample set")
@@ -585,25 +590,12 @@ def solve_unconstrained_prior(
     if not np.isfinite(start_loss).all():
         raise DataError("non-finite loss at solver init")
     uniform_loss = kernels.loss_value(matrix, uniform, gt, evidence, floor)
-    w, loss, first, order = _descend(matrix, gt, evidence, floor, start, 1.0 / counts, opts)
-    again = (uniform_loss < loss).nonzero()[0]
-    second = np.zeros_like(first)
-    if again.size:
-        # the restart's images to the front of the rows the descent left
-        moved = _partition(np.isin(order, again), gt, evidence, floor)
-        again, k = order[moved[:again.size]], again.size
-        w2, loss2, second[again], _ = _descend(matrix, gt[:k], evidence[:k], floor[:k],
-                                               uniform[:k], 1.0 / counts[again], opts)
-        better = loss2 < loss[again]
-        w[again[better]], loss[again[better]] = w2[better], loss2[better]
+    start = np.where((uniform_loss < start_loss)[:, None], uniform, start)
+    w, loss, iterations = _descend(matrix, gt, evidence, floor, start, 1.0 / counts, opts)
     total = w.sum(axis=1, keepdims=True)
     w = np.where(np.abs(total - 1.0) > 1e-12, w / total, w)
     if reports is not None:
-        restarted = np.isin(np.arange(counts.size), again)
-        reports.extend(
-            SolveReport((int(a), int(b)) if r else (int(a),), float(value))
-            for a, b, r, value in zip(first, second, restarted, loss)
-        )
+        reports.extend(SolveReport(int(i), float(value)) for i, value in zip(iterations, loss))
     priors = [Prior(row) for row in w]
     return priors[0] if single else priors
 

@@ -24,6 +24,7 @@ from .data import (
     ManifestRecord,
     ProbabilityMap,
     _is_json_int,
+    _is_json_number,
     load_label_map,
     load_probability_map,
     publish,
@@ -177,10 +178,6 @@ _INT_FIELDS = ("n_classes", "height", "width", "n_estimation", "n_evaluation", "
 _BOUND_FIELDS = ("min_classes_per_image", "max_classes_per_image")
 _FLOAT_FIELDS = ("region_scale", "sharpness")
 _OPTIONAL_FLOAT_FIELDS = ("border_noise", "eval_confusion_drift")
-
-
-def _is_json_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def true_confusion(spec: SynthSpec, floor: float = DEFAULT_FLOOR) -> ConfusionModel:

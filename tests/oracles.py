@@ -105,7 +105,6 @@ def loss_grad_loop(matrix, weights, gt, evidence, eps, scores=None):
         for l in range(n_labels):
             acc += matrix[c, l] * weights[l]
         m[c] = acc
-    loss = 0.0
     counts = np.zeros(n_labels)
     v = np.zeros(n_labels)
     for i in range(n):
@@ -116,14 +115,10 @@ def loss_grad_loop(matrix, weights, gt, evidence, eps, scores=None):
                 s += evidence[i, c] / m[c]
         else:
             s = scores[i]
-        refined = weights[g] * s
-        if refined > eps:
-            loss -= np.log(refined)
+        if weights[g] * s > eps:
             counts[g] += 1.0
             for c in range(n_labels):
                 v[c] += evidence[i, c] / s
-        else:
-            loss -= np.log(eps)
     grad = np.empty(n_labels)
     for l in range(n_labels):
         direct = counts[l] / weights[l] if weights[l] > 0 else 0.0
@@ -131,7 +126,7 @@ def loss_grad_loop(matrix, weights, gt, evidence, eps, scores=None):
         for c in range(n_labels):
             acc += matrix[c, l] * v[c] / (m[c] * m[c])
         grad[l] = -direct + acc
-    return loss, grad
+    return grad
 
 
 def nearest_seed_loop(height, width, seed_r, seed_c, seed_class):
@@ -201,7 +196,7 @@ def first_decrease(matrix, gt, evidence, opts, w, loss, direction, t, t_min, sco
     """Backtrack project_to_simplex(w + t * direction), halving t from the
     given value while t >= t_min, to the first strict loss decrease.
     Returns (candidate or None, its loss, the last t tried); `scores` keeps
-    the candidate's s for loss_grad."""
+    the s of the last prior tried, the candidate's where there is one."""
     while t >= t_min:
         cand = priors.project_to_simplex(w + t * direction)
         cand_loss = kernels.loss_value(matrix, cand, gt, evidence, opts.epsilon, scores)
@@ -215,22 +210,23 @@ def descend(matrix, gt, evidence, start, opts):
     """Monotone projected Newton descent of one image, the sequential form
     of conflens.priors._descend. Returns (weights, loss, iterations).
 
-    Each iteration backtracks along the Newton direction from t = 1 down to
-    1e-6. If that gives no decrease, or there is no Newton direction, it
-    takes a projected-gradient step instead, backtracking from a step
-    length that halves on each rejection and doubles after each accepted
-    gradient step. It stops when no step decreases the loss, when the
-    decrease falls below loss_tolerance, or after max_iters iterations.
+    Each iteration takes the gradient and Hessian at w, then backtracks
+    along the Newton direction from t = 1 down to 1e-6. If that gives no
+    decrease, or there is no Newton direction, it takes a projected-gradient
+    step instead, backtracking from a step length that halves on each
+    rejection and doubles after each accepted gradient step. It stops when
+    no step decreases the loss, when the decrease falls below
+    loss_tolerance, or after max_iters iterations.
     """
     w = start
-    loss, grad = kernels.loss_grad(matrix, w, gt, evidence, opts.epsilon)
-    step = 1.0 / max(gt.shape[0], 1)
     scores = np.empty(gt.shape[0])
-    known = None
+    loss = kernels.loss_value(matrix, w, gt, evidence, opts.epsilon, scores)
+    step = 1.0 / max(gt.shape[0], 1)
     iterations = 0
     for _ in range(opts.max_iters):
         iterations += 1
-        hess = kernels.loss_hessian(matrix, w, gt, evidence, opts.epsilon, known)
+        grad = kernels.loss_grad(matrix, w, gt, evidence, opts.epsilon, scores)
+        hess = kernels.loss_hessian(matrix, w, gt, evidence, opts.epsilon, scores)
         direction = newton_direction(w, grad, hess)
         cand = None
         if direction is not None:
@@ -243,29 +239,24 @@ def descend(matrix, gt, evidence, start, opts):
                 break
             step *= 2.0
         drop = loss - cand_loss
-        w = cand
-        loss, grad = kernels.loss_grad(matrix, w, gt, evidence, opts.epsilon, scores)
-        known = scores
+        w, loss = cand, cand_loss
         if drop < opts.loss_tolerance:
             break
     return w, loss, iterations
 
 
 def solve_prior_sequential(matrix, gt, probs, opts):
-    """The unconstrained prior of one image, solved on its own: descend from
-    opts.init and, if uniform then scores better, again from uniform.
-    Returns (weights, loss, iterations of each descent)."""
+    """The unconstrained prior of one image, solved on its own: one descent
+    from opts.init or, where uniform scores strictly better, from uniform.
+    Returns (weights, loss, iterations)."""
     n = matrix.shape[0]
     hist = np.bincount(gt, minlength=n).astype(np.float64)
     hist /= hist.sum()
     uniform = np.full(n, 1.0 / n)
     evidence = kernels.sample_evidence(matrix, gt, probs)
-    w, loss, iters = descend(matrix, gt, evidence, uniform if opts.init == "uniform" else hist,
-                             opts)
-    iterations = (iters,)
-    if kernels.loss_value(matrix, uniform, gt, evidence, opts.epsilon) < loss:
-        w2, loss2, iters2 = descend(matrix, gt, evidence, uniform, opts)
-        iterations += (iters2,)
-        if loss2 < loss:
-            w, loss = w2, loss2
+    start = uniform if opts.init == "uniform" else hist
+    if kernels.loss_value(matrix, uniform, gt, evidence, opts.epsilon) < kernels.loss_value(
+            matrix, start, gt, evidence, opts.epsilon):
+        start = uniform
+    w, loss, iterations = descend(matrix, gt, evidence, start, opts)
     return w / w.sum(), loss, iterations

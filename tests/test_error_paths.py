@@ -801,6 +801,13 @@ class TestPriorValidation:
             SolverOptions(loss_tolerance=0.0)
         with pytest.raises(DataError):
             SolverOptions(init="midpoint")
+        # the tolerances follow SynthSpec's JSON-number rule
+        for field in ("step_tolerance", "loss_tolerance", "epsilon"):
+            for value in ("x", True, None, [1e-9], 10 ** 400):
+                with pytest.raises(DataError, match=field):
+                    SolverOptions(**{field: value})
+            stored = getattr(SolverOptions(**{field: 1}), field)
+            assert type(stored) is float and stored == 1.0
 
     @pytest.mark.parametrize("field", ["step_tolerance", "loss_tolerance", "epsilon"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])

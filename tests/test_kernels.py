@@ -128,21 +128,18 @@ class TestLoopOracles:
             la = kernels.loss_value(matrix, weights, gt, evidence, 1e-10)
             lb = oracles.loss_value_loop(matrix, weights, gt, evidence, 1e-10)
             assert la == pytest.approx(lb, rel=1e-12)
-            la2, ga = kernels.loss_grad(matrix, weights, gt, evidence, 1e-10)
-            lb2, gb = oracles.loss_grad_loop(matrix, weights, gt, evidence, 1e-10)
-            assert la2 == pytest.approx(lb2, rel=1e-12)
+            ga = kernels.loss_grad(matrix, weights, gt, evidence, 1e-10)
+            gb = oracles.loss_grad_loop(matrix, weights, gt, evidence, 1e-10)
             np.testing.assert_allclose(ga, gb, rtol=1e-10, atol=1e-12)
             scores = np.empty(count)
             assert oracles.loss_value_loop(
                 matrix, weights, gt, evidence, 1e-10, scores) == pytest.approx(la, rel=1e-12)
-            lb3, gb3 = oracles.loss_grad_loop(matrix, weights, gt, evidence, 1e-10, scores)
-            assert lb3 == pytest.approx(la2, rel=1e-12)
+            gb3 = oracles.loss_grad_loop(matrix, weights, gt, evidence, 1e-10, scores)
             np.testing.assert_allclose(gb3, ga, rtol=1e-10, atol=1e-12)
             scores = np.empty(count)
             assert kernels.loss_value(
                 matrix, weights, gt, evidence, 1e-10, scores) == pytest.approx(lb, rel=1e-12)
-            la3, ga3 = kernels.loss_grad(matrix, weights, gt, evidence, 1e-10, scores)
-            assert la3 == pytest.approx(lb2, rel=1e-12)
+            ga3 = kernels.loss_grad(matrix, weights, gt, evidence, 1e-10, scores)
             np.testing.assert_allclose(ga3, gb, rtol=1e-10, atol=1e-12)
 
     def test_nearest_seed(self):
@@ -265,8 +262,7 @@ class TestLossOracles:
             clamped += n_clamped
             assert value_fn(matrix, weights, gt, evidence, 1e-10) == pytest.approx(
                 want_loss, rel=1e-12)
-            loss, grad = grad_fn(matrix, weights, gt, evidence, 1e-10)
-            assert loss == pytest.approx(want_loss, rel=1e-12)
+            grad = grad_fn(matrix, weights, gt, evidence, 1e-10)
             np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=1e-10)
         assert clamped > 0
 
@@ -276,10 +272,8 @@ class TestLossOracles:
             args = (matrix, weights, gt, evidence, 1e-10)
             assert oracles.loss_value_loop(*args) == pytest.approx(
                 kernels.loss_value(*args), rel=1e-12)
-            la, ga = oracles.loss_grad_loop(*args)
-            lb, gb = kernels.loss_grad(*args)
-            assert la == pytest.approx(lb, rel=1e-12)
-            np.testing.assert_allclose(ga, gb, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(oracles.loss_grad_loop(*args), kernels.loss_grad(*args),
+                                       rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("impl", [LOOPS, NUMPY], ids=["loop", "numpy"])
     def test_scores_from_loss_value_feed_loss_grad(self, impl):
@@ -291,19 +285,17 @@ class TestLossOracles:
             loss = value_fn(*args, scores)
             assert loss == value_fn(*args)
             assert np.isfinite(scores).all()
-            reused_loss, reused_grad = grad_fn(*args, scores)
-            fresh_loss, fresh_grad = grad_fn(*args)
-            assert reused_loss == loss == fresh_loss
-            np.testing.assert_array_equal(reused_grad, fresh_grad)
+            np.testing.assert_array_equal(grad_fn(*args, scores), grad_fn(*args))
 
     def test_row_major_evidence_gives_same_result(self):
         for matrix, weights, gt, probs in loss_instances(100, count=10):
             evidence = kernels.sample_evidence(matrix, gt, probs)
             dense = np.ascontiguousarray(evidence)
-            a = kernels.loss_grad(matrix, weights, gt, evidence, 1e-10)
-            b = kernels.loss_grad(matrix, weights, gt, dense, 1e-10)
-            assert a[0] == pytest.approx(b[0], rel=1e-12)
-            np.testing.assert_allclose(a[1], b[1], rtol=1e-10, atol=1e-10)
+            assert kernels.loss_value(matrix, weights, gt, evidence, 1e-10) == pytest.approx(
+                kernels.loss_value(matrix, weights, gt, dense, 1e-10), rel=1e-12)
+            np.testing.assert_allclose(kernels.loss_grad(matrix, weights, gt, evidence, 1e-10),
+                                       kernels.loss_grad(matrix, weights, gt, dense, 1e-10),
+                                       rtol=1e-10, atol=1e-10)
 
 
 def hessian_loop(matrix, weights, gt, evidence, eps):
@@ -355,8 +347,8 @@ class TestLossHessian:
                 h = 1e-6 * weights[j]
                 step = np.zeros_like(weights)
                 step[j] = h
-                _, up = kernels.loss_grad(matrix, weights + step, gt, evidence, 1e-10)
-                _, down = kernels.loss_grad(matrix, weights - step, gt, evidence, 1e-10)
+                up = kernels.loss_grad(matrix, weights + step, gt, evidence, 1e-10)
+                down = kernels.loss_grad(matrix, weights - step, gt, evidence, 1e-10)
                 np.testing.assert_allclose((up - down) / (2 * h), hess[:, j], rtol=1e-5,
                                            atol=1e-7 * np.abs(hess).max())
 
@@ -402,7 +394,7 @@ class TestRowInvariance:
         matrix, weights, gt, evidence, floor = self.stack(200 + seed)
         scores = np.empty(gt.shape)
         loss = kernels.loss_value(matrix, weights, gt, evidence, floor, scores)
-        _, grad = kernels.loss_grad(matrix, weights, gt, evidence, floor, scores)
+        grad = kernels.loss_grad(matrix, weights, gt, evidence, floor, scores)
         hess = kernels.loss_hessian(matrix, weights, gt, evidence, floor, scores)
         for i in range(len(weights)):
             one = slice(i, i + 1)
@@ -410,7 +402,7 @@ class TestRowInvariance:
             alone = np.empty((1, gt.shape[1]))
             np.testing.assert_array_equal(kernels.loss_value(*args, alone), loss[one])
             np.testing.assert_array_equal(alone, scores[one])
-            np.testing.assert_array_equal(kernels.loss_grad(*args, alone)[1], grad[one])
+            np.testing.assert_array_equal(kernels.loss_grad(*args, alone), grad[one])
             np.testing.assert_array_equal(kernels.loss_hessian(*args, alone), hess[one])
 
     @pytest.mark.parametrize("seed", range(4))

@@ -60,7 +60,8 @@ def loss_oracle(matrix, weights, gt, probs, eps=EPS):
 def dense_solve(matrix, gt, probs, opts=SolverOptions()):
     """The projected-gradient solver that the Newton solver replaced, with
     every evaluation on dense_loss_grad: halve/double backtracking from a
-    step of 1/N. Returns (weights, whether the uniform restart ran)."""
+    step of 1/N, from opts.init or, where uniform scores strictly better,
+    from uniform. Returns the weights."""
     def value(w):
         return dense_loss_grad(matrix, w, gt, probs, opts.epsilon)[0]
 
@@ -84,18 +85,14 @@ def dense_solve(matrix, gt, probs, opts=SolverOptions()):
             if drop < opts.loss_tolerance:
                 break
             step *= 2.0
-        return w, loss
+        return w
 
     n = matrix.shape[0]
     hist = np.bincount(gt, minlength=n) / gt.shape[0]
     uniform = np.full(n, 1.0 / n)
-    w, loss = descend(uniform if opts.init == "uniform" else hist)
-    restarted = value(uniform) < loss
-    if restarted:
-        w2, loss2 = descend(uniform)
-        if loss2 < loss:
-            w = w2
-    return w / w.sum(), restarted
+    start = uniform if opts.init == "uniform" else hist
+    w = descend(uniform if value(uniform) < value(start) else start)
+    return w / w.sum()
 
 
 def simplex_reference(v):
@@ -497,10 +494,9 @@ class TestSolver:
 
     def assert_no_worse_than_dense_solver(self, matrix, gt, probs, opts):
         """The Newton solver ends no worse than the projected-gradient
-        solver it replaced, within 30 Newton iterations per descent, as the
-        solver reports them. Returns the solved weights, whether the old
-        solver restarted, and the solver's report."""
-        want, restarted = dense_solve(matrix, gt, probs, opts)
+        solver it replaced, within 30 Newton iterations, as the solver
+        reports them. Returns the solved weights and the solver's report."""
+        want = dense_solve(matrix, gt, probs, opts)
         confusion = ConfusionModel(matrix=matrix, floor=1e-4)
         samples = SampleSet(gt=gt, probs=probs)
         reports = []
@@ -508,9 +504,8 @@ class TestSolver:
         assert refinement_loss(got, confusion, samples) <= refinement_loss(
             want, confusion, samples) + 1e-9
         (report,) = reports
-        assert 1 <= len(report.iterations) <= 2
-        assert max(report.iterations) <= 30
-        return got, restarted, report
+        assert 1 <= report.iterations <= 30
+        return got, report
 
     def test_no_worse_than_dense_solver(self):
         """Seeded instances with 2-20 labels, 5-5000 samples and labels
@@ -531,31 +526,38 @@ class TestSolver:
             probs = rng.dirichlet(np.full(n, sharpness), size=count)
             opts = SolverOptions(max_iters=(500, 100)[k % 2],
                                  init="uniform" if k % 5 == 4 else "histogram")
-            got, _, _ = self.assert_no_worse_than_dense_solver(matrix, gt, probs, opts)
+            got, _ = self.assert_no_worse_than_dense_solver(matrix, gt, probs, opts)
             grad = refinement_loss_gradient(
                 got, ConfusionModel(matrix=matrix, floor=1e-4), SampleSet(gt=gt, probs=probs))
             residual = got - project_to_simplex(got - grad / count)
             assert np.abs(residual).max() <= 1e-6
 
-    def test_uniform_restart(self):
-        """A one-iteration descent from the histogram that loses to the
-        uniform prior, so both solvers descend again from uniform."""
+    def test_uniform_start(self):
+        """A histogram init that the uniform prior beats: the image starts
+        from uniform, so a one-iteration solve gives init="uniform"'s prior
+        bit for bit, no worse than the dense solver's."""
         rng = np.random.default_rng(30)
         n, count = int(rng.integers(2, 6)), int(rng.integers(5, 40))
         matrix = rng.dirichlet(np.full(n, 0.1), size=n).T + 1e-4
         matrix /= matrix.sum(axis=0, keepdims=True)
         gt = rng.choice(np.arange(n), size=count, p=rng.dirichlet(np.full(n, 0.3)))
         probs = rng.dirichlet(np.full(n, 0.05), size=count)
-        _, restarted, report = self.assert_no_worse_than_dense_solver(
+        confusion = ConfusionModel(matrix=matrix, floor=1e-4)
+        samples = SampleSet(gt=gt, probs=probs)
+        hist = np.bincount(gt, minlength=n) / count
+        assert refinement_loss(np.full(n, 1.0 / n), confusion, samples) < refinement_loss(
+            hist, confusion, samples)
+        got, report = self.assert_no_worse_than_dense_solver(
             matrix, gt, probs, SolverOptions(max_iters=1))
-        assert restarted
-        assert report.restarted
-        assert len(report.iterations) == 2
+        uniform = solve_unconstrained_prior(confusion, samples,
+                                            SolverOptions(max_iters=1, init="uniform"))
+        np.testing.assert_array_equal(got, uniform.weights)
+        assert report.iterations == 1
 
     def test_report_counts_hessians(self, monkeypatch):
         """A single image's reported Newton iterations are its Hessian
-        evaluations, one per iteration, over both descents; the reported
-        loss is the returned prior's."""
+        evaluations, one per iteration; the reported loss is the returned
+        prior's."""
         hessians = []
         loss_hessian = kernels.loss_hessian
 
@@ -574,7 +576,7 @@ class TestSolver:
             reports = []
             del hessians[:]
             solved = solve_unconstrained_prior(confusion, samples, opts, reports)
-            assert sum(reports[0].iterations) == len(hessians)
+            assert reports[0].iterations == len(hessians)
             assert reports[0].loss == pytest.approx(
                 refinement_loss(solved, confusion, samples), rel=1e-12)
 
@@ -629,13 +631,14 @@ class TestBatchedSolver:
             got, oracle = (refinement_loss(w, confusion, samples) for w in (prior, want))
             # a one-sample loss can be just below 0: float32 maps sum to 1 within 1e-7
             assert got <= oracle + 1e-9 * abs(oracle)
-            assert len(report.iterations) == len(iterations)
-            assert max(report.iterations) <= opts.max_iters
+            assert 1 <= report.iterations <= opts.max_iters
 
-    def test_restart_batch(self):
-        """test_uniform_restart's instance in a group of other images: its
-        restart from uniform runs as a second batch, and every image still
-        matches the oracle."""
+    def test_uniform_start_in_group(self):
+        """test_uniform_start's instance, twice, in a group of other images:
+        both copies start from uniform, so they get init="uniform"'s bits in
+        that group, and every image still matches the oracle. Among images
+        of its own sample count, where none is padded, it gets the bits of
+        the image solved alone."""
         rng = np.random.default_rng(30)
         n, count = int(rng.integers(2, 6)), int(rng.integers(5, 40))
         matrix = rng.dirichlet(np.full(n, 0.1), size=n).T + 1e-4
@@ -648,15 +651,28 @@ class TestBatchedSolver:
         sets.append(sets[0])
         confusion = ConfusionModel(matrix=matrix, floor=1e-4)
         opts = SolverOptions(max_iters=1)
-        reports = []
+        reports, uniform_reports = [], []
         solved = solve_unconstrained_prior(confusion, sets, opts, reports)
-        assert reports[0].restarted and reports[-1].restarted
-        np.testing.assert_array_equal(solved[0].weights, solved[-1].weights)
+        uniform = solve_unconstrained_prior(confusion, sets, SolverOptions(max_iters=1,
+                                                                           init="uniform"),
+                                            uniform_reports)
+        for i in (0, -1):
+            np.testing.assert_array_equal(solved[i].weights, uniform[i].weights)
+            assert reports[i] == uniform_reports[i]
         for prior, report, samples in zip(solved, reports, sets):
             want, _, iterations = solve_prior_sequential(matrix, samples.gt, samples.probs, opts)
             got, oracle = (refinement_loss(w, confusion, samples) for w in (prior, want))
             assert got <= oracle + 1e-9 * abs(oracle)
-            assert report.restarted == (len(iterations) == 2)
+            assert report.iterations == iterations == 1
+        same = [sets[0]] + [SampleSet(gt=rng.integers(0, n, size=count),
+                                      probs=rng.dirichlet(np.full(n, 0.5), size=count))
+                            for _ in range(4)] + [sets[0]]
+        reports, alone_reports = [], []
+        solved = solve_unconstrained_prior(confusion, same, opts, reports)
+        alone = solve_unconstrained_prior(confusion, sets[0], opts, alone_reports)
+        for i in (0, -1):
+            np.testing.assert_array_equal(solved[i].weights, alone.weights)
+            assert reports[i] == alone_reports[0]
 
     @pytest.mark.parametrize("seed", range(30))
     def test_solve_does_not_depend_on_row_position(self, seed):
@@ -704,6 +720,11 @@ class TestBatchedSolver:
         (batched,) = solve_unconstrained_prior(confusion, [samples])
         single = solve_unconstrained_prior(confusion, samples)
         np.testing.assert_array_equal(batched.weights, single.weights)
+
+    def test_rejects_no_sample_sets(self):
+        confusion = ConfusionModel(matrix=mixed_confusion(3), floor=1e-4)
+        with pytest.raises(DataError, match="no sample sets"):
+            solve_unconstrained_prior(confusion, [])
 
     def test_rejects_empty_and_mismatched_sets(self):
         confusion = ConfusionModel(matrix=mixed_confusion(3), floor=1e-4)

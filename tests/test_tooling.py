@@ -1,9 +1,11 @@
 """The names the benchmark harness (perfbench/) reads from conflens and from
-benchmarks/bench_kernels.py still exist, so deleting one fails here and not
-only in a benchmark run."""
+benchmarks/bench_kernels.py still exist, and its traced run still gives
+every per-layer metric, so breaking one fails here and not only in a
+benchmark run."""
 
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
@@ -57,3 +59,32 @@ def test_hooked_parameters_keep_their_positions():
     for fn, want in positions.items():
         names = list(inspect.signature(fn).parameters)
         assert {name: names.index(name) for name in want} == want, fn.__name__
+
+
+def test_traced_run_gives_every_metric(small_dataset, tmp_path, monkeypatch):
+    """perfbench's `--trace 1` sequence on a small dataset: every op passes
+    its checks and every per-layer metric is finite. A metric reads the
+    spans of the kernels it names, so one the pipeline stops calling fails
+    here."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers, pipeline, tracing = (importlib.import_module(name)
+                                 for name in ("layers", "pipeline", "tracing"))
+    spec, manifest, data = small_dataset
+    ident, out = tmp_path / "ident.segt", tmp_path / "out"
+    out.mkdir()
+    conflens.save_confusion(conflens.identity_confusion(spec.label_set), ident, radius=0)
+    ops = pipeline.build_ops(data / "manifest.json", ident, out, "")
+    tracer = tracing.Tracer()
+    uninstall = layers.install(tracer)
+    try:
+        with tracer.span("iteration"):
+            _, results = pipeline.run_ops(importlib.import_module("conflens.cli").main, ops,
+                                          tracer.span)
+    finally:
+        uninstall()
+    ids = [rec.image_id for rec in manifest.split_records("evaluation")]
+    pipeline.check_outputs(results, out, ids, spec.n_classes, None)
+    assert [r.problems for r in results] == [[] for _ in ops]
+    (aggs,) = layers.aggregate(tracer.names, tracer.spans).values()
+    metrics = layers.iteration_metrics(aggs)
+    assert {k: v for k, v in metrics.items() if not math.isfinite(v)} == {}
