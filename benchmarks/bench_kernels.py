@@ -1,10 +1,10 @@
 """Timing benchmark for the numpy kernels.
 
-Times each kernel in conflens.kernels, and the probability-map sum check
-that every map load runs, on segmentation-scale inputs (512x512 images, 20
-classes), plus the solver's loss on 64 stacked 576-sample, 8-class images in
-one call against one call per image, and prints the best of N runs per
-case.
+Times each kernel in conflens.kernels, and the probability-map range and
+sum check that every map load runs (conflens.data._probs_ok), on
+segmentation-scale inputs (512x512 images, 20 classes), plus the solver's
+loss on 64 stacked 576-sample, 8-class images in one call against one call
+per image, and prints the best of N runs per case.
 perfbench/harness.py imports make_inputs for its per-kernel metrics.
 
 Usage:
@@ -16,7 +16,8 @@ import time
 
 import numpy as np
 
-from conflens import ProbabilityMap, kernels, validate_probability_map
+from conflens import kernels
+from conflens.data import _probs_ok
 
 
 def timeit(fn, repeats):
@@ -92,7 +93,6 @@ def main():
     evidence = kernels.sample_evidence(data["matrix"], data["sample_gt"], data["sample_probs"])
 
     loss_args = (data["matrix"], data["weights"], data["sample_gt"], evidence, 1e-10)
-    probs = ProbabilityMap(data["probs"])
     cases = [
         ("border_excluded (r=2)", lambda: kernels.border_excluded(data["labels"], 2)),
         ("pair_counts", lambda: kernels.pair_counts(
@@ -103,7 +103,7 @@ def main():
         ("loss_hessian (1e5 samples)", lambda: kernels.loss_hessian(*loss_args)),
         ("nearest_seed (256 seeds)",
          lambda: kernels.nearest_seed(args.size, args.size, *data["seeds"])),
-        ("validate_probability_map", lambda: validate_probability_map(probs, 1e-4)),
+        ("map load check (_probs_ok)", lambda: _probs_ok(data["probs"])),
         *batched_loss_cases(),
     ]
 

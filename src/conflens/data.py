@@ -153,6 +153,8 @@ class ManifestRecord:
     def __post_init__(self):
         if self.split not in SPLITS:
             raise DataError(f"unknown split {self.split!r}")
+        if not isinstance(self.image_id, str):
+            raise DataError(f"image id {self.image_id!r} is not a string")
         # ids become output file names, so one must not leave --out
         if self.image_id in ("", ".", "..") or any(c in self.image_id for c in "/\\\0"):
             raise DataError(
@@ -561,10 +563,10 @@ def load_manifest(path: str | Path) -> Manifest:
         base = path.resolve().parent
         records = tuple(
             ManifestRecord(
-                image_id=str(r["id"]),
+                image_id=r["id"],
                 probs_path=base / r["probs"],
                 gt_path=base / r["gt"],
-                split=str(r["split"]),
+                split=r["split"],
             )
             for r in obj["records"]
         )

@@ -38,9 +38,9 @@ _ZERO_WEIGHT = 1e-12
 PRIOR_KINDS = ("uniform", "global", "binary", "histogram", "unconstrained")
 DEFAULT_SUBSAMPLE = 100_000
 # Bytes of float64 sample classifier outputs, the size of their evidence,
-# that the prior stage cuts from its chunks of maps into one lockstep group
-# before it solves them. A solve holds the group's evidence, about this
-# much, and the chunk that the group's last image came from.
+# that the prior stage cuts into one lockstep group before it solves them.
+# The stage loads one image's maps at a time and drops them before a solve,
+# so a solve holds the group's evidence, about this much, and no map.
 # Larger groups take fewer lockstep iterations: on the benchmark's
 # many_small workload (2-core VM), 2 MiB groups made the stage about 7%
 # faster than 1 MiB groups, and 4 MiB about 5% faster again, but 4 MiB
@@ -49,7 +49,7 @@ DEFAULT_SUBSAMPLE = 100_000
 # no prior; where counts differ, padding an image to a wider group can
 # change its last bits.
 SOLVE_BUDGET = 2 << 20
-# Line-search tries per call when one image is still searching; see
+# Line-search tries per round when one image is still searching; see
 # _first_decrease.
 _TRIES = 8
 
@@ -383,8 +383,8 @@ _SWAP_BUDGET = 8 * kernels.HESSIAN_BLOCK
 
 def _partition(keep, *arrays):
     """Reorder the rows of each array in place, by swaps, so that the rows
-    where keep is True come first; returns the new order as indices of the
-    old rows. The other rows keep their data, behind them.
+    where keep is True come first. The other rows keep their data, behind
+    them.
 
     The rows before the count of keep where it is False, ascending, swap
     with the rows behind them where it is True, descending. Blocks of pairs
@@ -393,40 +393,42 @@ def _partition(keep, *arrays):
     row."""
     k = int(np.count_nonzero(keep))
     front, back = (~keep[:k]).nonzero()[0], k + keep[k:].nonzero()[0][::-1]
+    if not front.size:  # the kept rows already come first
+        return
     rows, swapped = np.empty((2, 2 * front.size), dtype=np.intp)
     rows[0::2] = swapped[1::2] = front
     rows[1::2] = swapped[0::2] = back
     for arr in arrays:
-        step = _SWAP_BUDGET // arr[0].nbytes // 2 * 2 if front.size else 0
+        step = _SWAP_BUDGET // arr[0].nbytes // 2 * 2
         if not step:
             for i, j in zip(front.tolist(), back.tolist()):
                 arr[i], arr[j] = arr[j], arr[i].copy()
             continue
         for start in range(0, rows.size, step):
             arr[rows[start:start + step]] = arr[swapped[start:start + step]]
-    order = np.arange(keep.size)
-    order[rows] = swapped
-    return order
 
 
-def _first_decrease(matrix, group, w, loss, direction, t, t_min, searching, cand, carried):
+def _first_decrease(matrix, group, w, loss, direction, t, t_min, searching, carried):
     """Backtrack project_to_simplex(w + t * direction) for each row where
     `searching` is True, halving the row's t from its value in `t` while
     t >= t_min, to the first strict decrease of the row's loss. A row that
-    finds one gets the candidate in cand, its loss in loss and its s in the
-    scores of `group` (gt, evidence, floor, scores), which the next
-    iteration's derivatives reuse; t keeps each row's last t tried. Returns
-    the mask of rows that found one.
+    finds one takes the step in place: its weights in w, their loss in loss,
+    their s in the scores of `group` (gt, evidence, floor, scores), which
+    the next iteration's derivatives reuse, and the accepted t in t. A row
+    that finds none keeps its w and loss, and t holds half its last t
+    tried; its scores may hold a rejected try's s, which the descent never
+    reads, since an image whose loss did not fall stops. Returns the mask
+    of rows that found one.
 
-    Before each call of the loss, _partition moves the searching rows to
-    the front, in place, of every array given: the group's, this search's
-    own and `carried`, the caller's other arrays with one row per image (no
-    two sharing memory, since a second swap of the same rows would undo the
+    Each round first moves the searching rows to the front, in place, by
+    _partition, of every array given: the group's, this search's own and
+    `carried`, the caller's other arrays with one row per image (no two
+    sharing memory, since a second swap of the same rows would undo the
     first). So row i of every array still describes one image, and the
-    searching rows are tried as a prefix. With P rows searching, a call
+    searching rows are tried as a prefix. With P rows searching, a round
     tries max(1, _TRIES // P) successive halvings of every row at once (a
     lone row's next tries come almost free), and a row takes the first
-    that decreases; a call of one try writes s straight into scores. The
+    that decreases; a round of one try writes s straight into scores. The
     loss kernels compute each row on its own, so neither P nor the number
     of tries changes a row's result."""
     n = w.shape[0]
@@ -434,49 +436,43 @@ def _first_decrease(matrix, group, w, loss, direction, t, t_min, searching, cand
     found = np.zeros(n, dtype=bool)
     searching = searching & (t >= t_min)
     while p := int(np.count_nonzero(searching)):
-        _partition(searching, *group, w, loss, direction, t, cand, found, *carried)
+        _partition(searching, *group, w, loss, direction, t, found, *carried)
         tries = max(1, _TRIES // p)
         out = scores[:p, None] if tries == 1 else np.empty((p, tries, gt.shape[1]))
-        halvings = 0.5 ** np.arange(tries)
-        sub_t = t[:p]
-        while True:
-            tried = sub_t[:, None] * halvings
-            trial = project_to_simplex(w[:p, None] + tried[..., None] * direction[:p, None])
-            trial_loss = kernels.loss_value(matrix, trial, gt[:p, None], evidence[:p, None],
-                                            floor[:p, None], out)
-            better = (trial_loss < loss[:p, None]) & (tried >= t_min)
-            if better.any():
-                break
-            sub_t = tried[:, -1] * 0.5
-            if not (sub_t >= t_min).all():
-                break
+        tried = t[:p, None] * 0.5 ** np.arange(tries)
+        trial = project_to_simplex(w[:p, None] + tried[..., None] * direction[:p, None])
+        trial_loss = kernels.loss_value(matrix, trial, gt[:p, None], evidence[:p, None],
+                                        floor[:p, None], out)
+        better = (trial_loss < loss[:p, None]) & (tried >= t_min)
         hit = better.any(axis=1)
+        t[:p] = tried[:, -1] * 0.5
         if hit.any():
-            first = better.argmax(axis=1)
             won = hit.nonzero()[0]
-            pick = (won, first[won])
-            cand[won], loss[won], found[won] = trial[pick], trial_loss[pick], True
+            pick = (won, better[won].argmax(axis=1))
+            w[won], loss[won], t[won], found[won] = trial[pick], trial_loss[pick], tried[pick], True
             if tries > 1:
                 scores[won] = out[pick]
-            sub_t = np.where(hit, tried[np.arange(p), first], tried[:, -1] * 0.5)
-        t[:p] = sub_t
         searching = np.zeros(n, dtype=bool)
-        searching[:p] = ~hit & (sub_t >= t_min)
+        searching[:p] = ~hit & (t[:p] >= t_min)
     return found
 
 
-def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
+def _descend(matrix, gt, evidence, floor, init, step, opts: SolverOptions):
     """Monotone projected Newton descent of a group of images in lockstep,
-    from start (B, L), with `step` each image's first gradient step length.
+    from init (B, L) or, for an image where the uniform prior's loss is
+    strictly lower, from uniform, with `step` each image's first gradient
+    step length. A non-finite loss at init is a DataError. With opts.init
+    "uniform", init is uniform, so it is scored once.
 
     Each iteration takes the gradient and Hessian at the image's weights,
     then backtracks along the Newton direction from t = 1 down to 1e-6. If
     that gives no decrease, or there is no Newton direction, it takes a
     projected-gradient step instead, backtracking from a step length that
     halves on each rejection and doubles after each accepted gradient step.
-    An image stops when its loss falls by less than loss_tolerance, which
-    covers the case where no step decreases it (a drop of 0), or after
-    max_iters iterations.
+    Both searches write an accepted step in place; the gradient search
+    tries only images the Newton search left. An image stops when its loss
+    falls by less than loss_tolerance, which covers the case where no step
+    decreases it (a drop of 0), or after max_iters iterations.
 
     Row i of each array the descent works on describes one image: gt,
     evidence, floor and scores, and the image's weights, loss, step length
@@ -488,9 +484,17 @@ def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
     Returns the end weights (B, L), their losses (B,) and each image's
     Newton iterations (B,), in the input row order.
     """
-    n = start.shape[0]
-    w, scores = start.copy(), np.empty(gt.shape)
+    n = init.shape[0]
+    w, scores = init.copy(), np.empty(gt.shape)
     loss = kernels.loss_value(matrix, w, gt, evidence, floor, scores)
+    if not np.isfinite(loss).all():
+        raise DataError("non-finite loss at solver init")
+    if opts.init != "uniform":
+        uniform, uniform_scores = np.full(w.shape, 1.0 / w.shape[1]), np.empty(gt.shape)
+        uniform_loss = kernels.loss_value(matrix, uniform, gt, evidence, floor, uniform_scores)
+        wins = uniform_loss < loss
+        w[wins], loss[wins], scores[wins] = uniform[wins], uniform_loss[wins], uniform_scores[wins]
+        del uniform_scores  # not held through the descent beside scores
     every = (gt, evidence, floor, scores, w, loss, step.copy(), np.arange(n))
     iterations = np.full(n, opts.max_iters)
     k = n
@@ -500,15 +504,13 @@ def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
         grad = kernels.loss_grad(matrix, w, gt, evidence, floor, scores)
         hess = kernels.loss_hessian(matrix, w, gt, evidence, floor, scores)
         direction, newton = _newton_directions(w, grad, hess)
-        cand, cand_loss = w.copy(), loss.copy()
-        group = rows[:4]
-        accepted = _first_decrease(matrix, group, w, cand_loss, direction, np.ones(k),
-                                   _NEWTON_MIN_STEP, newton, cand, (loss, grad, step, order))
-        by_gradient = _first_decrease(matrix, group, w, cand_loss, -grad, step,
-                                      opts.step_tolerance, ~accepted, cand, (loss, order))
+        before, group = loss.copy(), rows[:4]
+        accepted = _first_decrease(matrix, group, w, loss, direction, np.ones(k),
+                                   _NEWTON_MIN_STEP, newton, (before, grad, step, order))
+        by_gradient = _first_decrease(matrix, group, w, loss, -grad, step,
+                                      opts.step_tolerance, ~accepted, (before, order))
         step[by_gradient] *= 2.0
-        going = loss - cand_loss >= opts.loss_tolerance
-        w[...], loss[...] = cand, cand_loss
+        going = before - loss >= opts.loss_tolerance
         if not going.all():  # the stopped images keep w and loss, behind the prefix
             _partition(going, *rows)
             k = int(np.count_nonzero(going))
@@ -556,11 +558,11 @@ def solve_unconstrained_prior(
     `samples` is one SampleSet, giving one Prior, or a sequence of them,
     solved together in lockstep and giving a list of Priors in order; the
     prior stage passes the images' samples already cut into a _SolveGroup.
-    Each image descends once, from the configured init (sample histogram
-    by default) or, where the uniform prior scores strictly better, from
-    uniform. The descent is monotone, so a result never loses to its init,
-    the histogram prior, or the uniform prior. `reports`, when a list,
-    receives one SolveReport per image.
+    This builds each image's configured init (sample histogram by default)
+    and descends once; the descent starts from uniform where the uniform
+    prior scores strictly better, and is monotone, so a result never loses
+    to its init, the histogram prior, or the uniform prior. `reports`, when
+    a list, receives one SolveReport per image.
     """
     n, matrix = confusion.n_labels, confusion.matrix
     single = isinstance(samples, SampleSet)
@@ -580,18 +582,12 @@ def solve_unconstrained_prior(
     counts = np.array(group.counts)
     evidence, gt = np.swapaxes(group.evidence[:counts.size], 1, 2), group.gt[:counts.size]
     floor = np.where(np.arange(gt.shape[1]) < counts[:, None], opts.epsilon, 1.0)
-    uniform = np.full((counts.size, n), 1.0 / n)
     if opts.init == "uniform":
-        start = uniform
+        init = np.full((counts.size, n), 1.0 / n)
     else:
-        start = np.stack([np.bincount(row[:c], minlength=n) for row, c in zip(gt, counts)])
-        start = start / counts[:, None]
-    start_loss = kernels.loss_value(matrix, start, gt, evidence, floor)
-    if not np.isfinite(start_loss).all():
-        raise DataError("non-finite loss at solver init")
-    uniform_loss = kernels.loss_value(matrix, uniform, gt, evidence, floor)
-    start = np.where((uniform_loss < start_loss)[:, None], uniform, start)
-    w, loss, iterations = _descend(matrix, gt, evidence, floor, start, 1.0 / counts, opts)
+        init = np.stack([np.bincount(row[:c], minlength=n) for row, c in zip(gt, counts)])
+        init = init / counts[:, None]
+    w, loss, iterations = _descend(matrix, gt, evidence, floor, init, 1.0 / counts, opts)
     total = w.sum(axis=1, keepdims=True)
     w = np.where(np.abs(total - 1.0) > 1e-12, w / total, w)
     if reports is not None:

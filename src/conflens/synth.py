@@ -284,16 +284,16 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> Manifest:
     out = Path(out_dir)
     eval_matrix = eval_confusion_matrix(spec)
     true_matrix = np.asarray(spec.true_confusion, dtype=np.float64)
-    children = np.random.SeedSequence(spec.seed).spawn(spec.n_images)
     records = []
 
     # each group is built and written inside a call: a loop variable bound
     # to built maps would keep them alive while the next group is built
     with publish(out) as stage:
         def write_group(indices):
-            built = [_generate_image(spec, np.random.default_rng(children[idx]),
-                                     true_matrix if idx < spec.n_estimation else eval_matrix)
-                     for idx in indices]
+            # image idx's stream: spawn (idx,) of the seed, as in the prior stage
+            built = [_generate_image(
+                spec, np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(idx,))),
+                true_matrix if idx < spec.n_estimation else eval_matrix) for idx in indices]
             for idx, (gt, probs) in zip(indices, built):
                 split = "estimation" if idx < spec.n_estimation else "evaluation"
                 image_id = f"img_{idx:04d}"

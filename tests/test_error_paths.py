@@ -16,6 +16,7 @@ from conflens import (
     CountMatrix,
     LabelMap,
     LabelSet,
+    ManifestRecord,
     Prior,
     ProbabilityMap,
     SampleSet,
@@ -169,6 +170,35 @@ class TestDataValidation:
         )
         with pytest.raises(DataError, match="malformed manifest"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("image_id", [None, 7, ["x"]], ids=str)
+    def test_load_manifest_malformed_id(self, tmp_path, image_id):
+        """An id is checked, not coerced: null would load as image "None"
+        and name its outputs None_pred.segt."""
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"labels": {"size": 3}, "records": [
+            {"id": image_id, "probs": "p.segt", "gt": "g.segt", "split": "evaluation"}]}))
+        with pytest.raises(DataError, match="malformed manifest.*not a string"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("image_id", [None, 7, ["x"]], ids=str)
+    def test_manifest_id_not_a_string_exits_2(self, small_dataset, tmp_path, image_id):
+        _, _, data = small_dataset
+        obj = json.loads((data / "manifest.json").read_text())
+        for rec in obj["records"]:
+            rec["probs"], rec["gt"] = str(data / rec["probs"]), str(data / rec["gt"])
+        obj["records"][-1]["id"] = image_id
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(obj))
+        bank = tmp_path / "bank.segt"
+        assert main(["prior", "--manifest", str(manifest), "--kind", "uniform",
+                     "--out", str(bank)]) == 2
+        assert not bank.exists()
+
+    def test_manifest_record_rejects_non_string_id(self):
+        with pytest.raises(DataError, match="not a string"):
+            ManifestRecord(image_id=7, probs_path=Path("p.segt"), gt_path=Path("g.segt"),
+                           split="evaluation")
 
     @pytest.mark.parametrize("kwargs, field", [
         (dict(size=3.0), "size"), (dict(size="3"), "size"),

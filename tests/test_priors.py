@@ -726,6 +726,32 @@ class TestBatchedSolver:
         with pytest.raises(DataError, match="no sample sets"):
             solve_unconstrained_prior(confusion, [])
 
+    @pytest.mark.parametrize("init, calls", [("histogram", 2), ("uniform", 1)])
+    def test_each_start_scored_once(self, monkeypatch, init, calls):
+        """Before its first line search, a group solve scores each start it
+        can take once: init and uniform, or uniform alone when it is the
+        init."""
+        scored, at_search = [], []
+        loss_value = kernels.loss_value
+
+        def counting(*args):
+            scored.append(1)
+            return loss_value(*args)
+
+        def finds_nothing(matrix, group, w, *rest):
+            at_search.append(len(scored))
+            return np.zeros(w.shape[0], dtype=bool)
+
+        monkeypatch.setattr(kernels, "loss_value", counting)
+        monkeypatch.setattr(priors, "_first_decrease", finds_nothing)
+        rng = np.random.default_rng(7)
+        confusion = ConfusionModel(matrix=mixed_confusion(5), floor=1e-4)
+        reports = []
+        solve_unconstrained_prior(confusion, self.sample_sets(rng, 5),
+                                  SolverOptions(init=init), reports)
+        assert at_search[0] == len(scored) == calls
+        assert all(report.iterations == 1 for report in reports)
+
     def test_rejects_empty_and_mismatched_sets(self):
         confusion = ConfusionModel(matrix=mixed_confusion(3), floor=1e-4)
         good = SampleSet(gt=np.array([0, 1]), probs=np.full((2, 3), 1 / 3))
@@ -791,7 +817,8 @@ class TestPartition:
         assert 5 * arrays[3][:1].nbytes <= priors._SWAP_BUDGET < 6 * arrays[3][:1].nbytes
         assert arrays[4][:1].nbytes > priors._SWAP_BUDGET
         before = [arr.copy() for arr in arrays]
-        order = priors._partition(keep, *arrays)
+        order = np.arange(n)
+        priors._partition(keep, order, *arrays)
         k = int(np.count_nonzero(keep))
         assert sorted(order.tolist()) == list(range(n))
         assert keep[order[:k]].all() and not keep[order[k:]].any()

@@ -44,6 +44,7 @@ def test_bench_kernels_inputs_run_every_timed_kernel():
     assert np.isfinite(kernels.loss_value(*loss_args)).all()
     kernels.loss_grad(*loss_args)
     kernels.nearest_seed(16, 16, *data["seeds"])
+    assert conflens.data._probs_ok(data["probs"])  # bench_kernels' map load check
 
 
 def test_hooked_parameters_keep_their_positions():
