@@ -18,6 +18,7 @@ import numpy as np
 
 from conflens import kernels
 from conflens.data import _probs_ok
+from conflens.priors import EPSILON
 
 
 def timeit(fn, repeats):
@@ -70,13 +71,13 @@ def batched_loss_cases(n_images=64, n_samples=576, n_classes=8, seed=0):
         for g in gt
     ]
     stacked = np.swapaxes(np.stack([np.swapaxes(e, 0, 1) for e in singles]), 1, 2)
-    floor = np.full(gt.shape, 1e-10)
+    floor = np.full(gt.shape, EPSILON)
     label = f"loss_value ({n_images}x{n_samples}x{n_classes}"
     return [
         (f"{label}, 1 call)",
          lambda: kernels.loss_value(matrix, weights, gt, stacked, floor)),
         (f"{label}, {n_images} calls)",
-         lambda: [kernels.loss_value(matrix, w, g, e, 1e-10)
+         lambda: [kernels.loss_value(matrix, w, g, e, EPSILON)
                   for w, g, e in zip(weights, gt, singles)]),
     ]
 
@@ -92,7 +93,7 @@ def main():
     n = args.classes
     evidence = kernels.sample_evidence(data["matrix"], data["sample_gt"], data["sample_probs"])
 
-    loss_args = (data["matrix"], data["weights"], data["sample_gt"], evidence, 1e-10)
+    loss_args = (data["matrix"], data["weights"], data["sample_gt"], evidence, EPSILON)
     cases = [
         ("border_excluded (r=2)", lambda: kernels.border_excluded(data["labels"], 2)),
         ("pair_counts", lambda: kernels.pair_counts(

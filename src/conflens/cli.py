@@ -56,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confusion", default=None,
                    help="confusion .segt (required for --kind unconstrained)")
     p.add_argument("--solver-opts", default=None,
-                   help="comma list k=v: max_iters, step_tolerance, loss_tolerance, "
-                        "init, subsample, seed (--kind unconstrained only)")
+                   help="comma list k=v, each key at most once: max_iters, step_tolerance, "
+                        "loss_tolerance, subsample, seed (--kind unconstrained only)")
     p.add_argument("--out", required=True, help="output .segt path (sidecar .json alongside)")
     p.set_defaults(func=cmd_prior)
 
@@ -79,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-dir", required=True)
     p.add_argument("--exclude-borders", action="store_true",
                    help="score only pixels outside the dilated border set")
-    p.add_argument("--radius", type=int, default=DEFAULT_RADIUS,
-                   help="border radius for --exclude-borders (default 2)")
+    p.add_argument("--radius", type=int, default=None,
+                   help="border radius, with --exclude-borders only (default 2)")
     p.add_argument("--out", required=True, help="output report JSON path")
     p.set_defaults(func=cmd_eval)
 
@@ -123,14 +123,16 @@ def _parse_solver_opts(raw: str) -> tuple[SolverOptions, int, int]:
             continue
         if "=" not in token:
             raise UsageError(f"bad --solver-opts token {token!r}; expected k=v")
-        key, value = token.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key, value = (part.strip() for part in token.split("=", 1))
+        if key in fields:
+            raise UsageError(f"--solver-opts key {key!r} given twice")
+        fields[key] = value
     kwargs = {}
     try:
         subsample = int(fields.pop("subsample", DEFAULT_SUBSAMPLE))
         seed = int(fields.pop("seed", 0))
         for key, parse in (("max_iters", int), ("step_tolerance", float),
-                           ("loss_tolerance", float), ("init", str)):
+                           ("loss_tolerance", float)):
             if key in fields:
                 kwargs[key] = parse(fields.pop(key))
     except ValueError as exc:
@@ -168,11 +170,14 @@ def cmd_refine(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.radius is not None and not args.exclude_borders:
+        raise UsageError("--radius needs --exclude-borders")
     manifest = load_manifest(args.manifest)
-    if args.radius < 0:
+    radius = DEFAULT_RADIUS if args.radius is None else args.radius
+    if radius < 0:
         raise UsageError("--radius must be >= 0")
     report = evaluate_split(manifest, args.pred_dir, args.out,
-                            args.radius if args.exclude_borders else None)
+                            radius if args.exclude_borders else None)
     print(
         f"eval: acc={report.pixel_accuracy:.4f} miou={report.mean_iou:.4f} "
         f"({report.n_pixels_scored} px) -> {args.out}"

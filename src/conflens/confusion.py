@@ -19,6 +19,7 @@ from .data import (
     SUM_TOL,
     _bad_labels,
     _frozen_array,
+    _is_json_number,
     _load_chunks,
     load_with_sidecar,
     store_with_sidecar,
@@ -216,7 +217,7 @@ def load_confusion(path: str | Path) -> tuple[ConfusionModel, dict]:
         raise DataError(f"{path}: empty confusion column")
     matrix /= sums
     floor = meta.get("floor", DEFAULT_FLOOR)
-    if isinstance(floor, bool) or not isinstance(floor, (int, float)):
+    if not _is_json_number(floor):
         raise DataError(f"{path}: sidecar floor must be a number, got {floor!r}")
     if not abs(floor) <= sys.float_info.max:
         raise DataError(f"{path}: sidecar floor must be finite, got {floor!r}")

@@ -90,14 +90,12 @@ class SolverOptions:
     max_iters: int = 500
     step_tolerance: float = 1e-9
     loss_tolerance: float = 1e-10
-    epsilon: float = EPSILON
-    init: str = "histogram"
 
     def __post_init__(self):
         if not _is_json_int(self.max_iters) or self.max_iters < 1:
             raise DataError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         # SynthSpec's rule: a JSON number, stored as a float
-        for key in ("step_tolerance", "loss_tolerance", "epsilon"):
+        for key in ("step_tolerance", "loss_tolerance"):
             value = getattr(self, key)
             if not _is_json_number(value):
                 raise DataError(f"{key} {value!r} is not a number")
@@ -108,8 +106,6 @@ class SolverOptions:
             if not 0 < value < np.inf:
                 raise DataError(f"{key} must be finite and positive, got {value!r}")
             object.__setattr__(self, key, value)
-        if self.init not in ("uniform", "histogram"):
-            raise DataError(f"unknown solver init {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -288,16 +284,14 @@ def _loss_inputs(prior, confusion: ConfusionModel, samples: SampleSet):
     return confusion.matrix, w, samples.gt, evidence
 
 
-def refinement_loss(prior, confusion: ConfusionModel, samples: SampleSet,
-                    epsilon: float = EPSILON) -> float:
-    """Sum over samples of -log(max(refined gt probability, epsilon))."""
-    return kernels.loss_value(*_loss_inputs(prior, confusion, samples), epsilon)
+def refinement_loss(prior, confusion: ConfusionModel, samples: SampleSet) -> float:
+    """Sum over samples of -log(max(refined gt probability, EPSILON))."""
+    return kernels.loss_value(*_loss_inputs(prior, confusion, samples), EPSILON)
 
 
-def refinement_loss_gradient(prior, confusion: ConfusionModel, samples: SampleSet,
-                             epsilon: float = EPSILON) -> np.ndarray:
+def refinement_loss_gradient(prior, confusion: ConfusionModel, samples: SampleSet) -> np.ndarray:
     """d(loss)/d(prior), accounting for P(C=c) = sum_l P(C=c|l) P(l)."""
-    return kernels.loss_grad(*_loss_inputs(prior, confusion, samples), epsilon)
+    return kernels.loss_grad(*_loss_inputs(prior, confusion, samples), EPSILON)
 
 
 @functools.lru_cache(maxsize=64)
@@ -457,12 +451,11 @@ def _first_decrease(matrix, group, w, loss, direction, t, t_min, searching, carr
     return found
 
 
-def _descend(matrix, gt, evidence, floor, init, step, opts: SolverOptions):
+def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
     """Monotone projected Newton descent of a group of images in lockstep,
-    from init (B, L) or, for an image where the uniform prior's loss is
+    from start (B, L) or, for an image where the uniform prior's loss is
     strictly lower, from uniform, with `step` each image's first gradient
-    step length. A non-finite loss at init is a DataError. With opts.init
-    "uniform", init is uniform, so it is scored once.
+    step length. A non-finite loss at start is a DataError.
 
     Each iteration takes the gradient and Hessian at the image's weights,
     then backtracks along the Newton direction from t = 1 down to 1e-6. If
@@ -484,17 +477,16 @@ def _descend(matrix, gt, evidence, floor, init, step, opts: SolverOptions):
     Returns the end weights (B, L), their losses (B,) and each image's
     Newton iterations (B,), in the input row order.
     """
-    n = init.shape[0]
-    w, scores = init.copy(), np.empty(gt.shape)
+    n = start.shape[0]
+    w, scores = start.copy(), np.empty(gt.shape)
     loss = kernels.loss_value(matrix, w, gt, evidence, floor, scores)
     if not np.isfinite(loss).all():
-        raise DataError("non-finite loss at solver init")
-    if opts.init != "uniform":
-        uniform, uniform_scores = np.full(w.shape, 1.0 / w.shape[1]), np.empty(gt.shape)
-        uniform_loss = kernels.loss_value(matrix, uniform, gt, evidence, floor, uniform_scores)
-        wins = uniform_loss < loss
-        w[wins], loss[wins], scores[wins] = uniform[wins], uniform_loss[wins], uniform_scores[wins]
-        del uniform_scores  # not held through the descent beside scores
+        raise DataError("non-finite loss at the solver's start")
+    uniform, uniform_scores = np.full(w.shape, 1.0 / w.shape[1]), np.empty(gt.shape)
+    uniform_loss = kernels.loss_value(matrix, uniform, gt, evidence, floor, uniform_scores)
+    wins = uniform_loss < loss
+    w[wins], loss[wins], scores[wins] = uniform[wins], uniform_loss[wins], uniform_scores[wins]
+    del uniform_scores  # not held through the descent beside scores
     every = (gt, evidence, floor, scores, w, loss, step.copy(), np.arange(n))
     iterations = np.full(n, opts.max_iters)
     k = n
@@ -558,11 +550,11 @@ def solve_unconstrained_prior(
     `samples` is one SampleSet, giving one Prior, or a sequence of them,
     solved together in lockstep and giving a list of Priors in order; the
     prior stage passes the images' samples already cut into a _SolveGroup.
-    This builds each image's configured init (sample histogram by default)
-    and descends once; the descent starts from uniform where the uniform
-    prior scores strictly better, and is monotone, so a result never loses
-    to its init, the histogram prior, or the uniform prior. `reports`, when
-    a list, receives one SolveReport per image.
+    The loss clamps each sample's refined gt probability at EPSILON. Each
+    image descends once, from the better of its sample histogram and the
+    uniform prior (the histogram where they tie), and the descent is
+    monotone, so a result never loses to the histogram prior or the uniform
+    prior. `reports`, when a list, receives one SolveReport per image.
     """
     n, matrix = confusion.n_labels, confusion.matrix
     single = isinstance(samples, SampleSet)
@@ -581,13 +573,10 @@ def solve_unconstrained_prior(
             group.add(item.gt, item.probs)
     counts = np.array(group.counts)
     evidence, gt = np.swapaxes(group.evidence[:counts.size], 1, 2), group.gt[:counts.size]
-    floor = np.where(np.arange(gt.shape[1]) < counts[:, None], opts.epsilon, 1.0)
-    if opts.init == "uniform":
-        init = np.full((counts.size, n), 1.0 / n)
-    else:
-        init = np.stack([np.bincount(row[:c], minlength=n) for row, c in zip(gt, counts)])
-        init = init / counts[:, None]
-    w, loss, iterations = _descend(matrix, gt, evidence, floor, init, 1.0 / counts, opts)
+    floor = np.where(np.arange(gt.shape[1]) < counts[:, None], EPSILON, 1.0)
+    hist = np.stack([np.bincount(row[:c], minlength=n) for row, c in zip(gt, counts)])
+    w, loss, iterations = _descend(matrix, gt, evidence, floor, hist / counts[:, None],
+                                   1.0 / counts, opts)
     total = w.sum(axis=1, keepdims=True)
     w = np.where(np.abs(total - 1.0) > 1e-12, w / total, w)
     if reports is not None:

@@ -199,7 +199,7 @@ def first_decrease(matrix, gt, evidence, opts, w, loss, direction, t, t_min, sco
     the s of the last prior tried, the candidate's where there is one."""
     while t >= t_min:
         cand = priors.project_to_simplex(w + t * direction)
-        cand_loss = kernels.loss_value(matrix, cand, gt, evidence, opts.epsilon, scores)
+        cand_loss = kernels.loss_value(matrix, cand, gt, evidence, priors.EPSILON, scores)
         if cand_loss < loss:
             return cand, cand_loss, t
         t *= 0.5
@@ -220,13 +220,13 @@ def descend(matrix, gt, evidence, start, opts):
     """
     w = start
     scores = np.empty(gt.shape[0])
-    loss = kernels.loss_value(matrix, w, gt, evidence, opts.epsilon, scores)
+    loss = kernels.loss_value(matrix, w, gt, evidence, priors.EPSILON, scores)
     step = 1.0 / max(gt.shape[0], 1)
     iterations = 0
     for _ in range(opts.max_iters):
         iterations += 1
-        grad = kernels.loss_grad(matrix, w, gt, evidence, opts.epsilon, scores)
-        hess = kernels.loss_hessian(matrix, w, gt, evidence, opts.epsilon, scores)
+        grad = kernels.loss_grad(matrix, w, gt, evidence, priors.EPSILON, scores)
+        hess = kernels.loss_hessian(matrix, w, gt, evidence, priors.EPSILON, scores)
         direction = newton_direction(w, grad, hess)
         cand = None
         if direction is not None:
@@ -247,16 +247,15 @@ def descend(matrix, gt, evidence, start, opts):
 
 def solve_prior_sequential(matrix, gt, probs, opts):
     """The unconstrained prior of one image, solved on its own: one descent
-    from opts.init or, where uniform scores strictly better, from uniform.
-    Returns (weights, loss, iterations)."""
+    from the sample histogram or, where uniform scores strictly better,
+    from uniform. Returns (weights, loss, iterations)."""
     n = matrix.shape[0]
     hist = np.bincount(gt, minlength=n).astype(np.float64)
     hist /= hist.sum()
     uniform = np.full(n, 1.0 / n)
     evidence = kernels.sample_evidence(matrix, gt, probs)
-    start = uniform if opts.init == "uniform" else hist
-    if kernels.loss_value(matrix, uniform, gt, evidence, opts.epsilon) < kernels.loss_value(
-            matrix, start, gt, evidence, opts.epsilon):
-        start = uniform
+    hist_loss, uniform_loss = (kernels.loss_value(matrix, w, gt, evidence, priors.EPSILON)
+                               for w in (hist, uniform))
+    start = uniform if uniform_loss < hist_loss else hist
     w, loss, iterations = descend(matrix, gt, evidence, start, opts)
     return w / w.sum(), loss, iterations

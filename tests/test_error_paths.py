@@ -829,17 +829,15 @@ class TestPriorValidation:
             SolverOptions(max_iters=0)
         with pytest.raises(DataError):
             SolverOptions(loss_tolerance=0.0)
-        with pytest.raises(DataError):
-            SolverOptions(init="midpoint")
         # the tolerances follow SynthSpec's JSON-number rule
-        for field in ("step_tolerance", "loss_tolerance", "epsilon"):
+        for field in ("step_tolerance", "loss_tolerance"):
             for value in ("x", True, None, [1e-9], 10 ** 400):
                 with pytest.raises(DataError, match=field):
                     SolverOptions(**{field: value})
             stored = getattr(SolverOptions(**{field: 1}), field)
             assert type(stored) is float and stored == 1.0
 
-    @pytest.mark.parametrize("field", ["step_tolerance", "loss_tolerance", "epsilon"])
+    @pytest.mark.parametrize("field", ["step_tolerance", "loss_tolerance"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_solver_options_reject_non_finite(self, field, value):
         with pytest.raises(DataError):
@@ -929,6 +927,62 @@ class TestSidecars:
         path.with_suffix(".json").write_text(json.dumps(sidecar))
         with pytest.raises(DataError):
             load(path)
+
+
+class TestStageInputChecks:
+    """Hostile inputs that reach a stage's own checks, past every loader
+    check before them: each exits 2 through the CLI and publishes nothing."""
+
+    @pytest.fixture
+    def data(self, small_dataset, tmp_path):
+        """A private copy of the shared small dataset with an identity
+        confusion `conf.segt` and a uniform bank `bank.segt`."""
+        spec, _, src = small_dataset
+        data = tmp_path / "data"
+        shutil.copytree(src, data)
+        save_confusion(identity_confusion(spec.label_set), data / "conf.segt", radius=0)
+        assert main(["prior", "--manifest", str(data / "manifest.json"), "--kind", "uniform",
+                     "--out", str(data / "bank.segt")]) == 0
+        return data
+
+    def test_all_void_evaluation_image(self, data, tmp_path, capsys):
+        """An evaluation image with no annotated pixel has nothing for the
+        unconstrained prior to fit."""
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["labels"]["void_id"] = 255
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        (record,) = [r for r in manifest["records"] if r["split"] == "evaluation"][-1:]
+        gt = load_label_map(data / record["gt"]).labels
+        save_label_map(LabelMap(np.full_like(gt, 255)), data / record["gt"])
+        out = tmp_path / "u.segt"
+        assert main(["prior", "--manifest", str(data / "manifest.json"), "--kind",
+                     "unconstrained", "--confusion", str(data / "conf.segt"),
+                     "--out", str(out)]) == 2
+        assert "no usable solver samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    # the file's tensor, rewritten with its sidecar kept, and the error
+    CASES = {
+        "confusion-3-labels": ("conf", lambda m: m[:3, :3], "confusion has 3 labels"),
+        "confusion-zero-column": ("conf", lambda m: m * (np.arange(len(m)) > 0),
+                                  "empty confusion column"),
+        "bank-3-d": ("bank", lambda w: w[..., None], "expected 2-d float32 tensor"),
+        "bank-uint16": ("bank", lambda w: np.ones(w.shape, dtype=np.uint16),
+                        "expected 2-d float32 tensor"),
+        "bank-zero-row": ("bank", lambda w: w * (np.arange(len(w)) > 0)[:, None],
+                          "zero-mass prior row"),
+    }
+
+    @pytest.mark.parametrize("name, rewrite, message", CASES.values(), ids=CASES.keys())
+    def test_refine_rejects_input_file(self, data, tmp_path, capsys, name, rewrite, message):
+        path = data / f"{name}.segt"
+        store_tensor(path, rewrite(load_tensor(path)))
+        out = tmp_path / "out"
+        assert main(["refine", "--manifest", str(data / "manifest.json"),
+                     "--confusion", str(data / "conf.segt"), "--priors", str(data / "bank.segt"),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRefineValidation:
@@ -1226,6 +1280,39 @@ class TestCliFlagValidation:
                      "--radius", "-1", "--out", str(tmp_path / "report.json")]) == 1
         assert "--radius must be >= 0" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("opts", ["init=uniform", "max_iters=1,max_iters=2",
+                                      "seed=1, seed=1"])
+    def test_solver_opts_key_not_taken(self, small_dataset, tmp_path, capsys, opts):
+        """A key the solver does not take, or one given twice, of which all
+        but the last would be dropped, exits 1 before anything is read."""
+        spec, _, data = small_dataset
+        conf = tmp_path / "c.segt"
+        save_confusion(identity_confusion(spec.label_set), conf, radius=0)
+        out = tmp_path / "x.segt"
+        assert main(["prior", "--manifest", str(data / "manifest.json"), "--kind",
+                     "unconstrained", "--confusion", str(conf), "--solver-opts", opts,
+                     "--out", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_radius_needs_exclude_borders(self, small_dataset, tmp_path, capsys):
+        """--radius without --exclude-borders, which the scoring would
+        ignore, exits 1; --exclude-borders alone takes radius 2."""
+        _, _, data = small_dataset
+        manifest = str(data / "manifest.json")
+        bank, preds = str(tmp_path / "bank.segt"), str(tmp_path / "preds")
+        assert main(["prior", "--manifest", manifest, "--kind", "uniform", "--out", bank]) == 0
+        assert main(["labelbank", "--manifest", manifest, "--priors", bank,
+                     "--out", preds]) == 0
+        evaluate = ["eval", "--manifest", manifest, "--pred-dir", preds]
+        assert main(evaluate + ["--radius", "7", "--out", str(tmp_path / "r7.json")]) == 1
+        assert "--radius needs --exclude-borders" in capsys.readouterr().err
+        assert not (tmp_path / "r7.json").exists()
+        for name, flags in (("default.json", []), ("r2.json", ["--radius", "2"])):
+            assert main(evaluate + ["--exclude-borders", *flags,
+                                    "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "default.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
 
     def test_unknown_solver_opts_key(self, small_dataset, tmp_path):
         _, _, out = small_dataset

@@ -60,13 +60,13 @@ def loss_oracle(matrix, weights, gt, probs, eps=EPS):
 def dense_solve(matrix, gt, probs, opts=SolverOptions()):
     """The projected-gradient solver that the Newton solver replaced, with
     every evaluation on dense_loss_grad: halve/double backtracking from a
-    step of 1/N, from opts.init or, where uniform scores strictly better,
-    from uniform. Returns the weights."""
+    step of 1/N, from the sample histogram or, where uniform scores strictly
+    better, from uniform. Returns the weights."""
     def value(w):
-        return dense_loss_grad(matrix, w, gt, probs, opts.epsilon)[0]
+        return dense_loss_grad(matrix, w, gt, probs, priors.EPSILON)[0]
 
     def descend(w):
-        loss, grad, _ = dense_loss_grad(matrix, w, gt, probs, opts.epsilon)
+        loss, grad, _ = dense_loss_grad(matrix, w, gt, probs, priors.EPSILON)
         step = 1.0 / max(gt.shape[0], 1)
         for _ in range(opts.max_iters):
             accepted = False
@@ -81,7 +81,7 @@ def dense_solve(matrix, gt, probs, opts=SolverOptions()):
                 break
             drop = loss - cand_loss
             w = cand
-            loss, grad, _ = dense_loss_grad(matrix, w, gt, probs, opts.epsilon)
+            loss, grad, _ = dense_loss_grad(matrix, w, gt, probs, priors.EPSILON)
             if drop < opts.loss_tolerance:
                 break
             step *= 2.0
@@ -90,9 +90,22 @@ def dense_solve(matrix, gt, probs, opts=SolverOptions()):
     n = matrix.shape[0]
     hist = np.bincount(gt, minlength=n) / gt.shape[0]
     uniform = np.full(n, 1.0 / n)
-    start = uniform if opts.init == "uniform" else hist
-    w = descend(uniform if value(uniform) < value(start) else start)
+    w = descend(uniform if value(uniform) < value(hist) else hist)
     return w / w.sum()
+
+
+def solve_from_uniform(monkeypatch, confusion, samples, opts, reports=None):
+    """solve_unconstrained_prior with priors._descend given uniform rows in
+    place of the histogram: the bits of a descent started at uniform."""
+    descend = priors._descend
+
+    def from_uniform(matrix, gt, evidence, floor, start, *rest):
+        uniform = np.full(start.shape, 1.0 / start.shape[1])
+        return descend(matrix, gt, evidence, floor, uniform, *rest)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(priors, "_descend", from_uniform)
+        return solve_unconstrained_prior(confusion, samples, opts, reports)
 
 
 def simplex_reference(v):
@@ -478,19 +491,24 @@ class TestSolver:
             uniform = np.full(n, 1.0 / n)
             assert loss <= refinement_loss(uniform, confusion, samples) + 1e-9
 
-    def test_monotone_descent_from_uniform_init(self):
+    def test_few_iterations_beat_histogram_and_uniform(self):
+        """The one start rule, the better of the histogram and uniform
+        priors, and a monotone descent: after 1 or 3 iterations the solved
+        prior already beats both, on sharp instances where a descent
+        started from uniform alone often ends above the histogram."""
         rng = np.random.default_rng(50)
-        matrix = rng.random((4, 4)) + 0.1
-        matrix /= matrix.sum(axis=0, keepdims=True)
-        confusion = ConfusionModel(matrix=matrix, floor=1e-4)
-        probs = rng.dirichlet(np.ones(4), size=60)
-        samples = SampleSet(gt=rng.integers(0, 4, size=60), probs=probs)
-        opts = SolverOptions(init="uniform")
-        solved = solve_unconstrained_prior(confusion, samples, opts)
-        start = np.full(4, 0.25)
-        assert refinement_loss(solved, confusion, samples) <= refinement_loss(
-            start, confusion, samples
-        )
+        for max_iters in [1] * 100 + [3] * 100:
+            n, count = int(rng.integers(2, 9)), int(rng.integers(5, 80))
+            matrix = rng.dirichlet(np.full(n, 0.2), size=n).T + 1e-4
+            matrix /= matrix.sum(axis=0, keepdims=True)
+            confusion = ConfusionModel(matrix=matrix, floor=1e-4)
+            gt = rng.choice(n, size=count, p=rng.dirichlet(np.full(n, 0.3)))
+            samples = SampleSet(gt=gt, probs=rng.dirichlet(np.full(n, 0.2), size=count))
+            opts = SolverOptions(max_iters=max_iters)
+            solved = solve_unconstrained_prior(confusion, samples, opts)
+            loss = refinement_loss(solved, confusion, samples)
+            for start in (np.bincount(gt, minlength=n) / count, np.full(n, 1.0 / n)):
+                assert loss <= refinement_loss(start, confusion, samples)
 
     def assert_no_worse_than_dense_solver(self, matrix, gt, probs, opts):
         """The Newton solver ends no worse than the projected-gradient
@@ -524,18 +542,17 @@ class TestSolver:
                 present = np.arange(n)[: max(1, n // 3)]
             gt = rng.choice(present, size=count)
             probs = rng.dirichlet(np.full(n, sharpness), size=count)
-            opts = SolverOptions(max_iters=(500, 100)[k % 2],
-                                 init="uniform" if k % 5 == 4 else "histogram")
+            opts = SolverOptions(max_iters=(500, 100)[k % 2])
             got, _ = self.assert_no_worse_than_dense_solver(matrix, gt, probs, opts)
             grad = refinement_loss_gradient(
                 got, ConfusionModel(matrix=matrix, floor=1e-4), SampleSet(gt=gt, probs=probs))
             residual = got - project_to_simplex(got - grad / count)
             assert np.abs(residual).max() <= 1e-6
 
-    def test_uniform_start(self):
-        """A histogram init that the uniform prior beats: the image starts
-        from uniform, so a one-iteration solve gives init="uniform"'s prior
-        bit for bit, no worse than the dense solver's."""
+    def test_uniform_start(self, monkeypatch):
+        """A histogram that the uniform prior beats: the image starts from
+        uniform, so a one-iteration solve gives the prior of a descent
+        started at uniform bit for bit, no worse than the dense solver's."""
         rng = np.random.default_rng(30)
         n, count = int(rng.integers(2, 6)), int(rng.integers(5, 40))
         matrix = rng.dirichlet(np.full(n, 0.1), size=n).T + 1e-4
@@ -549,8 +566,7 @@ class TestSolver:
             hist, confusion, samples)
         got, report = self.assert_no_worse_than_dense_solver(
             matrix, gt, probs, SolverOptions(max_iters=1))
-        uniform = solve_unconstrained_prior(confusion, samples,
-                                            SolverOptions(max_iters=1, init="uniform"))
+        uniform = solve_from_uniform(monkeypatch, confusion, samples, SolverOptions(max_iters=1))
         np.testing.assert_array_equal(got, uniform.weights)
         assert report.iterations == 1
 
@@ -613,8 +629,8 @@ class TestBatchedSolver:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 20])
     @pytest.mark.parametrize("opts", [SolverOptions(), SolverOptions(max_iters=4),
-                                      SolverOptions(init="uniform", max_iters=100)],
-                             ids=["default", "max_iters=4", "uniform"])
+                                      SolverOptions(max_iters=100)],
+                             ids=["default", "max_iters=4", "max_iters=100"])
     def test_each_loss_no_worse_than_oracle(self, n, opts):
         rng = np.random.default_rng(100 + n)
         matrix = rng.dirichlet(np.full(n, 0.5), size=n).T + 1e-4
@@ -633,10 +649,10 @@ class TestBatchedSolver:
             assert got <= oracle + 1e-9 * abs(oracle)
             assert 1 <= report.iterations <= opts.max_iters
 
-    def test_uniform_start_in_group(self):
+    def test_uniform_start_in_group(self, monkeypatch):
         """test_uniform_start's instance, twice, in a group of other images:
-        both copies start from uniform, so they get init="uniform"'s bits in
-        that group, and every image still matches the oracle. Among images
+        both copies start from uniform, so they get the bits of that group's
+        descent started at uniform, and every image still matches the oracle. Among images
         of its own sample count, where none is padded, it gets the bits of
         the image solved alone."""
         rng = np.random.default_rng(30)
@@ -653,9 +669,7 @@ class TestBatchedSolver:
         opts = SolverOptions(max_iters=1)
         reports, uniform_reports = [], []
         solved = solve_unconstrained_prior(confusion, sets, opts, reports)
-        uniform = solve_unconstrained_prior(confusion, sets, SolverOptions(max_iters=1,
-                                                                           init="uniform"),
-                                            uniform_reports)
+        uniform = solve_from_uniform(monkeypatch, confusion, sets, opts, uniform_reports)
         for i in (0, -1):
             np.testing.assert_array_equal(solved[i].weights, uniform[i].weights)
             assert reports[i] == uniform_reports[i]
@@ -726,11 +740,9 @@ class TestBatchedSolver:
         with pytest.raises(DataError, match="no sample sets"):
             solve_unconstrained_prior(confusion, [])
 
-    @pytest.mark.parametrize("init, calls", [("histogram", 2), ("uniform", 1)])
-    def test_each_start_scored_once(self, monkeypatch, init, calls):
+    def test_each_start_scored_once(self, monkeypatch):
         """Before its first line search, a group solve scores each start it
-        can take once: init and uniform, or uniform alone when it is the
-        init."""
+        can take once: the histogram and uniform."""
         scored, at_search = [], []
         loss_value = kernels.loss_value
 
@@ -747,9 +759,8 @@ class TestBatchedSolver:
         rng = np.random.default_rng(7)
         confusion = ConfusionModel(matrix=mixed_confusion(5), floor=1e-4)
         reports = []
-        solve_unconstrained_prior(confusion, self.sample_sets(rng, 5),
-                                  SolverOptions(init=init), reports)
-        assert at_search[0] == len(scored) == calls
+        solve_unconstrained_prior(confusion, self.sample_sets(rng, 5), SolverOptions(), reports)
+        assert at_search[0] == len(scored) == 2
         assert all(report.iterations == 1 for report in reports)
 
     def test_rejects_empty_and_mismatched_sets(self):
@@ -798,6 +809,54 @@ class TestBatchedSolver:
                 group = []
         assert len(want) == len(records)
         np.testing.assert_array_equal(bank.weights, np.stack(want))
+
+
+class TestNewtonDirections:
+    """priors._newton_directions drops a row whose reduced Hessian is not
+    finite or has no nonzero eigenvalue: the row gets no direction, and
+    every other row, in its free-set size group or another, gets the bits
+    it gets alone."""
+
+    @staticmethod
+    def instance(sizes, n=6):
+        """(w, grad, hess), one row per entry of sizes: row i's support, so
+        its free set, is its first sizes[i] labels, since the other labels'
+        gradients lie above the support's mean. Each Hessian is positive
+        definite."""
+        rng = np.random.default_rng(5)
+        w = np.zeros((len(sizes), n))
+        for row, k in zip(w, sizes):
+            row[:k] = rng.dirichlet(np.ones(k))
+        grad = np.where(w > 0, rng.normal(size=w.shape), 10.0)
+        a = rng.normal(size=(len(sizes), n, n))
+        return w, grad, a @ np.swapaxes(a, 1, 2) + np.eye(n)
+
+    @pytest.mark.parametrize("guard", ["inf", "zero"])
+    @pytest.mark.parametrize("dropped", [[1], [1, 3]], ids=["one-row", "whole-size-group"])
+    def test_dropped_rows_get_no_direction(self, monkeypatch, guard, dropped):
+        eigh = np.linalg.eigh
+
+        def finite_eigh(a):
+            assert np.isfinite(a).all()  # what LAPACK returns for NaN is not defined
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", finite_eigh)
+        sizes = [4, 3, 5, 3, 4]
+        w, grad, hess = self.instance(sizes)
+        if guard == "inf":
+            hess[dropped, 0, 1] = np.inf
+        else:
+            hess[dropped] = 0.0
+        # the guard runs after the matmul, where inf meets the basis' zeros
+        with np.errstate(invalid="ignore"):
+            direction, found = priors._newton_directions(w, grad, hess)
+        kept = [i for i in range(len(sizes)) if i not in dropped]
+        assert not found[dropped].any() and found[kept].all()
+        assert not direction[dropped].any()
+        for i in kept:
+            alone, ok = priors._newton_directions(w[i:i + 1], grad[i:i + 1], hess[i:i + 1])
+            assert ok[0]
+            np.testing.assert_array_equal(direction[i], alone[0])
 
 
 class TestPartition:
