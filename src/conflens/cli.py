@@ -56,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confusion", default=None,
                    help="confusion .segt (required for --kind unconstrained)")
     p.add_argument("--solver-opts", default=None,
-                   help="comma list k=v, each key at most once: max_iters, step_tolerance, "
-                        "loss_tolerance, subsample, seed (--kind unconstrained only)")
+                   help="comma list k=v, each key at most once: max_iters, loss_tolerance, "
+                        "subsample, seed (--kind unconstrained only)")
     p.add_argument("--out", required=True, help="output .segt path (sidecar .json alongside)")
     p.set_defaults(func=cmd_prior)
 
@@ -131,8 +131,7 @@ def _parse_solver_opts(raw: str) -> tuple[SolverOptions, int, int]:
     try:
         subsample = int(fields.pop("subsample", DEFAULT_SUBSAMPLE))
         seed = int(fields.pop("seed", 0))
-        for key, parse in (("max_iters", int), ("step_tolerance", float),
-                           ("loss_tolerance", float)):
+        for key, parse in (("max_iters", int), ("loss_tolerance", float)):
             if key in fields:
                 kwargs[key] = parse(fields.pop(key))
     except ValueError as exc:

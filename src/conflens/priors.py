@@ -88,24 +88,22 @@ def _check_priors(weights: np.ndarray) -> None:
 @dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 500
-    step_tolerance: float = 1e-9
     loss_tolerance: float = 1e-10
 
     def __post_init__(self):
         if not _is_json_int(self.max_iters) or self.max_iters < 1:
             raise DataError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         # SynthSpec's rule: a JSON number, stored as a float
-        for key in ("step_tolerance", "loss_tolerance"):
-            value = getattr(self, key)
-            if not _is_json_number(value):
-                raise DataError(f"{key} {value!r} is not a number")
-            try:
-                value = float(value)
-            except OverflowError as exc:
-                raise DataError(f"{key} is too large for a float") from exc
-            if not 0 < value < np.inf:
-                raise DataError(f"{key} must be finite and positive, got {value!r}")
-            object.__setattr__(self, key, value)
+        value = self.loss_tolerance
+        if not _is_json_number(value):
+            raise DataError(f"loss_tolerance {value!r} is not a number")
+        try:
+            value = float(value)
+        except OverflowError as exc:
+            raise DataError("loss_tolerance is too large for a float") from exc
+        if not 0 < value < np.inf:
+            raise DataError(f"loss_tolerance must be finite and positive, got {value!r}")
+        object.__setattr__(self, "loss_tolerance", value)
 
 
 @dataclass(frozen=True)
@@ -353,11 +351,11 @@ def _newton_directions(w, grad, hess):
         rows = (sizes == k).nonzero()[0]
         idx = free[rows].nonzero()[1].reshape(rows.size, k)
         basis = _sum_zero_basis(k)
-        reduced = basis.T @ hess[rows[:, None, None], idx[:, :, None], idx[:, None, :]] @ basis
-        if not np.isfinite(reduced).all():
-            finite = np.isfinite(reduced).all(axis=(1, 2))
-            rows, idx, reduced = rows[finite], idx[finite], reduced[finite]
-        lam, vecs = np.linalg.eigh(reduced)
+        block = hess[rows[:, None, None], idx[:, :, None], idx[:, None, :]]
+        if not np.isfinite(block).all():
+            finite = np.isfinite(block).all(axis=(1, 2))
+            rows, idx, block = rows[finite], idx[finite], block[finite]
+        lam, vecs = np.linalg.eigh(basis.T @ block @ basis)
         mag = np.abs(lam)
         top = mag.max(axis=1, keepdims=True)
         if not (top > 0).all():
@@ -402,75 +400,69 @@ def _partition(keep, *arrays):
             arr[rows[start:start + step]] = arr[swapped[start:start + step]]
 
 
-def _first_decrease(matrix, group, w, loss, direction, t, t_min, searching, carried):
+def _first_decrease(matrix, group, w, loss, direction, searching, carried):
     """Backtrack project_to_simplex(w + t * direction) for each row where
-    `searching` is True, halving the row's t from its value in `t` while
-    t >= t_min, to the first strict decrease of the row's loss. A row that
-    finds one takes the step in place: its weights in w, their loss in loss,
-    their s in the scores of `group` (gt, evidence, floor, scores), which
-    the next iteration's derivatives reuse, and the accepted t in t. A row
-    that finds none keeps its w and loss, and t holds half its last t
-    tried; its scores may hold a rejected try's s, which the descent never
-    reads, since an image whose loss did not fall stops. Returns the mask
-    of rows that found one.
+    `searching` is True, halving t from 1 while t >= _NEWTON_MIN_STEP, to
+    the first strict decrease of the row's loss. A row that finds one takes
+    the step in place: its weights in w, their loss in loss, and their s in
+    the scores of `group` (gt, evidence, floor, scores), which the next
+    iteration's derivatives reuse. A row that finds none keeps its w and
+    loss; its scores may hold a rejected try's s, which the descent never
+    reads, since an image whose loss did not fall stops.
 
     Each round first moves the searching rows to the front, in place, by
-    _partition, of every array given: the group's, this search's own and
+    _partition, of every array given: the group's, the direction and
     `carried`, the caller's other arrays with one row per image (no two
     sharing memory, since a second swap of the same rows would undo the
     first). So row i of every array still describes one image, and the
-    searching rows are tried as a prefix. With P rows searching, a round
-    tries max(1, _TRIES // P) successive halvings of every row at once (a
-    lone row's next tries come almost free), and a row takes the first
-    that decreases; a round of one try writes s straight into scores. The
-    loss kernels compute each row on its own, so neither P nor the number
-    of tries changes a row's result."""
+    searching rows are tried as a prefix. They all start at t = 1 and each
+    round tries the same halvings on all of them, so they share one t. With
+    P rows searching, a round tries max(1, _TRIES // P) successive halvings
+    of every row at once (a lone row's next tries come almost free), and a
+    row takes the first that decreases; a round of one try writes s straight
+    into scores. The loss kernels compute each row on its own, so neither P
+    nor the number of tries changes a row's result."""
     n = w.shape[0]
     gt, evidence, floor, scores = group
-    found = np.zeros(n, dtype=bool)
-    searching = searching & (t >= t_min)
-    while p := int(np.count_nonzero(searching)):
-        _partition(searching, *group, w, loss, direction, t, found, *carried)
+    t = 1.0
+    while t >= _NEWTON_MIN_STEP and (p := int(np.count_nonzero(searching))):
+        _partition(searching, *group, w, loss, direction, *carried)
         tries = max(1, _TRIES // p)
         out = scores[:p, None] if tries == 1 else np.empty((p, tries, gt.shape[1]))
-        tried = t[:p, None] * 0.5 ** np.arange(tries)
-        trial = project_to_simplex(w[:p, None] + tried[..., None] * direction[:p, None])
+        tried = t * 0.5 ** np.arange(tries)
+        trial = project_to_simplex(w[:p, None] + tried[:, None] * direction[:p, None])
         trial_loss = kernels.loss_value(matrix, trial, gt[:p, None], evidence[:p, None],
                                         floor[:p, None], out)
-        better = (trial_loss < loss[:p, None]) & (tried >= t_min)
+        better = (trial_loss < loss[:p, None]) & (tried >= _NEWTON_MIN_STEP)
         hit = better.any(axis=1)
-        t[:p] = tried[:, -1] * 0.5
         if hit.any():
             won = hit.nonzero()[0]
             pick = (won, better[won].argmax(axis=1))
-            w[won], loss[won], t[won], found[won] = trial[pick], trial_loss[pick], tried[pick], True
+            w[won], loss[won] = trial[pick], trial_loss[pick]
             if tries > 1:
                 scores[won] = out[pick]
+        t = tried[-1] * 0.5
         searching = np.zeros(n, dtype=bool)
-        searching[:p] = ~hit & (t[:p] >= t_min)
-    return found
+        searching[:p] = ~hit
 
 
-def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
+def _descend(matrix, gt, evidence, floor, start, opts: SolverOptions):
     """Monotone projected Newton descent of a group of images in lockstep,
     from start (B, L) or, for an image where the uniform prior's loss is
-    strictly lower, from uniform, with `step` each image's first gradient
-    step length. A non-finite loss at start is a DataError.
+    strictly lower, from uniform. A non-finite loss at start is a
+    DataError.
 
     Each iteration takes the gradient and Hessian at the image's weights,
-    then backtracks along the Newton direction from t = 1 down to 1e-6. If
-    that gives no decrease, or there is no Newton direction, it takes a
-    projected-gradient step instead, backtracking from a step length that
-    halves on each rejection and doubles after each accepted gradient step.
-    Both searches write an accepted step in place; the gradient search
-    tries only images the Newton search left. An image stops when its loss
-    falls by less than loss_tolerance, which covers the case where no step
-    decreases it (a drop of 0), or after max_iters iterations.
+    then backtracks along the Newton direction from t = 1 down to 1e-6 and
+    writes an accepted step in place. An image stops when its loss falls by
+    less than loss_tolerance, which covers the cases where the search finds
+    no decrease or the image has no Newton direction (a drop of 0), or
+    after max_iters iterations.
 
     Row i of each array the descent works on describes one image: gt,
-    evidence, floor and scores, and the image's weights, loss, step length
-    and input row. The running images are the first k rows of every array.
-    Where images stop, or a line search sets its searching images apart,
+    evidence, floor and scores, and the image's weights, loss and input
+    row. The running images are the first k rows of every array. Where
+    images stop, or the line search sets its searching images apart,
     _partition reorders the arrays in place by the same swaps, so nothing
     is copied. A stopped image stays behind the prefix with its final
     weights and loss, and its iteration count is written at its input row.
@@ -487,21 +479,17 @@ def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
     wins = uniform_loss < loss
     w[wins], loss[wins], scores[wins] = uniform[wins], uniform_loss[wins], uniform_scores[wins]
     del uniform_scores  # not held through the descent beside scores
-    every = (gt, evidence, floor, scores, w, loss, step.copy(), np.arange(n))
+    every = (gt, evidence, floor, scores, w, loss, np.arange(n))
     iterations = np.full(n, opts.max_iters)
     k = n
     for it in range(opts.max_iters):
         rows = [arr[:k] for arr in every]
-        gt, evidence, floor, scores, w, loss, step, order = rows
+        gt, evidence, floor, scores, w, loss, order = rows
         grad = kernels.loss_grad(matrix, w, gt, evidence, floor, scores)
         hess = kernels.loss_hessian(matrix, w, gt, evidence, floor, scores)
         direction, newton = _newton_directions(w, grad, hess)
-        before, group = loss.copy(), rows[:4]
-        accepted = _first_decrease(matrix, group, w, loss, direction, np.ones(k),
-                                   _NEWTON_MIN_STEP, newton, (before, grad, step, order))
-        by_gradient = _first_decrease(matrix, group, w, loss, -grad, step,
-                                      opts.step_tolerance, ~accepted, (before, order))
-        step[by_gradient] *= 2.0
+        before = loss.copy()
+        _first_decrease(matrix, rows[:4], w, loss, direction, newton, (before, order))
         going = before - loss >= opts.loss_tolerance
         if not going.all():  # the stopped images keep w and loss, behind the prefix
             _partition(going, *rows)
@@ -509,7 +497,7 @@ def _descend(matrix, gt, evidence, floor, start, step, opts: SolverOptions):
             iterations[order[k:]] = it + 1
             if not k:
                 break
-    w, loss, order = every[4], every[5], every[7]
+    w, loss, order = every[4], every[5], every[6]
     inverse = np.argsort(order)
     return w[inverse], loss[inverse], iterations
 
@@ -575,8 +563,7 @@ def solve_unconstrained_prior(
     evidence, gt = np.swapaxes(group.evidence[:counts.size], 1, 2), group.gt[:counts.size]
     floor = np.where(np.arange(gt.shape[1]) < counts[:, None], EPSILON, 1.0)
     hist = np.stack([np.bincount(row[:c], minlength=n) for row, c in zip(gt, counts)])
-    w, loss, iterations = _descend(matrix, gt, evidence, floor, hist / counts[:, None],
-                                   1.0 / counts, opts)
+    w, loss, iterations = _descend(matrix, gt, evidence, floor, hist / counts[:, None], opts)
     total = w.sum(axis=1, keepdims=True)
     w = np.where(np.abs(total - 1.0) > 1e-12, w / total, w)
     if reports is not None:

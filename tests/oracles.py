@@ -170,6 +170,11 @@ def sum_check_formula(values, tol):
 # sequential prior solver: one image at a time, on the single-image kernels
 # ---------------------------------------------------------------------------
 
+# Smallest step length of the projected-gradient fallback, which only the
+# oracle has.
+GRADIENT_MIN_STEP = 1e-9
+
+
 def newton_direction(w, grad, hess):
     """The projected-Newton direction of one image, or None: the
     single-image form of conflens.priors._newton_directions."""
@@ -192,7 +197,7 @@ def newton_direction(w, grad, hess):
     return direction
 
 
-def first_decrease(matrix, gt, evidence, opts, w, loss, direction, t, t_min, scores):
+def first_decrease(matrix, gt, evidence, w, loss, direction, t, t_min, scores):
     """Backtrack project_to_simplex(w + t * direction), halving t from the
     given value while t >= t_min, to the first strict loss decrease.
     Returns (candidate or None, its loss, the last t tried); `scores` keeps
@@ -208,15 +213,17 @@ def first_decrease(matrix, gt, evidence, opts, w, loss, direction, t, t_min, sco
 
 def descend(matrix, gt, evidence, start, opts):
     """Monotone projected Newton descent of one image, the sequential form
-    of conflens.priors._descend. Returns (weights, loss, iterations).
+    of conflens.priors._descend plus a fallback that the library does not
+    have, so the oracle can take steps where the library stops. Returns
+    (weights, loss, iterations).
 
     Each iteration takes the gradient and Hessian at w, then backtracks
     along the Newton direction from t = 1 down to 1e-6. If that gives no
     decrease, or there is no Newton direction, it takes a projected-gradient
     step instead, backtracking from a step length that halves on each
-    rejection and doubles after each accepted gradient step. It stops when
-    no step decreases the loss, when the decrease falls below
-    loss_tolerance, or after max_iters iterations.
+    rejection, down to GRADIENT_MIN_STEP, and doubles after each accepted
+    gradient step. It stops when no step decreases the loss, when the
+    decrease falls below loss_tolerance, or after max_iters iterations.
     """
     w = start
     scores = np.empty(gt.shape[0])
@@ -230,11 +237,11 @@ def descend(matrix, gt, evidence, start, opts):
         direction = newton_direction(w, grad, hess)
         cand = None
         if direction is not None:
-            cand, cand_loss, _ = first_decrease(matrix, gt, evidence, opts, w, loss, direction,
+            cand, cand_loss, _ = first_decrease(matrix, gt, evidence, w, loss, direction,
                                                 1.0, priors._NEWTON_MIN_STEP, scores)
         if cand is None:
             cand, cand_loss, step = first_decrease(
-                matrix, gt, evidence, opts, w, loss, -grad, step, opts.step_tolerance, scores)
+                matrix, gt, evidence, w, loss, -grad, step, GRADIENT_MIN_STEP, scores)
             if cand is None:
                 break
             step *= 2.0

@@ -37,7 +37,7 @@ from conflens import kernels, priors
 from conflens.errors import DataError
 from conflens.priors import PriorBank
 from tests.conftest import dense_loss_grad, mixed_confusion
-from tests.oracles import solve_prior_sequential
+from tests.oracles import GRADIENT_MIN_STEP, solve_prior_sequential
 
 EPS = 1e-10
 
@@ -60,8 +60,9 @@ def loss_oracle(matrix, weights, gt, probs, eps=EPS):
 def dense_solve(matrix, gt, probs, opts=SolverOptions()):
     """The projected-gradient solver that the Newton solver replaced, with
     every evaluation on dense_loss_grad: halve/double backtracking from a
-    step of 1/N, from the sample histogram or, where uniform scores strictly
-    better, from uniform. Returns the weights."""
+    step of 1/N down to GRADIENT_MIN_STEP, from the sample histogram or,
+    where uniform scores strictly better, from uniform. Returns the
+    weights."""
     def value(w):
         return dense_loss_grad(matrix, w, gt, probs, priors.EPSILON)[0]
 
@@ -70,7 +71,7 @@ def dense_solve(matrix, gt, probs, opts=SolverOptions()):
         step = 1.0 / max(gt.shape[0], 1)
         for _ in range(opts.max_iters):
             accepted = False
-            while step >= opts.step_tolerance:
+            while step >= GRADIENT_MIN_STEP:
                 cand = simplex_reference(w - step * grad)
                 cand_loss = value(cand)
                 if cand_loss < loss:
@@ -570,6 +571,34 @@ class TestSolver:
         np.testing.assert_array_equal(got, uniform.weights)
         assert report.iterations == 1
 
+    def test_no_newton_direction_stops_at_start(self, monkeypatch):
+        """An image that has no Newton direction stops in its first
+        iteration with its start's bits: the better of its sample histogram
+        and uniform. No other step moves it."""
+        def no_directions(w, grad, hess):
+            return np.zeros_like(w), np.zeros(w.shape[0], dtype=bool)
+
+        monkeypatch.setattr(priors, "_newton_directions", no_directions)
+        rng = np.random.default_rng(55)  # the second image starts from uniform
+        n = 4
+        matrix = rng.dirichlet(np.full(n, 0.1), size=n).T + 1e-4
+        matrix /= matrix.sum(axis=0, keepdims=True)
+        confusion = ConfusionModel(matrix=matrix, floor=1e-4)
+        sets = [SampleSet(gt=rng.choice(n, size=count, p=rng.dirichlet(np.full(n, 0.3))),
+                          probs=rng.dirichlet(np.full(n, sharpness), size=count))
+                for count, sharpness in ((12, 0.05), (40, 0.5), (90, 2.0))]
+        reports = []
+        solved = solve_unconstrained_prior(confusion, sets, SolverOptions(), reports)
+        uniform, starts = np.full(n, 1.0 / n), []
+        for prior, report, samples in zip(solved, reports, sets):
+            hist = np.bincount(samples.gt, minlength=n) / len(samples)
+            uniform_wins = refinement_loss(uniform, confusion, samples) < refinement_loss(
+                hist, confusion, samples)
+            starts.append(uniform_wins)
+            np.testing.assert_array_equal(prior.weights, uniform if uniform_wins else hist)
+            assert report.iterations == 1
+        assert any(starts) and not all(starts)
+
     def test_report_counts_hessians(self, monkeypatch):
         """A single image's reported Newton iterations are its Hessian
         evaluations, one per iteration; the reported loss is the returned
@@ -750,9 +779,8 @@ class TestBatchedSolver:
             scored.append(1)
             return loss_value(*args)
 
-        def finds_nothing(matrix, group, w, *rest):
+        def finds_nothing(*args):
             at_search.append(len(scored))
-            return np.zeros(w.shape[0], dtype=bool)
 
         monkeypatch.setattr(kernels, "loss_value", counting)
         monkeypatch.setattr(priors, "_first_decrease", finds_nothing)
@@ -847,9 +875,7 @@ class TestNewtonDirections:
             hess[dropped, 0, 1] = np.inf
         else:
             hess[dropped] = 0.0
-        # the guard runs after the matmul, where inf meets the basis' zeros
-        with np.errstate(invalid="ignore"):
-            direction, found = priors._newton_directions(w, grad, hess)
+        direction, found = priors._newton_directions(w, grad, hess)
         kept = [i for i in range(len(sizes)) if i not in dropped]
         assert not found[dropped].any() and found[kept].all()
         assert not direction[dropped].any()

@@ -34,15 +34,17 @@ def test_harness_names_exist():
 
 
 def test_bench_kernels_inputs_run_every_timed_kernel():
-    """make_inputs, and each kernel the harness times called as the harness
-    calls it."""
+    """make_inputs, and each kernel that the harness or
+    benchmarks/bench_kernels.py times, called as the harness calls it."""
     kernels, data = conflens.kernels, load_bench_kernels().make_inputs(16, 3)
-    loss_args = (data["matrix"], data["weights"], data["sample_gt"], data["sample_probs"], 1e-10)
+    loss_args = (data["matrix"], data["weights"], data["sample_gt"], data["sample_probs"],
+                 conflens.priors.EPSILON)
     assert kernels.border_excluded(data["labels"], 2).shape == (16, 16)
     assert kernels.pair_counts(data["pred"], data["labels"], data["included"], 3, -1).shape == (3, 3)
     assert kernels.apply_refinement(data["matrix"], data["probs"]).shape == (16, 16, 3)
     assert np.isfinite(kernels.loss_value(*loss_args)).all()
     kernels.loss_grad(*loss_args)
+    assert kernels.loss_hessian(*loss_args).shape == (3, 3)
     kernels.nearest_seed(16, 16, *data["seeds"])
     assert conflens.data._probs_ok(data["probs"])  # bench_kernels' map load check
 
