@@ -8,6 +8,7 @@ or out of memory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -16,14 +17,7 @@ from .confusion import DEFAULT_FLOOR, DEFAULT_RADIUS, estimate_confusion, load_c
 from .data import load_manifest
 from .errors import ConflensError, DataError, UsageError
 from .metrics import evaluate_split, render_matrix_file
-from .priors import (
-    DEFAULT_SUBSAMPLE,
-    PRIOR_KINDS,
-    SolverOptions,
-    build_prior_bank,
-    check_sampling,
-    load_prior_bank,
-)
+from .priors import PRIOR_KINDS, SolverOptions, build_prior_bank, load_prior_bank
 from .refine import refine_split
 from .synth import SynthSpec, generate_dataset
 
@@ -56,8 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confusion", default=None,
                    help="confusion .segt (required for --kind unconstrained)")
     p.add_argument("--solver-opts", default=None,
-                   help="comma list k=v, each key at most once: max_iters, loss_tolerance, "
-                        "subsample, seed (--kind unconstrained only)")
+                   help="comma list k=v of integers, each key at most once: "
+                        + ", ".join(f"{f.name} (default {f.default})"
+                                    for f in dataclasses.fields(SolverOptions))
+                        + "; --kind unconstrained only")
     p.add_argument("--out", required=True, help="output .segt path (sidecar .json alongside)")
     p.set_defaults(func=cmd_prior)
 
@@ -104,18 +100,18 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def cmd_confusion(args) -> int:
-    manifest = load_manifest(args.manifest)
     if args.radius < 0:
         raise UsageError("--radius must be >= 0")
     if not 0 < args.floor < math.inf:
         raise UsageError("--floor must be finite and positive")
+    manifest = load_manifest(args.manifest)
     model = estimate_confusion(manifest, args.out, args.radius, args.floor)
     n_images = len(manifest.split_records("estimation"))
     print(f"confusion: {n_images} images, {model.source_counts.total} sites -> {args.out}")
     return 0
 
 
-def _parse_solver_opts(raw: str) -> tuple[SolverOptions, int, int]:
+def _parse_solver_opts(raw: str) -> SolverOptions:
     fields = {}
     for token in raw.split(","):
         token = token.strip()
@@ -127,35 +123,26 @@ def _parse_solver_opts(raw: str) -> tuple[SolverOptions, int, int]:
         if key in fields:
             raise UsageError(f"--solver-opts key {key!r} given twice")
         fields[key] = value
-    kwargs = {}
+    unknown = sorted(fields.keys() - {f.name for f in dataclasses.fields(SolverOptions)})
+    if unknown:
+        raise UsageError(f"unknown --solver-opts keys: {unknown}")
     try:
-        subsample = int(fields.pop("subsample", DEFAULT_SUBSAMPLE))
-        seed = int(fields.pop("seed", 0))
-        for key, parse in (("max_iters", int), ("loss_tolerance", float)):
-            if key in fields:
-                kwargs[key] = parse(fields.pop(key))
+        return SolverOptions(**{key: int(value) for key, value in fields.items()})
     except ValueError as exc:
         raise UsageError(f"bad --solver-opts value ({exc})") from exc
-    if fields:
-        raise UsageError(f"unknown --solver-opts keys: {sorted(fields)}")
-    try:
-        check_sampling(subsample, seed)
     except DataError as exc:
         raise UsageError(f"--solver-opts {exc}") from exc
-    return SolverOptions(**kwargs), subsample, seed
 
 
 def cmd_prior(args) -> int:
     if args.kind != "unconstrained" and (args.confusion, args.solver_opts) != (None, None):
         raise UsageError(f"--kind {args.kind} takes neither --confusion nor --solver-opts")
+    if args.kind == "unconstrained" and not args.confusion:
+        raise UsageError("--kind unconstrained requires --confusion")
+    opts = _parse_solver_opts(args.solver_opts or "")
     manifest = load_manifest(args.manifest)
-    model, opts, subsample, seed = None, SolverOptions(), DEFAULT_SUBSAMPLE, 0
-    if args.kind == "unconstrained":
-        if not args.confusion:
-            raise UsageError("--kind unconstrained requires --confusion")
-        opts, subsample, seed = _parse_solver_opts(args.solver_opts or "")
-        model, _ = load_confusion(args.confusion)
-    bank = build_prior_bank(manifest, args.kind, args.out, model, opts, subsample, seed)
+    model = load_confusion(args.confusion)[0] if args.confusion else None
+    bank = build_prior_bank(manifest, args.kind, args.out, model, opts)
     print(f"prior[{args.kind}]: {len(bank.ids)} images -> {args.out}")
     return 0
 
@@ -171,10 +158,10 @@ def cmd_refine(args) -> int:
 def cmd_eval(args) -> int:
     if args.radius is not None and not args.exclude_borders:
         raise UsageError("--radius needs --exclude-borders")
-    manifest = load_manifest(args.manifest)
     radius = DEFAULT_RADIUS if args.radius is None else args.radius
     if radius < 0:
         raise UsageError("--radius must be >= 0")
+    manifest = load_manifest(args.manifest)
     report = evaluate_split(manifest, args.pred_dir, args.out,
                             radius if args.exclude_borders else None)
     print(

@@ -21,7 +21,6 @@ from .data import (
     SUM_TOL,
     _frozen_array,
     _is_json_int,
-    _is_json_number,
     LABELS,
     _check_same_size,
     _load_chunks,
@@ -34,6 +33,8 @@ from .errors import DataError
 
 EPSILON = 1e-10
 _NEWTON_MIN_STEP = 1e-6
+# An image's descent stops once an iteration lowers its loss by less than this.
+_LOSS_TOLERANCE = 1e-10
 _ZERO_WEIGHT = 1e-12
 PRIOR_KINDS = ("uniform", "global", "binary", "histogram", "unconstrained")
 DEFAULT_SUBSAMPLE = 100_000
@@ -87,23 +88,19 @@ def _check_priors(weights: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """The unconstrained prior's options, the keys of `--solver-opts`: the
+    Newton iterations per image, the sites cut from each image and the seed
+    of that cut."""
+
     max_iters: int = 500
-    loss_tolerance: float = 1e-10
+    subsample: int = DEFAULT_SUBSAMPLE
+    seed: int = 0
 
     def __post_init__(self):
-        if not _is_json_int(self.max_iters) or self.max_iters < 1:
-            raise DataError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        # SynthSpec's rule: a JSON number, stored as a float
-        value = self.loss_tolerance
-        if not _is_json_number(value):
-            raise DataError(f"loss_tolerance {value!r} is not a number")
-        try:
-            value = float(value)
-        except OverflowError as exc:
-            raise DataError("loss_tolerance is too large for a float") from exc
-        if not 0 < value < np.inf:
-            raise DataError(f"loss_tolerance must be finite and positive, got {value!r}")
-        object.__setattr__(self, "loss_tolerance", value)
+        for name, low in (("max_iters", 1), ("subsample", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_json_int(value) or value < low:
+                raise DataError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -251,7 +248,10 @@ def histogram_prior(gt: LabelMap, labels: LabelSet) -> Prior:
 def sample_set(gt: LabelMap, probs: ProbabilityMap, labels: LabelSet,
                max_samples: int | None = None, rng: np.random.Generator | None = None) -> SampleSet:
     """Collect (gt, classifier output) pairs from non-void pixels, optionally
-    subsampled without replacement to max_samples."""
+    subsampled without replacement to max_samples, which follows the prior
+    stage's subsample rule: None or an integer >= 1."""
+    if max_samples is not None:
+        SolverOptions(subsample=max_samples)
     if gt.labels.shape != probs.values.shape[:2]:
         raise DataError(f"gt {gt.labels.shape} and probs {probs.values.shape[:2]} disagree")
     idx = _sites(gt.labels.ravel(), labels, max_samples, rng)
@@ -455,7 +455,7 @@ def _descend(matrix, gt, evidence, floor, start, opts: SolverOptions):
     Each iteration takes the gradient and Hessian at the image's weights,
     then backtracks along the Newton direction from t = 1 down to 1e-6 and
     writes an accepted step in place. An image stops when its loss falls by
-    less than loss_tolerance, which covers the cases where the search finds
+    less than _LOSS_TOLERANCE, which covers the cases where the search finds
     no decrease or the image has no Newton direction (a drop of 0), or
     after max_iters iterations.
 
@@ -490,7 +490,7 @@ def _descend(matrix, gt, evidence, floor, start, opts: SolverOptions):
         direction, newton = _newton_directions(w, grad, hess)
         before = loss.copy()
         _first_decrease(matrix, rows[:4], w, loss, direction, newton, (before, order))
-        going = before - loss >= opts.loss_tolerance
+        going = before - loss >= _LOSS_TOLERANCE
         if not going.all():  # the stopped images keep w and loss, behind the prefix
             _partition(going, *rows)
             k = int(np.count_nonzero(going))
@@ -542,7 +542,9 @@ def solve_unconstrained_prior(
     image descends once, from the better of its sample histogram and the
     uniform prior (the histogram where they tie), and the descent is
     monotone, so a result never loses to the histogram prior or the uniform
-    prior. `reports`, when a list, receives one SolveReport per image.
+    prior. Only opts.max_iters applies here: the samples are passed in, so
+    opts.subsample and opts.seed have nothing to cut. `reports`, when a
+    list, receives one SolveReport per image.
     """
     n, matrix = confusion.n_labels, confusion.matrix
     single = isinstance(samples, SampleSet)
@@ -572,29 +574,17 @@ def solve_unconstrained_prior(
     return priors[0] if single else priors
 
 
-def check_sampling(subsample: int, seed: int) -> None:
-    """DataError unless the unconstrained prior's sampling options are
-    integers, subsample >= 1 and seed >= 0."""
-    if not _is_json_int(subsample) or subsample < 1:
-        raise DataError(f"subsample must be an integer >= 1, got {subsample!r}")
-    if not _is_json_int(seed) or seed < 0:
-        raise DataError(f"seed must be an integer >= 0, got {seed!r}")
-
-
 def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
                      confusion: ConfusionModel | None = None,
-                     opts: SolverOptions = SolverOptions(), subsample: int = DEFAULT_SUBSAMPLE,
-                     seed: int = 0) -> PriorBank:
+                     opts: SolverOptions = SolverOptions()) -> PriorBank:
     """The prior stage: publish a bank of one `kind` prior per evaluation
     image at out, and return it. The unconstrained kind needs `confusion`;
     it loads one image's maps at a time, cuts from each image up to
-    `subsample` sites drawn with seed and the image's index, solves the
-    images in lockstep groups that close once their samples reach
-    SOLVE_BUDGET bytes, and records its options in the sidecar. Bad
-    options are a DataError before any map is read."""
+    opts.subsample sites drawn with opts.seed and the image's index, solves
+    the images in lockstep groups that close once their samples reach
+    SOLVE_BUDGET bytes, and records opts in the sidecar."""
     if kind not in PRIOR_KINDS:
         raise DataError(f"unknown prior kind {kind!r}")
-    check_sampling(subsample, seed)
     labels = manifest.label_set
     eval_records = manifest.split_records("evaluation")
     ids = tuple(r.image_id for r in eval_records)
@@ -622,8 +612,8 @@ def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
             # fit on every annotated, classified site of the image; the
             # evaluation scores all pixels, so masked fitting skews the
             # solved weights off the image's true composition
-            sites = _sites(flat_gt, labels, subsample,
-                           np.random.SeedSequence(seed, spawn_key=(idx,)))
+            sites = _sites(flat_gt, labels, opts.subsample,
+                           np.random.SeedSequence(opts.seed, spawn_key=(idx,)))
             if not sites.size:
                 raise DataError(f"{rec.image_id}: no usable solver samples")
             # rows for as many padded images as the budget has room for
@@ -639,7 +629,7 @@ def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
                 rows += [p.weights for p in solve_unconstrained_prior(confusion, group, opts)]
                 group, size = _SolveGroup(confusion.matrix), 0
         weights = np.stack(rows)
-        solver_meta = {**asdict(opts), "subsample": subsample, "seed": seed}
+        solver_meta = asdict(opts)
 
     bank = PriorBank(kind=kind, ids=ids, weights=weights, solver=solver_meta)
     save_prior_bank(bank, out)

@@ -223,7 +223,8 @@ def descend(matrix, gt, evidence, start, opts):
     step instead, backtracking from a step length that halves on each
     rejection, down to GRADIENT_MIN_STEP, and doubles after each accepted
     gradient step. It stops when no step decreases the loss, when the
-    decrease falls below loss_tolerance, or after max_iters iterations.
+    decrease falls below priors._LOSS_TOLERANCE, or after max_iters
+    iterations.
     """
     w = start
     scores = np.empty(gt.shape[0])
@@ -247,7 +248,7 @@ def descend(matrix, gt, evidence, start, opts):
             step *= 2.0
         drop = loss - cand_loss
         w, loss = cand, cand_loss
-        if drop < opts.loss_tolerance:
+        if drop < priors._LOSS_TOLERANCE:
             break
     return w, loss, iterations
 

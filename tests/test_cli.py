@@ -116,7 +116,7 @@ class TestArtifacts:
         model, _ = load_confusion(root / "conf.segt")
         uc = load_prior_bank(root / "unconstrained.segt")
         hist = load_prior_bank(root / "histogram.segt")
-        assert uc.solver is not None and uc.solver["subsample"] == 100000
+        assert uc.solver == {"max_iters": 300, "subsample": 100000, "seed": 0}
         for rec in manifest.split_records("evaluation"):
             gt = load_label_map(rec.gt_path, labels)
             probs = load_probability_map(rec.probs_path, labels)

@@ -46,7 +46,7 @@ from conflens import data, metrics, refine, segt, synth
 from conflens.cli import main
 from conflens.errors import DataError
 from conflens.metrics import MetricAccumulator
-from conflens.priors import PriorBank, build_prior_bank
+from conflens.priors import PriorBank
 from conflens.refine import RefinementMatrix
 from conflens.synth import SynthSpec, true_confusion
 from tests.conftest import mixed_confusion
@@ -824,23 +824,19 @@ class TestPriorValidation:
             with pytest.raises(DataError):
                 Prior(np.array(bad))
 
-    def test_solver_options_validation(self):
-        with pytest.raises(DataError):
-            SolverOptions(max_iters=0)
-        with pytest.raises(DataError):
-            SolverOptions(loss_tolerance=0.0)
-        # the tolerance follows SynthSpec's JSON-number rule
-        for value in ("x", True, None, [1e-9], 10 ** 400):
-            with pytest.raises(DataError, match="loss_tolerance"):
-                SolverOptions(loss_tolerance=value)
-        stored = SolverOptions(loss_tolerance=1).loss_tolerance
-        assert type(stored) is float and stored == 1.0
-
-    @pytest.mark.parametrize("field", ["loss_tolerance"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
-    def test_solver_options_reject_non_finite(self, field, value):
-        with pytest.raises(DataError):
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 0), ("max_iters", -5),
+        ("subsample", -3), ("subsample", 0), ("subsample", 2.5), ("subsample", True),
+        ("seed", -1), ("seed", 1.0), ("seed", "0"),
+    ], ids=["max_iters-zero", "max_iters-negative", "subsample-negative", "subsample-zero",
+            "subsample-float", "subsample-bool", "seed-negative", "seed-float", "seed-str"])
+    def test_solver_options_validation(self, field, value):
+        """One rule for the three fields: an int at or above the field's
+        lowest value, which is taken, else a DataError naming the field."""
+        low = {"max_iters": 1, "subsample": 1, "seed": 0}[field]
+        with pytest.raises(DataError, match=f"^{field} must be an integer >= {low}, got "):
             SolverOptions(**{field: value})
+        assert getattr(SolverOptions(**{field: low}), field) == low
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, True, "3"],
                              ids=["nan", "inf", "2.5", "True", "str"])
@@ -868,22 +864,15 @@ class TestPriorValidation:
         np.testing.assert_array_equal(a.gt, b.gt)
         np.testing.assert_array_equal(a.probs, b.probs)
 
-    @pytest.mark.parametrize("subsample, seed, option", [
-        (-3, 0, "subsample"), (0, 0, "subsample"), (2.5, 0, "subsample"),
-        (100, -1, "seed"), (100, 1.0, "seed"),
-    ], ids=["subsample-negative", "subsample-zero", "subsample-float", "seed-negative",
-            "seed-float"])
-    def test_build_prior_bank_rejects_bad_sampling(self, small_dataset, tmp_path, monkeypatch,
-                                                   subsample, seed, option):
-        spec, manifest, _ = small_dataset
-        loaded = []
-        monkeypatch.setattr(segt, "load_tensor", lambda path: loaded.append(path))
-        out = tmp_path / "out" / "bank.segt"
-        with pytest.raises(DataError, match=f"^{option} must be an integer"):
-            build_prior_bank(manifest, "unconstrained", out, identity_confusion(spec.label_set),
-                             subsample=subsample, seed=seed)
-        assert loaded == []
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("max_samples", [0, -1, 2.5, True, "50"])
+    def test_sample_set_takes_the_subsample_rule(self, max_samples):
+        """max_samples is None or an integer >= 1, the prior stage's
+        subsample rule; 0 does not give an empty sample set."""
+        gt = LabelMap(np.zeros((4, 4), dtype=np.int32))
+        probs = ProbabilityMap(np.full((4, 4, 2), 0.5, dtype=np.float32))
+        with pytest.raises(DataError, match="^subsample must be an integer >= 1, got "):
+            sample_set(gt, probs, LabelSet(size=2), max_samples=max_samples)
+        assert len(sample_set(gt, probs, LabelSet(size=2), max_samples=1)) == 1
 
     def test_bank_requires_known_kind(self):
         with pytest.raises(DataError):
@@ -1248,7 +1237,7 @@ class TestCliFlagValidation:
 
     @pytest.mark.parametrize("opts, code", [
         ("subsample=abc", 1), ("seed=x", 1), ("subsample=-1", 1), ("subsample=0", 1),
-        ("seed=-1", 1), ("loss_tolerance=nan", 2), ("loss_tolerance=inf", 2),
+        ("seed=-1", 1), ("max_iters=0", 1), ("max_iters=-5", 1),
     ])
     def test_bad_solver_opts_value(self, small_dataset, tmp_path, capsys, opts, code):
         _, _, data = small_dataset
@@ -1281,7 +1270,8 @@ class TestCliFlagValidation:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("opts", ["init=uniform", "step_tolerance=1e-9",
-                                      "max_iters=1,max_iters=2", "seed=1, seed=1"])
+                                      "loss_tolerance=1e-9", "max_iters=1,max_iters=2",
+                                      "seed=1, seed=1"])
     def test_solver_opts_key_not_taken(self, small_dataset, tmp_path, capsys, opts):
         """A key the solver does not take, or one given twice, of which all
         but the last would be dropped, exits 1 before anything is read."""
@@ -1291,6 +1281,21 @@ class TestCliFlagValidation:
         out = tmp_path / "x.segt"
         assert main(["prior", "--manifest", str(data / "manifest.json"), "--kind",
                      "unconstrained", "--confusion", str(conf), "--solver-opts", opts,
+                     "--out", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["prior", "--kind", "unconstrained", "--confusion", "c.segt",
+         "--solver-opts", "max_iters=x"],
+        ["confusion", "--radius", "-1"],
+        ["eval", "--pred-dir", "preds", "--exclude-borders", "--radius", "-1"],
+    ], ids=["prior", "confusion", "eval"])
+    def test_bad_flag_exits_1_before_the_manifest_is_read(self, tmp_path, capsys, argv):
+        """A bad flag value is a usage error even where the manifest does not
+        exist: flags are checked before any file is read."""
+        out = tmp_path / "out.segt"
+        assert main([*argv, "--manifest", str(tmp_path / "missing.json"),
                      "--out", str(out)]) == 1
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()

@@ -83,7 +83,7 @@ def dense_solve(matrix, gt, probs, opts=SolverOptions()):
             drop = loss - cand_loss
             w = cand
             loss, grad, _ = dense_loss_grad(matrix, w, gt, probs, priors.EPSILON)
-            if drop < opts.loss_tolerance:
+            if drop < priors._LOSS_TOLERANCE:
                 break
             step *= 2.0
         return w
@@ -825,9 +825,9 @@ class TestBatchedSolver:
             save_probability_map(maps[-1][1], record.probs_path)
             records.append(record)
         confusion = ConfusionModel(matrix=mixed_confusion(n), floor=1e-4)
-        opts = SolverOptions(max_iters=20)
+        opts = SolverOptions(max_iters=20, subsample=cap, seed=seed)
         bank = priors.build_prior_bank(Manifest(labels, tuple(records)), "unconstrained",
-                                       tmp_path / "u.segt", confusion, opts, cap, seed)
+                                       tmp_path / "u.segt", confusion, opts)
         want, group = [], []
         for idx, (gt, probs) in enumerate(maps):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))

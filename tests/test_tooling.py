@@ -1,7 +1,7 @@
 """The names the benchmark harness (perfbench/) reads from conflens and from
-benchmarks/bench_kernels.py still exist, and its traced run still gives
-every per-layer metric, so breaking one fails here and not only in a
-benchmark run."""
+benchmarks/bench_kernels.py still exist, its workloads' solver options
+still parse, and its traced run still gives every per-layer metric, so
+breaking one fails here and not only in a benchmark run."""
 
 import importlib.util
 import inspect
@@ -31,6 +31,19 @@ def test_harness_names_exist():
     assert isinstance(conflens.kernels.BACKEND, str)
     for name in ("generate_dataset", "save_confusion", "identity_confusion"):
         assert callable(getattr(conflens, name)), name
+
+
+def test_workload_solver_opts_parse(monkeypatch):
+    """Each workload's `--solver-opts` string is one the prior stage takes,
+    so a deleted or renamed key fails here, not as a failed benchmark run.
+    perfbench/workloads.py is imported as perfbench/run.py imports it."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads").WORKLOADS
+    cli = importlib.import_module("conflens.cli")
+    assert workloads
+    for workload in workloads.values():
+        assert isinstance(cli._parse_solver_opts(workload.solver_opts),
+                          conflens.SolverOptions), workload.name
 
 
 def test_bench_kernels_inputs_run_every_timed_kernel():
