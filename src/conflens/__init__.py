@@ -56,7 +56,6 @@ from .refine import (
     RefinementMatrix,
     argmax_labels,
     build_refinement_matrix,
-    labelbank_mask,
     output_marginal,
     refine_map,
 )

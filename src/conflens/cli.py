@@ -13,7 +13,8 @@ import math
 import sys
 from pathlib import Path
 
-from .confusion import DEFAULT_FLOOR, DEFAULT_RADIUS, estimate_confusion, load_confusion
+from .confusion import (DEFAULT_FLOOR, DEFAULT_RADIUS, estimate_confusion,
+                        identity_confusion, load_confusion)
 from .data import load_manifest
 from .errors import ConflensError, DataError, UsageError
 from .metrics import evaluate_split, render_matrix_file
@@ -64,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_refine)
 
-    p = sub.add_parser("labelbank", help="masking baseline over the prior support")
+    p = sub.add_parser("labelbank", help="masking baseline over the prior support: "
+                       "refine with the identity confusion")
     p.add_argument("--manifest", required=True)
     p.add_argument("--priors", required=True)
     p.add_argument("--out", required=True, help="output directory")
@@ -149,7 +151,8 @@ def cmd_prior(args) -> int:
 
 def cmd_refine(args) -> int:
     manifest = load_manifest(args.manifest)
-    model = load_confusion(args.confusion)[0] if args.confusion else None
+    model = (load_confusion(args.confusion)[0] if args.confusion
+             else identity_confusion(manifest.label_set))
     n = refine_split(manifest, load_prior_bank(args.priors), args.out, model)
     print(f"{args.command}: {n} images -> {Path(args.out)}")
     return 0
@@ -172,6 +175,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if not 0 < args.gamma < math.inf:
+        raise UsageError("--gamma must be finite and positive")
+    if args.block < 1:
+        raise UsageError("--block must be >= 1")
     rows, cols = render_matrix_file(args.matrix, args.out, gamma=args.gamma, block=args.block)
     print(f"render: {rows}x{cols} matrix -> {args.out}")
     return 0

@@ -93,15 +93,32 @@ def apply_refinement(matrix, probs):
     with one matrix per map, B x L x L. Computation runs in float64 over
     _pixel_blocks, as one batched product per block, and the result is cast
     back to float32.
+
+    A matrix with an all-zero column loses the mass its map puts on that
+    output, so that map's pixels are then divided by their sum, and a pixel
+    left with no mass becomes uniform over the matrix's nonzero rows. A 0/1
+    diagonal matrix thus masks its map to the diagonal's support and
+    rescales it. Maps whose matrix has no zero column are only multiplied.
     """
     h, w, n = probs.shape[-3:]
     stack = probs.reshape(-1, h * w, n)
     out = np.empty(probs.shape, dtype=np.float32)
     flat_out = out.reshape(stack.shape)
-    transform = np.swapaxes(matrix.reshape(-1, n, n), 1, 2)
+    matrices = matrix.reshape(-1, n, n)
+    transform = np.swapaxes(matrices, 1, 2)
+    lossy = ~matrices.any(axis=1).all(axis=1)
+    rows = matrices.any(axis=2)
+    fallback = rows / rows.sum(axis=1, keepdims=True)
     for images, pixels in _pixel_blocks(len(stack), h * w):
-        flat_out[images, pixels] = np.matmul(stack[images, pixels].astype(np.float64),
-                                             transform[images])
+        vals = np.matmul(stack[images, pixels].astype(np.float64), transform[images])
+        rescale = lossy[images, None, None]
+        if rescale.any():
+            sums = vals.sum(axis=-1, keepdims=True)
+            degenerate = (sums <= 0.0) & rescale
+            # x / 1 is x, so the other maps in the block keep their bits
+            vals /= np.where(degenerate | ~rescale, 1.0, sums)
+            np.copyto(vals, fallback[images, None, :], where=degenerate)
+        flat_out[images, pixels] = vals
     return out
 
 

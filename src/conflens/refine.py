@@ -1,6 +1,7 @@
 """The refinement matrix R with R[c1, c2] = P(c1 | C=c2), its per-pixel
-application, argmax prediction, the LabelBank masking baseline, and their
-stage."""
+application, argmax prediction, and the stage that runs them. The LabelBank
+baseline is this stage with the identity confusion: its R is the 0/1
+diagonal of the prior's support, so the transform masks and rescales."""
 
 from __future__ import annotations
 
@@ -34,8 +35,10 @@ if TYPE_CHECKING:  # confusion imports this module for argmax_labels
 @dataclass(frozen=True)
 class RefinementMatrix:
     """matrix[c1, c2] = P(c1 | C=c2); marginal[c] = P(C=c). Columns with
-    zero marginal are identically zero. A stack of B matrices, one per map
-    of a B x H x W x L stack, is B x L x L with B x L marginals."""
+    zero marginal are identically zero, and refine_map rescales a map whose
+    matrix has one (kernels.apply_refinement). Every matrix has a live
+    column. A stack of B matrices, one per map of a B x H x W x L stack, is
+    B x L x L with B x L marginals."""
 
     matrix: np.ndarray
     marginal: np.ndarray
@@ -55,6 +58,8 @@ class RefinementMatrix:
         colsums = mat.sum(axis=-2)
         if not (np.abs(colsums[live] - 1.0) <= SUM_TOL).all():
             raise DataError("live refinement columns must sum to 1")
+        if not live.any(axis=-1).all():
+            raise DataError("refinement matrix has no live column")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "marginal", marg)
 
@@ -80,7 +85,8 @@ def build_refinement_matrix(confusion: ConfusionModel, prior) -> RefinementMatri
 
     Columns whose marginal is zero (possible only with unfloored confusion
     and zero-prior classes, e.g. the identity-confusion baseline) are set to
-    zero: the classifier never outputs c, so P(l | C=c) carries no mass.
+    zero: the classifier never outputs c, so P(l | C=c) carries no mass,
+    and refine_map rescales what the map keeps.
     """
     weights = np.asarray(getattr(prior, "weights", prior), dtype=np.float64)
     marginal = output_marginal(confusion, weights)
@@ -92,7 +98,9 @@ def build_refinement_matrix(confusion: ConfusionModel, prior) -> RefinementMatri
 
 def refine_map(R: RefinementMatrix, probs: ProbabilityMap) -> ProbabilityMap:
     """Per-pixel linear transform of the classifier outputs by R; a stack
-    of matrices transforms a stack of maps, one matrix per map."""
+    of matrices transforms a stack of maps, one matrix per map. A map
+    whose R has a zero column is rescaled to sum to 1, a pixel with no mass
+    left going uniform over the prior's support (kernels.apply_refinement)."""
     if probs.channels != R.n_labels:
         raise DataError(
             f"{probs.channels} channels do not match {R.n_labels} labels"
@@ -115,43 +123,11 @@ def argmax_labels(probs: ProbabilityMap) -> LabelMap:
     return LabelMap(out.reshape(probs.values.shape[:-1]))
 
 
-def labelbank_mask(probs: ProbabilityMap, present) -> ProbabilityMap:
-    """Zero the channels outside `present` and rescale the survivors to sum
-    to 1; pixels with no surviving mass become uniform over `present`. A
-    stack of B maps takes a sequence of B present sets, one per map."""
-    stacked = probs.values.ndim == 4
-    sets = [sorted(int(c) for c in classes) for classes in (present if stacked else [present])]
-    n = probs.channels
-    if stacked and len(sets) != probs.values.shape[0]:
-        raise DataError(f"{len(sets)} present sets for {probs.values.shape[0]} maps")
-    keep = np.zeros((len(sets), n), dtype=bool)
-    for row, classes in zip(keep, sets):
-        if not classes:
-            raise DataError("present set is empty")
-        if classes[0] < 0 or classes[-1] >= n:
-            raise DataError(f"present classes {classes} outside [0, {n})")
-        row[classes] = True
-    fallback = keep.astype(np.float64) / keep.sum(axis=1, keepdims=True)
-    pixels = probs.height * probs.width
-    stack = probs.values.reshape(-1, pixels, n)
-    out = np.empty(probs.values.shape, dtype=np.float32)
-    flat_out = out.reshape(stack.shape)
-    for images, block in kernels._pixel_blocks(len(stack), pixels):
-        vals = stack[images, block].astype(np.float64)
-        vals *= keep[images, None, :]
-        sums = vals.sum(axis=-1, keepdims=True)
-        degenerate = sums <= 0.0
-        vals /= np.where(degenerate, 1.0, sums)
-        np.copyto(vals, fallback[images, None, :], where=degenerate)
-        flat_out[images, block] = vals
-    return ProbabilityMap(out)
-
-
 def refine_split(manifest: Manifest, bank: PriorBank, out: str | Path,
-                 confusion: ConfusionModel | None = None) -> int:
-    """The refine stage, or labelbank's when confusion is None: publish
-    `<id>_refined.segt` (refine_map, or labelbank_mask over the prior's
-    support) and its argmax `<id>_pred.segt` per evaluation image in the
+                 confusion: ConfusionModel) -> int:
+    """The refine stage, also labelbank's with the identity confusion:
+    publish `<id>_refined.segt` (refine_map by the image's refinement
+    matrix) and its argmax `<id>_pred.segt` per evaluation image in the
     directory out; returns the image count. The widths, a prior per id and
     each map's layout (read from its header: dtype, rank and channel count)
     are checked before out is touched. The maps are then read once, in
@@ -159,7 +135,7 @@ def refine_split(manifest: Manifest, bank: PriorBank, out: str | Path,
     reduced to their argmax and staged together, so memory does not grow
     with the split, and a failed run publishes nothing."""
     labels = manifest.label_set
-    if confusion is not None and confusion.n_labels != labels.size:
+    if confusion.n_labels != labels.size:
         raise DataError(f"confusion has {confusion.n_labels} labels, manifest {labels.size}")
     if bank.weights.shape[1] != labels.size:
         raise DataError(
@@ -170,15 +146,11 @@ def refine_split(manifest: Manifest, bank: PriorBank, out: str | Path,
     for rec in records:
         _check_layout(rec.probs_path, PROBS, *segt.read_header(rec.probs_path), labels)
 
-    def transform(probs, weights):
-        if confusion is None:
-            return labelbank_mask(probs, [np.flatnonzero(w > 0) for w in weights])
-        return refine_map(build_refinement_matrix(confusion, weights), probs)
-
     with publish(out) as stage:
         for chunk, (probs,) in _load_chunks(items, lambda item: (item[0].probs_path,),
                                             (PROBS,), labels):
-            result = transform(probs, np.stack([row for _, row in chunk]))
+            R = build_refinement_matrix(confusion, np.stack([row for _, row in chunk]))
+            result = refine_map(R, probs)
             del probs  # free the inputs before argmax
             pred = argmax_labels(result)
             for i, (rec, _) in enumerate(chunk):

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from conflens import LabelSet, SynthSpec, generate_dataset, load_manifest
+from conflens import (
+    LabelSet,
+    ProbabilityMap,
+    SynthSpec,
+    build_refinement_matrix,
+    generate_dataset,
+    identity_confusion,
+    load_manifest,
+    refine_map,
+)
 
 
 def mixed_confusion(n: int, diag: float = 0.7) -> np.ndarray:
@@ -13,6 +22,20 @@ def mixed_confusion(n: int, diag: float = 0.7) -> np.ndarray:
         T[(l + 1) % n, l] = (1.0 - diag) * 0.6 + T[(l + 1) % n, l]
     T[:, :] /= T.sum(axis=0, keepdims=True)
     return T
+
+
+def labelbank(values, present):
+    """The labelbank transform of an H x W x L float32 map, or of a stack
+    with one present set per map: refine_map by the identity confusion and
+    a binary prior over the present classes."""
+    n = values.shape[-1]
+    sets = present if values.ndim == 4 else [present]
+    weights = np.zeros((len(sets), n))
+    for row, classes in zip(weights, sets):
+        row[list(classes)] = 1.0 / max(len(classes), 1)
+    R = build_refinement_matrix(identity_confusion(LabelSet(size=n)),
+                                weights if values.ndim == 4 else weights[0])
+    return refine_map(R, ProbabilityMap(values)).values
 
 
 def dense_loss_grad(matrix, weights, gt, probs, eps):

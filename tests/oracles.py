@@ -60,15 +60,27 @@ def pair_counts_loop(gt, pred, included, n_labels, void_id):
 
 
 def apply_refinement_loop(matrix, probs):
+    """matrix @ probs per pixel. Where a column of matrix is all zero, each
+    pixel is divided by its sum, and a pixel with no mass left is uniform
+    over the matrix's nonzero rows."""
     h, w, n = probs.shape
+    lossy = any(all(matrix[l, c] == 0 for l in range(n)) for c in range(n))
+    rows = [l for l in range(n) if any(matrix[l, c] != 0 for c in range(n))]
     out = np.empty((h, w, n), dtype=np.float32)
     for i in range(h):
         for j in range(w):
+            vals = []
             for l in range(n):
                 acc = 0.0
                 for c in range(n):
                     acc += matrix[l, c] * probs[i, j, c]
-                out[i, j, l] = acc
+                vals.append(acc)
+            total = sum(vals)
+            if lossy and total <= 0:
+                vals = [1.0 / len(rows) if l in rows else 0.0 for l in range(n)]
+            elif lossy:
+                vals = [v / total for v in vals]
+            out[i, j] = vals
     return out
 
 

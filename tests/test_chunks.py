@@ -121,7 +121,7 @@ class TestChunkInvariance:
 
         monkeypatch.setattr(kernels, "apply_refinement", counted)
         run_stages(manifest, tmp_path / "out")
-        assert stacks == [3, 3, 1, 1, 1, 1]
+        assert stacks == [3, 3, 1, 1, 1, 1] * 2  # refine, then labelbank
 
     def test_bank_rows_match_one_image_priors(self, dataset, tmp_path):
         manifest, records = dataset

@@ -129,10 +129,50 @@ class TestArtifacts:
         root, _ = pipeline
         for idx in range(small_spec.n_estimation,
                          small_spec.n_estimation + small_spec.n_evaluation):
-            name = f"img_{idx:04d}_pred.segt"
-            a = load_tensor(root / "refined_ident_bin" / name)
-            b = load_tensor(root / "lb" / name)
-            np.testing.assert_array_equal(a, b)
+            for name in (f"img_{idx:04d}_pred.segt", f"img_{idx:04d}_refined.segt"):
+                a = (root / "refined_ident_bin" / name).read_bytes()
+                assert a == (root / "lb" / name).read_bytes(), name
+
+    def test_identity_binary_refined_maps_load(self, pipeline):
+        """The binary priors here leave out classes, so the identity
+        refinement matrices have zero columns; the maps are rescaled and
+        pass the probability-map check."""
+        root, manifest_path = pipeline
+        from conflens import load_manifest
+
+        manifest = load_manifest(manifest_path)
+        bank = load_prior_bank(root / "binary.segt")
+        assert (bank.weights == 0).any()
+        for rec in manifest.split_records("evaluation"):
+            load_probability_map(root / "refined_ident_bin" / f"{rec.image_id}_refined.segt",
+                                 manifest.label_set)
+
+    @pytest.mark.parametrize("command", ["refine", "labelbank"])
+    def test_mass_outside_the_support_predicts_the_lowest_supported_class(self, tmp_path,
+                                                                          command):
+        """Pixels whose mass lies wholly on classes the binary prior rules
+        out become uniform over its support: their argmax is its lowest
+        class, not class 0."""
+        labels = LabelSet(size=4)
+        gt_path, probs_path = tmp_path / "img_gt.segt", tmp_path / "img_probs.segt"
+        save_label_map(LabelMap(np.array([[1, 3, 3]], dtype=np.int32)), gt_path)
+        values = np.array([[[1.0, 0, 0, 0], [0, 0, 1.0, 0], [0.1, 0.2, 0.3, 0.4]]],
+                          dtype=np.float32)
+        save_probability_map(ProbabilityMap(values), probs_path)
+        save_manifest(Manifest(labels, (ManifestRecord("img", probs_path, gt_path,
+                                                       "evaluation"),)),
+                      tmp_path / "manifest.json")
+        manifest, bank = str(tmp_path / "manifest.json"), str(tmp_path / "binary.segt")
+        save_confusion(identity_confusion(labels), tmp_path / "ident.segt", radius=0)
+        assert main(["prior", "--manifest", manifest, "--kind", "binary", "--out", bank]) == 0
+        extra = ["--confusion", str(tmp_path / "ident.segt")] if command == "refine" else []
+        out = tmp_path / "out"
+        assert main([command, "--manifest", manifest, "--priors", bank, *extra,
+                     "--out", str(out)]) == 0
+        refined = load_probability_map(out / "img_refined.segt", labels).values
+        np.testing.assert_allclose(refined[0], [[0, 0.5, 0, 0.5], [0, 0.5, 0, 0.5],
+                                                [0, 1 / 3, 0, 2 / 3]], atol=1e-7)
+        np.testing.assert_array_equal(load_tensor(out / "img_pred.segt"), [[1, 1, 3]])
 
     def test_report_schema(self, pipeline):
         root, _ = pipeline

@@ -4,6 +4,7 @@ malformed files, and CLI flag validation."""
 import dataclasses
 import json
 import os
+import random
 import shutil
 import warnings
 from pathlib import Path
@@ -24,7 +25,6 @@ from conflens import (
     border_mask,
     generate_dataset,
     identity_confusion,
-    labelbank_mask,
     load_confusion,
     load_label_map,
     load_manifest,
@@ -996,11 +996,6 @@ class TestRefineValidation:
         with pytest.raises(DataError):
             RefinementMatrix(matrix=matrix, marginal=marginal)
 
-    def test_labelbank_rejects_out_of_range(self):
-        probs = ProbabilityMap(np.full((1, 1, 3), 1 / 3, dtype=np.float32))
-        with pytest.raises(DataError):
-            labelbank_mask(probs, {0, 5})
-
 
 class TestMetricsValidation:
     def test_write_pgm_requires_2d(self, tmp_path):
@@ -1368,11 +1363,78 @@ class TestCliFlagValidation:
         matrix = tmp_path / "m.segt"
         store_tensor(matrix, np.eye(2, dtype=np.float32))
         assert main(["render", "--matrix", str(matrix), "--out", str(tmp_path / "x.pgm"),
-                     "--gamma", "nan"]) == 2
+                     "--gamma", "nan"]) == 1
         assert not (tmp_path / "x.pgm").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--gamma", "-1"], ["--gamma", "nan"], ["--gamma", "inf"], ["--block", "0"],
+    ], ids=["gamma-1", "gamma-nan", "gamma-inf", "block0"])
+    def test_render_bad_flag_exits_1_before_the_matrix_is_read(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.pgm"
+        assert main(["render", "--matrix", str(tmp_path / "missing.segt"), "--out", str(out),
+                     *flags]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_render_rejects_3d_matrix(self, small_dataset, tmp_path):
         _, manifest, out = small_dataset
         rec = manifest.records[0]
         assert main(["render", "--matrix", str(rec.probs_path),
                      "--out", str(tmp_path / "x.pgm")]) == 2
+
+
+class TestHostileRefineInput:
+    """Seeded mutations (a bit flip, a cut, appended bytes) of an
+    evaluation probability map, a binary bank and the bank's sidecar, fed
+    to labelbank and to refine with the identity and the estimated
+    confusion: every run exits 0, 2 or 3 without a traceback, a failed run
+    publishes nothing, and a successful one publishes maps that load."""
+
+    RUNS = 60
+
+    @staticmethod
+    def mutate(raw: bytes, rng: random.Random) -> bytes:
+        kind = rng.choice(["flip", "cut", "append"])
+        if kind == "flip":
+            at = rng.randrange(len(raw))
+            return raw[:at] + bytes([raw[at] ^ (1 << rng.randrange(8))]) + raw[at + 1:]
+        if kind == "cut":
+            return raw[:rng.randrange(len(raw))]
+        return raw + bytes(rng.randrange(256) for _ in range(rng.randint(1, 8)))
+
+    def test_mutated_inputs(self, small_dataset, tmp_path, capsys):
+        spec, manifest, src = small_dataset
+        data = tmp_path / "data"
+        shutil.copytree(src, data)
+        manifest_path = str(data / "manifest.json")
+        bank = data / "bank.segt"
+        save_confusion(identity_confusion(spec.label_set), data / "ident.segt", radius=0)
+        assert main(["confusion", "--manifest", manifest_path,
+                     "--out", str(data / "conf.segt")]) == 0
+        assert main(["prior", "--manifest", manifest_path, "--kind", "binary",
+                     "--out", str(bank)]) == 0
+        probs = data / manifest.split_records("evaluation")[3].probs_path.name
+        targets = [probs, bank, bank.with_suffix(".json")]
+        originals = {path: path.read_bytes() for path in targets}
+        commands = [["labelbank"], ["refine", "--confusion", str(data / "ident.segt")],
+                    ["refine", "--confusion", str(data / "conf.segt")]]
+        rng = random.Random(1234)
+        codes = []
+        for run in range(self.RUNS):
+            target = rng.choice(targets)
+            target.write_bytes(self.mutate(originals[target], rng))
+            out = tmp_path / f"out{run}"
+            capsys.readouterr()
+            code = main([*commands[run % 3], "--manifest", manifest_path,
+                         "--priors", str(bank), "--out", str(out)])
+            err = capsys.readouterr().err
+            target.write_bytes(originals[target])
+            assert code in (0, 2, 3), (run, target.name, err)
+            assert "Traceback" not in err, (run, target.name, err)
+            if code:
+                assert not out.exists(), (run, target.name)
+            else:
+                for path in sorted(out.glob("*_refined.segt")):
+                    load_probability_map(path, spec.label_set)
+            codes.append(code)
+        assert 0 in codes and 2 in codes

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conflens import ProbabilityMap, kernels, labelbank_mask
+from conflens import kernels
 from tests import oracles
-from tests.conftest import dense_loss_grad
+from tests.conftest import dense_loss_grad, labelbank
 
 
 @st.composite
@@ -105,6 +105,26 @@ class TestLoopOracles:
             a = kernels.apply_refinement(matrix, probs)
             b = oracles.apply_refinement_loop(matrix, probs)
             np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-7)
+
+    def test_apply_refinement_zero_column(self):
+        """Matrices with zero columns, as a sparse prior gives them: rows
+        outside the support are zero too, and pixels whose mass lies only on
+        the zero columns fall back to uniform over the support."""
+        rng = np.random.default_rng(95)
+        for _ in range(10):
+            n = int(rng.integers(2, 9))
+            support = np.zeros(n, dtype=bool)
+            support[rng.permutation(n)[:rng.integers(1, n)]] = True
+            matrix = (rng.random((n, n)) + 0.05) * support[:, None] * support[None, :]
+            matrix /= np.where(support, matrix.sum(axis=0), 1.0)
+            probs = rng.random((7, 6, n)).astype(np.float32)
+            probs[0, :3] = ~support
+            a = kernels.apply_refinement(matrix, probs)
+            b = oracles.apply_refinement_loop(matrix, probs)
+            np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-7)
+            uniform = np.float32(1 / support.sum()) * support
+            np.testing.assert_array_equal(a[0, :3], np.broadcast_to(uniform, (3, n)))
+            np.testing.assert_allclose(a.sum(axis=2), 1.0, atol=1e-6)
 
     def test_apply_refinement_identity_exact(self):
         rng = np.random.default_rng(93)
@@ -517,9 +537,9 @@ class TestStackedKernels:
         for i, classes in enumerate(present):
             probs[i, 0, 0] = 0.0
             probs[i, 0, 0, [c for c in range(n) if c not in classes][:1] or [0]] = 1.0
-        got = labelbank_mask(ProbabilityMap(probs), present).values
+        got = labelbank(probs, present)
         for image, classes, values in zip(got, present, probs):
-            want = labelbank_mask(ProbabilityMap(values), classes).values
+            want = labelbank(values, classes)
             np.testing.assert_array_equal(image.view(np.uint32), want.view(np.uint32))
 
     def test_one_map_signatures(self):

@@ -1,5 +1,5 @@
 """Refinement matrix construction, per-pixel application, argmax, and the
-LabelBank masking baseline."""
+LabelBank masking baseline, which is refinement by the identity confusion."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from conflens import (
     argmax_labels,
     build_refinement_matrix,
     identity_confusion,
-    labelbank_mask,
     normalize_confusion,
     output_marginal,
     refine_map,
@@ -25,6 +24,8 @@ from conflens import (
 from conflens import kernels
 from conflens.errors import DataError
 from conflens.data import SUM_TOL
+from conflens.refine import RefinementMatrix
+from tests.conftest import labelbank
 
 
 def refinement_oracle(matrix, weights, pixel):
@@ -41,8 +42,8 @@ def refinement_oracle(matrix, weights, pixel):
 
 
 def whole_map_labelbank(values, present):
-    """The unblocked mask labelbank_mask replaced: every expression over one
-    float64 copy of the whole map."""
+    """The unblocked mask that labelbank's blocked transform replaced: every
+    expression over one float64 copy of the whole map."""
     keep = np.zeros(values.shape[2], dtype=bool)
     keep[list(present)] = True
     vals = values.astype(np.float64) * keep
@@ -276,53 +277,57 @@ class TestArgmaxLabels:
 
 
 class TestLabelBank:
+    """labelbank: refine_map by the identity confusion and a binary prior."""
+
     def test_full_set_is_identity(self):
+        """No column of R is zero, so the map comes back unchanged."""
         rng = np.random.default_rng(71)
         probs = random_map(rng, 4, 4, 3)
-        out = labelbank_mask(probs, {0, 1, 2})
-        np.testing.assert_allclose(out.values, probs.values, atol=1e-7)
+        out = labelbank(probs.values, {0, 1, 2})
+        np.testing.assert_array_equal(out.view(np.uint32), probs.values.view(np.uint32))
 
     def test_mask_and_renormalize(self):
-        probs = ProbabilityMap(np.array([[[0.2, 0.5, 0.3]]], dtype=np.float32))
-        out = labelbank_mask(probs, {0, 2})
-        np.testing.assert_allclose(out.values[0, 0], [0.4, 0.0, 0.6], atol=1e-7)
+        values = np.array([[[0.2, 0.5, 0.3]]], dtype=np.float32)
+        out = labelbank(values, {0, 2})
+        np.testing.assert_allclose(out[0, 0], [0.4, 0.0, 0.6], atol=1e-7)
 
     def test_degenerate_pixel_goes_uniform_over_present(self):
-        probs = ProbabilityMap(np.array([[[1.0, 0.0, 0.0]]], dtype=np.float32))
-        out = labelbank_mask(probs, {1})
-        np.testing.assert_array_equal(out.values[0, 0], [0.0, 1.0, 0.0])
+        values = np.array([[[1.0, 0.0, 0.0]]], dtype=np.float32)
+        out = labelbank(values, {1})
+        np.testing.assert_array_equal(out[0, 0], [0.0, 1.0, 0.0])
 
     @pytest.mark.parametrize("shape", [(1, 1, 2), (64, 64, 8), (70, 70, 5)], ids=str)
     def test_byte_identical_to_whole_map_formula(self, shape):
         """H*W below, equal to, and one block plus a ragged tail of
-        PIXEL_BLOCK; pixels with no surviving mass sit on both sides of the
-        first block boundary."""
+        PIXEL_BLOCK; pixels whose mass lies wholly on class 1, outside the
+        present set, sit on both sides of the first block boundary."""
         rng = np.random.default_rng(74)
         n = shape[2]
-        present = (0, n - 1)
+        present = (0, n - 1) if n > 2 else (0,)
         values = random_map(rng, *shape).values.copy()
         flat = values.reshape(-1, n)
         edge = kernels.PIXEL_BLOCK
         placed = sorted({p for p in (0, edge - 2, edge - 1, edge, edge + 1, flat.shape[0] - 1)
                          if p < flat.shape[0]})
         flat[placed] = 0.0
-        if n > 2:
-            flat[placed, 1] = 1.0
-        got = labelbank_mask(ProbabilityMap(values), present).values
+        flat[placed, 1] = 1.0
+        got = labelbank(values, present)
         want = whole_map_labelbank(values, present)
         np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
         degenerate = values[..., list(present)].sum(axis=2) == 0
         np.testing.assert_array_equal(np.flatnonzero(degenerate), placed)
-        np.testing.assert_array_equal(got[degenerate][:, list(present)], 0.5)
+        np.testing.assert_array_equal(got[degenerate][:, list(present)], 1.0 / len(present))
 
     def test_empty_present_rejected(self):
-        probs = ProbabilityMap(np.array([[[0.5, 0.5]]], dtype=np.float32))
-        with pytest.raises(DataError):
-            labelbank_mask(probs, set())
+        """An all-zero prior leaves R no live column."""
+        values = np.array([[[0.5, 0.5]]], dtype=np.float32)
+        with pytest.raises(DataError, match="no live column"):
+            labelbank(values, set())
 
     def test_equivalence_with_identity_confusion_binary_prior(self):
-        """Masking + rescaling equals refinement with identity confusion and
-        a binary prior, at argmax level, on non-degenerate pixels."""
+        """Refinement with identity confusion and a binary prior is the
+        whole-map mask and rescale, bit for bit, degenerate pixels
+        included."""
         rng = np.random.default_rng(72)
         labels = LabelSet(size=5)
         for _ in range(10):
@@ -330,15 +335,57 @@ class TestLabelBank:
             present = sorted(
                 rng.choice(5, size=int(rng.integers(2, 5)), replace=False)
             )
+            values = probs.values.copy()
+            values[0, :2] = 0.0
+            values[0, :2, [c for c in range(5) if c not in present][0]] = 1.0
             weights = np.zeros(5)
             weights[present] = 1.0 / len(present)
             R = build_refinement_matrix(identity_confusion(labels), weights)
-            refined = refine_map(R, probs)
-            masked = labelbank_mask(probs, present)
-            surviving = probs.values[:, :, present].sum(axis=2) > 0
-            a = argmax_labels(refined).labels
-            b = argmax_labels(masked).labels
-            np.testing.assert_array_equal(a[surviving], b[surviving])
+            refined = refine_map(R, ProbabilityMap(values)).values
+            want = whole_map_labelbank(values, present)
+            np.testing.assert_array_equal(refined.view(np.uint32), want.view(np.uint32))
+            np.testing.assert_array_equal(argmax_labels(ProbabilityMap(refined)).labels[0, :2],
+                                          present[0])
+
+    def test_zero_column_maps_rescale_inside_a_shared_block(self):
+        """Seven 24 x 24 maps fill one pixel block, and their matrices
+        alternate between the identity confusion's with a sparse prior (a
+        zero column) and a dense confusion's with a full prior (none). The
+        dense maps keep the plain product's bits; the sparse ones equal
+        whole_map_labelbank, degenerate pixels included."""
+        rng = np.random.default_rng(75)
+        n, count = 5, 7
+        assert kernels.PIXEL_BLOCK // (24 * 24) == count
+        labels = LabelSet(size=n)
+        values = np.stack([random_map(rng, 24, 24, n).values for _ in range(count)])
+        matrices, marginals, present = [], [], {}
+        for i in range(count):
+            if i % 2:
+                R = build_refinement_matrix(random_confusion(rng, n), rng.dirichlet(np.ones(n)))
+            else:
+                present[i] = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+                outside = [c for c in range(n) if c not in present[i]][0]
+                values[i, i, :3] = 0.0
+                values[i, i, :3, outside] = 1.0
+                weights = np.zeros(n)
+                weights[present[i]] = 1.0 / len(present[i])
+                R = build_refinement_matrix(identity_confusion(labels), weights)
+            matrices.append(R.matrix)
+            marginals.append(R.marginal)
+        stacked = RefinementMatrix(matrix=np.stack(matrices), marginal=np.stack(marginals))
+        got = refine_map(stacked, ProbabilityMap(values)).values
+        for i, matrix in enumerate(matrices):
+            if i in present:
+                want = whole_map_labelbank(values[i], present[i])
+                assert (matrix.sum(axis=0) == 0).any()
+            else:
+                want = (values[i].reshape(-1, n).astype(np.float64) @ matrix.T)
+                want = want.reshape(values[i].shape).astype(np.float32)
+                assert (matrix.sum(axis=0) > 0).all()
+            np.testing.assert_array_equal(got[i].view(np.uint32), want.view(np.uint32))
+        for i, classes in present.items():
+            np.testing.assert_array_equal(got[i, i, :3][:, classes], 1.0 / len(classes))
+            assert (argmax_labels(ProbabilityMap(got[i])).labels[i, :3] == classes[0]).all()
 
     def test_out_of_context_annihilation(self):
         rng = np.random.default_rng(73)
