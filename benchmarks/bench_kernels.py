@@ -1,7 +1,7 @@
 """Timing benchmark for the numpy kernels.
 
 Times each kernel in conflens.kernels, and the probability-map range and
-sum check that every map load runs (conflens.data._probs_ok), on
+sum check that every map load runs (conflens.data._check_probs), on
 segmentation-scale inputs (512x512 images, 20 classes), plus the solver's
 loss on 64 stacked 576-sample, 8-class images in one call against one call
 per image, and prints the best of N runs per case.
@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from conflens import kernels
-from conflens.data import _probs_ok
+from conflens.data import _check_probs
 from conflens.priors import EPSILON
 
 
@@ -104,7 +104,7 @@ def main():
         ("loss_hessian (1e5 samples)", lambda: kernels.loss_hessian(*loss_args)),
         ("nearest_seed (256 seeds)",
          lambda: kernels.nearest_seed(args.size, args.size, *data["seeds"])),
-        ("map load check (_probs_ok)", lambda: _probs_ok(data["probs"])),
+        ("map load check (_check_probs)", lambda: _check_probs("probs", data["probs"])),
         *batched_loss_cases(),
     ]
 

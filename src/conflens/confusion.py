@@ -209,7 +209,7 @@ def load_confusion(path: str | Path) -> tuple[ConfusionModel, dict]:
     """Load matrix + sidecar. Columns are renormalized in float64 because
     the f32 file rounds them off the 1e-9 invariant."""
     arr, meta = load_with_sidecar(path)
-    if arr.ndim != 2 or arr.dtype != np.float32 or arr.shape[0] != arr.shape[1]:
+    if arr.shape[0] != arr.shape[1]:
         raise DataError(f"{path}: expected square 2-d float32 tensor")
     matrix = arr.astype(np.float64)
     sums = matrix.sum(axis=0)

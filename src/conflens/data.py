@@ -313,9 +313,10 @@ def _read_map(path, kind: str, labels: LabelSet | None) -> np.ndarray:
     return arr
 
 
-def _probs_ok(values: np.ndarray) -> bool:
-    """Whether every value of a ... x W x L float32 array lies in [0, 1] and
-    every site's channels sum to 1 within DEFAULT_SUM_TOL."""
+def _check_probs(path, values: np.ndarray) -> None:
+    """DataError naming path unless every value of the ... x W x L float32
+    array lies in [0, 1] and every site's channels sum to 1 within
+    DEFAULT_SUM_TOL."""
     # One pass clears most maps: as unsigned integers, the float32 bit
     # patterns of [+0, 1 + 1e-6] are exactly those up to the bound's, and
     # negative values (-0.0 too), inf and NaN all lie above it. Only a map
@@ -323,24 +324,16 @@ def _probs_ok(values: np.ndarray) -> bool:
     if values.view(np.uint32).max() > _RANGE_BITS and not (
         values.min() >= 0.0 and values.max() <= 1.0 + 1e-6
     ):
-        return False
-    # the range check leaves no negative or NaN value, so skip the minimum
-    return not _sum_failures(values.reshape((-1,) + values.shape[-2:]), DEFAULT_SUM_TOL,
-                             nonnegative=True)
-
-
-def _check_probs(path, values: np.ndarray) -> None:
-    """DataError naming path unless the H x W x L map passes _probs_ok."""
-    if _probs_ok(values):
-        return
-    if not (values.min() >= 0.0 and values.max() <= 1.0 + 1e-6):
         raise DataError(f"{path}: values outside [0, 1] or NaN")
-    bad = _sum_failures(values, DEFAULT_SUM_TOL, nonnegative=True)
-    (i, j), dev = bad[0]
-    raise DataError(
-        f"{path}: {len(bad)} sites fail sum check at tol {DEFAULT_SUM_TOL}, "
-        f"first ({i},{j}) deviates by {dev:.2e}"
-    )
+    # the range check leaves no negative or NaN value, so skip the minimum
+    bad = _sum_failures(values.reshape((-1,) + values.shape[-2:]), DEFAULT_SUM_TOL,
+                        nonnegative=True)
+    if bad:
+        (i, j), dev = bad[0]
+        raise DataError(
+            f"{path}: {len(bad)} sites fail sum check at tol {DEFAULT_SUM_TOL}, "
+            f"first ({i},{j}) deviates by {dev:.2e}"
+        )
 
 
 def _bad_labels(values: np.ndarray, labels: LabelSet) -> np.ndarray:
@@ -415,10 +408,16 @@ def _load_chunks(items, paths, kinds, labels: LabelSet):
                   for dtype, maps in zip(dtypes, zip(*(arrays for _, arrays in chunk)))]
         chunk_items = [item for item, _ in chunk]
         chunk.clear()
-        if not all(_probs_ok(s) if kind == PROBS
-                   else not _bad_labels(s, labels).any() for s, kind in zip(stacks, kinds)):
+        try:
+            for s, kind in zip(stacks, kinds):
+                if kind == PROBS:
+                    _check_probs("chunk", s)
+                else:
+                    _check_labels("chunk", s, labels)
+        except DataError:  # name the first bad file
             for i, item in enumerate(chunk_items):
                 check_item(item, [s[i] for s in stacks])
+            raise
         return chunk_items, tuple(
             ProbabilityMap(s) if kind == PROBS else LabelMap(s) for s, kind in zip(stacks, kinds))
 
@@ -525,9 +524,20 @@ def store_with_sidecar(path: str | Path, tensor: np.ndarray, meta: dict) -> None
         write_json(meta, stage(sidecar_path(path).name))
 
 
-def load_with_sidecar(path: str | Path) -> tuple[np.ndarray, dict]:
-    """A tensor and its sidecar object; a missing sidecar is a DataError."""
+def _read_matrix(path: str | Path) -> np.ndarray:
+    """A matrix file's array: a 2-d float32 tensor, every entry finite."""
     arr = segt.load_tensor(path)
+    if arr.ndim != 2 or arr.dtype != np.float32:
+        raise DataError(f"{path}: expected 2-d float32 tensor")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{path}: non-finite entry")
+    return arr
+
+
+def load_with_sidecar(path: str | Path) -> tuple[np.ndarray, dict]:
+    """A matrix file (_read_matrix) and its sidecar object; a missing
+    sidecar is a DataError."""
+    arr = _read_matrix(path)
     side = sidecar_path(path)
     try:
         return arr, read_json(side)

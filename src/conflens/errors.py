@@ -17,26 +17,3 @@ class DataError(ConflensError):
 class SegtFormatError(DataError):
     """Malformed SEGT tensor file."""
 
-
-class BadMagicError(SegtFormatError):
-    pass
-
-
-class UnsupportedVersionError(SegtFormatError):
-    pass
-
-
-class UnsupportedDtypeError(SegtFormatError):
-    pass
-
-
-class InvalidDimensionsError(SegtFormatError):
-    pass
-
-
-class DimOverflowError(SegtFormatError):
-    pass
-
-
-class TruncatedPayloadError(SegtFormatError):
-    pass

@@ -2,8 +2,9 @@
 exclusion, confusion pair counting, the per-pixel refinement transform, the
 prior solver's loss, gradient and Hessian, and the synthesizer's Voronoi
 fill, an exact nearest-seed search pruned tile by tile.
-benchmarks/bench_kernels.py times them at segmentation scale; tests check
-each against a plain-Python loop oracle.
+benchmarks/bench_kernels.py times them at segmentation scale, along with
+the map check every map load runs (data._check_probs); tests check each
+against a plain-Python loop oracle.
 """
 
 from __future__ import annotations

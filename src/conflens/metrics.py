@@ -3,13 +3,13 @@ grayscale heatmap rendering of probability matrices."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import segt
 from .confusion import border_mask
 from .data import (
     LABELS,
@@ -17,6 +17,7 @@ from .data import (
     LabelSet,
     Manifest,
     _load_chunks,
+    _read_matrix,
     publish,
     write_json,
 )
@@ -137,8 +138,8 @@ def render_matrix_heatmap(
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise DataError(f"heatmap input must be 2-d, got {arr.shape}")
-    if not gamma > 0:
-        raise DataError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise DataError(f"gamma must be finite and positive, got {gamma}")
     if block < 1:
         raise DataError(f"block must be >= 1, got {block}")
     rows, cols = arr.shape[0] * block, arr.shape[1] * block
@@ -155,10 +156,8 @@ def render_matrix_heatmap(
 
 def render_matrix_file(matrix_path: str | Path, path: str | Path, gamma: float = 0.5,
                        block: int = 1) -> tuple[int, int]:
-    """The render stage: render_matrix_heatmap of a 2-d float32 SEGT file;
-    returns the matrix shape."""
-    arr = segt.load_tensor(matrix_path)
-    if arr.ndim != 2 or arr.dtype != np.float32:
-        raise DataError(f"{matrix_path}: expected 2-d float32 tensor")
+    """The render stage: render_matrix_heatmap of a matrix file (a 2-d
+    float32 SEGT file, every entry finite); returns the matrix shape."""
+    arr = _read_matrix(matrix_path)
     render_matrix_heatmap(arr.astype(np.float64), path, gamma=gamma, block=block)
     return arr.shape

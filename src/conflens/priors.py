@@ -649,8 +649,6 @@ def load_prior_bank(path: str | Path) -> PriorBank:
     """Rows renormalized in float64: the f32 file rounds them off the 1e-9
     simplex invariant."""
     arr, meta = load_with_sidecar(path)
-    if arr.ndim != 2 or arr.dtype != np.float32:
-        raise DataError(f"{path}: expected 2-d float32 tensor")
     ids = meta.get("ids", [])
     if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
         raise DataError(f"{path}: sidecar ids must be a list of strings")

@@ -14,16 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    DataError,
-    DimOverflowError,
-    InvalidDimensionsError,
-    SegtFormatError,
-    TruncatedPayloadError,
-    UnsupportedDtypeError,
-    UnsupportedVersionError,
-)
+from .errors import DataError, SegtFormatError
 
 MAGIC = b"SEGT"
 VERSION = 1
@@ -61,24 +52,24 @@ def _parse_header(path: str | Path, head: bytes) -> tuple[np.dtype, tuple[int, .
     """Validate the header at the start of `head`, the file's first
     MAX_HEADER bytes or all of a shorter file; returns (dtype, dims)."""
     if len(head) < 4 or head[:4] != MAGIC:
-        raise BadMagicError(f"{path}: not a SEGT file")
+        raise SegtFormatError(f"{path}: not a SEGT file")
     if len(head) < 10:
-        raise TruncatedPayloadError(f"{path}: truncated header")
+        raise SegtFormatError(f"{path}: truncated header")
     version, code, ndim = struct.unpack_from("<IBB", head, 4)
     if version != VERSION:
-        raise UnsupportedVersionError(f"{path}: unsupported version {version}")
+        raise SegtFormatError(f"{path}: unsupported version {version}")
     if code not in _CODE_TO_DTYPE:
-        raise UnsupportedDtypeError(f"{path}: unsupported dtype code {code}")
+        raise SegtFormatError(f"{path}: unsupported dtype code {code}")
     if not 1 <= ndim <= 3:
-        raise InvalidDimensionsError(f"{path}: ndim {ndim} outside 1..3")
+        raise SegtFormatError(f"{path}: ndim {ndim} outside 1..3")
     if len(head) < 10 + 4 * ndim:
-        raise TruncatedPayloadError(f"{path}: truncated dims")
+        raise SegtFormatError(f"{path}: truncated dims")
     dims = struct.unpack_from(f"<{ndim}I", head, 10)
     if any(d == 0 for d in dims):
-        raise InvalidDimensionsError(f"{path}: zero-sized dim in {dims}")
+        raise SegtFormatError(f"{path}: zero-sized dim in {dims}")
     count = math.prod(dims)
     if count > MAX_ELEMENTS:
-        raise DimOverflowError(f"{path}: {count} elements exceed limit")
+        raise SegtFormatError(f"{path}: {count} elements exceed limit")
     return _CODE_TO_DTYPE[code], dims
 
 
@@ -99,9 +90,7 @@ def load_tensor(path: str | Path) -> np.ndarray:
         nbytes = math.prod(dims) * dtype.itemsize
         held = os.fstat(fh.fileno()).st_size - offset
         if held < nbytes:
-            raise TruncatedPayloadError(
-                f"{path}: payload holds {held} bytes, expected {nbytes}"
-            )
+            raise SegtFormatError(f"{path}: payload holds {held} bytes, expected {nbytes}")
         if held > nbytes:
             raise SegtFormatError(f"{path}: {held - nbytes} trailing byte(s) after the payload")
         arr = np.empty(dims, dtype=dtype)
@@ -113,8 +102,6 @@ def load_tensor(path: str | Path) -> np.ndarray:
         while got < nbytes:
             n = fh.readinto(view[got:])
             if not n:
-                raise TruncatedPayloadError(
-                    f"{path}: payload holds {got} bytes, expected {nbytes}"
-                )
+                raise SegtFormatError(f"{path}: payload holds {got} bytes, expected {nbytes}")
             got += n
     return arr

@@ -44,7 +44,7 @@ from conflens import (
 )
 from conflens import data, metrics, refine, segt, synth
 from conflens.cli import main
-from conflens.errors import DataError
+from conflens.errors import DataError, SegtFormatError
 from conflens.metrics import MetricAccumulator
 from conflens.priors import PriorBank
 from conflens.refine import RefinementMatrix
@@ -66,9 +66,7 @@ class TestSegtStore:
 
         path = tmp_path / "t.segt"
         path.write_bytes(b"SEGT" + struct.pack("<IBB", 1, 0, 3) + b"\x01\x00")
-        from conflens.errors import TruncatedPayloadError
-
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(SegtFormatError, match="truncated dims$"):
             load_probability_map(path)
 
 
@@ -972,6 +970,30 @@ class TestStageInputChecks:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # the stage's arguments; "conf" and "bank" stand for the fixture's files
+    NON_FINITE = {
+        "refine-confusion": ("conf", ["refine", "--confusion", "conf", "--priors", "bank"]),
+        "labelbank-priors": ("bank", ["labelbank", "--priors", "bank"]),
+        "render-matrix": ("conf", ["render", "--matrix", "conf"]),
+    }
+
+    @pytest.mark.parametrize("name, argv", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_non_finite_matrix_file(self, data, tmp_path, capsys, name, argv):
+        """An inf entry in a confusion, a bank or a rendered matrix is one
+        error line that names the file, before numpy meets it (a warning
+        would be an exception here)."""
+        path = data / f"{name}.segt"
+        arr = load_tensor(path)
+        arr[0, 0] = np.inf
+        store_tensor(path, arr)
+        argv = [str(data / f"{a}.segt") if a in ("conf", "bank") else a for a in argv]
+        if argv[0] != "render":
+            argv += ["--manifest", str(data / "manifest.json")]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: non-finite entry"]
+        assert not out.exists()
+
 
 class TestRefineValidation:
     def test_output_marginal_size_mismatch(self):
@@ -1003,10 +1025,14 @@ class TestMetricsValidation:
             write_pgm(np.zeros((2, 2, 2), dtype=np.uint8), tmp_path / "x.pgm")
 
     def test_render_flag_validation(self, tmp_path):
-        with pytest.raises(DataError):
-            render_matrix_heatmap(np.eye(2), tmp_path / "x.pgm", gamma=0.0)
+        """The library takes the gammas `render --gamma` takes; an infinite
+        one would make a step image."""
+        for gamma in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(DataError, match="^gamma must be finite and positive, got "):
+                render_matrix_heatmap(np.full((2, 2), 0.5), tmp_path / "x.pgm", gamma=gamma)
         with pytest.raises(DataError):
             render_matrix_heatmap(np.eye(2), tmp_path / "x.pgm", block=0)
+        assert not (tmp_path / "x.pgm").exists()
 
     def test_render_caps_the_image_before_allocating(self, tmp_path, monkeypatch, capsys):
         """--block 10**7 on a 3x3 matrix asks for a 9e14-pixel image. It is
@@ -1384,13 +1410,15 @@ class TestCliFlagValidation:
 
 
 class TestHostileRefineInput:
-    """Seeded mutations (a bit flip, a cut, appended bytes) of an
-    evaluation probability map, a binary bank and the bank's sidecar, fed
-    to labelbank and to refine with the identity and the estimated
-    confusion: every run exits 0, 2 or 3 without a traceback, a failed run
-    publishes nothing, and a successful one publishes maps that load."""
+    """Seeded mutations (a bit flip, a cut, appended bytes) of the inputs
+    each stage reads: an evaluation probability map and its ground truth, a
+    binary bank, the estimated confusion, their sidecars and the manifest.
+    They are fed to labelbank, to refine with the identity and the
+    estimated confusion, to confusion, to the unconstrained prior and to
+    eval: every run exits 0, 2 or 3 without a traceback, a failed run
+    publishes nothing, and a successful one publishes outputs that load."""
 
-    RUNS = 60
+    RUNS = 420
 
     @staticmethod
     def mutate(raw: bytes, rng: random.Random) -> bytes:
@@ -1404,29 +1432,49 @@ class TestHostileRefineInput:
 
     def test_mutated_inputs(self, small_dataset, tmp_path, capsys):
         spec, manifest, src = small_dataset
-        data = tmp_path / "data"
-        shutil.copytree(src, data)
-        manifest_path = str(data / "manifest.json")
-        bank = data / "bank.segt"
-        save_confusion(identity_confusion(spec.label_set), data / "ident.segt", radius=0)
-        assert main(["confusion", "--manifest", manifest_path,
-                     "--out", str(data / "conf.segt")]) == 0
-        assert main(["prior", "--manifest", manifest_path, "--kind", "binary",
-                     "--out", str(bank)]) == 0
-        probs = data / manifest.split_records("evaluation")[3].probs_path.name
-        targets = [probs, bank, bank.with_suffix(".json")]
-        originals = {path: path.read_bytes() for path in targets}
-        commands = [["labelbank"], ["refine", "--confusion", str(data / "ident.segt")],
-                    ["refine", "--confusion", str(data / "conf.segt")]]
+        root = tmp_path / "data"
+        shutil.copytree(src, root)
+        manifest_path = root / "manifest.json"
+        bank, conf, ident, pred = (str(root / name) for name in
+                                   ("bank.segt", "conf.segt", "ident.segt", "pred"))
+        save_confusion(identity_confusion(spec.label_set), ident, radius=0)
+        assert main(["confusion", "--manifest", str(manifest_path), "--out", conf]) == 0
+        assert main(["prior", "--manifest", str(manifest_path), "--kind", "binary",
+                     "--out", bank]) == 0
+        assert main(["labelbank", "--manifest", str(manifest_path), "--priors", bank,
+                     "--out", pred]) == 0
+        record = manifest.split_records("evaluation")[3]
+        probs, gt = root / record.probs_path.name, root / record.gt_path.name
+        bank_files = [probs, root / "bank.segt", root / "bank.json", manifest_path]
+        conf_files = [root / "conf.segt", root / "conf.json"]
+
+        def maps(out):
+            for path in sorted(out.glob("*_refined.segt")):
+                load_probability_map(path, spec.label_set)
+            for path in sorted(out.glob("*_pred.segt")):
+                load_label_map(path, spec.label_set)
+
+        # (arguments, files the stage reads, output under out, its loader)
+        stages = [
+            (["labelbank", "--priors", bank], bank_files, "", maps),
+            (["refine", "--confusion", ident, "--priors", bank], bank_files, "", maps),
+            (["refine", "--confusion", conf, "--priors", bank], bank_files + conf_files, "",
+             maps),
+            (["confusion"], [manifest_path], "conf.segt", load_confusion),
+            (["prior", "--kind", "unconstrained", "--confusion", conf],
+             [probs, gt, *conf_files, manifest_path], "bank.segt", load_prior_bank),
+            (["eval", "--pred-dir", pred], [gt, manifest_path], "report.json", data.read_json),
+        ]
+        originals = {path: path.read_bytes() for _, reads, _, _ in stages for path in reads}
         rng = random.Random(1234)
         codes = []
         for run in range(self.RUNS):
-            target = rng.choice(targets)
+            argv, reads, name, load = stages[run % len(stages)]
+            target = rng.choice(reads)
             target.write_bytes(self.mutate(originals[target], rng))
             out = tmp_path / f"out{run}"
             capsys.readouterr()
-            code = main([*commands[run % 3], "--manifest", manifest_path,
-                         "--priors", str(bank), "--out", str(out)])
+            code = main([*argv, "--manifest", str(manifest_path), "--out", str(out / name)])
             err = capsys.readouterr().err
             target.write_bytes(originals[target])
             assert code in (0, 2, 3), (run, target.name, err)
@@ -1434,7 +1482,6 @@ class TestHostileRefineInput:
             if code:
                 assert not out.exists(), (run, target.name)
             else:
-                for path in sorted(out.glob("*_refined.segt")):
-                    load_probability_map(path, spec.label_set)
+                load(out / name)
             codes.append(code)
         assert 0 in codes and 2 in codes

@@ -59,7 +59,7 @@ def test_bench_kernels_inputs_run_every_timed_kernel():
     kernels.loss_grad(*loss_args)
     assert kernels.loss_hessian(*loss_args).shape == (3, 3)
     kernels.nearest_seed(16, 16, *data["seeds"])
-    assert conflens.data._probs_ok(data["probs"])  # bench_kernels' map load check
+    conflens.data._check_probs("probs", data["probs"])  # bench_kernels' map load check
 
 
 def test_hooked_parameters_keep_their_positions():
