@@ -271,12 +271,11 @@ def save_probability_map(probs: ProbabilityMap, path: str | Path) -> None:
 
 
 def load_probability_map(path: str | Path, labels: LabelSet | None = None) -> ProbabilityMap:
-    """Load and validate a probability map: the layout _check_layout sets
-    (its channel count when `labels` is given), the value range, and
-    per-pixel sums within DEFAULT_SUM_TOL."""
-    arr = _read_map(path, PROBS, labels)
-    _check_probs(path, arr)
-    return ProbabilityMap(arr)
+    """Load and validate a probability map, a chunk of one of _load_chunks:
+    the layout _check_layout sets (its channel count when `labels` is
+    given), the value range, and per-pixel sums within DEFAULT_SUM_TOL."""
+    ((_, (probs,)),) = _load_chunks([path], lambda p: (p,), (PROBS,), labels)
+    return ProbabilityMap(probs.values[0])
 
 
 def save_label_map(label_map: LabelMap, path: str | Path) -> None:
@@ -287,12 +286,10 @@ def save_label_map(label_map: LabelMap, path: str | Path) -> None:
 
 
 def load_label_map(path: str | Path, labels: LabelSet | None = None) -> LabelMap:
-    """Load a label map; with `labels`, every label must be a class or the
-    void id."""
-    out = _read_map(path, LABELS, labels).astype(np.int32)
-    if labels is not None:
-        _check_labels(path, out, labels)
-    return LabelMap(out)
+    """Load a label map, a chunk of one of _load_chunks; with `labels`,
+    every label must be a class or the void id."""
+    ((_, (gt,)),) = _load_chunks([path], lambda p: (p,), (LABELS,), labels)
+    return LabelMap(gt.labels[0])
 
 
 def _check_layout(path, kind: str, dtype, shape, labels: LabelSet | None) -> None:
@@ -352,25 +349,18 @@ def _check_labels(path, values: np.ndarray, labels: LabelSet) -> None:
         raise DataError(f"{path}: label {values[bad].flat[0]} outside the label set")
 
 
-def _check_same_size(path, values: np.ndarray, first_path, first: np.ndarray) -> None:
-    """DataError unless the map at path has the height and width of the
-    first map of its item, at first_path."""
-    (h, w), (h0, w0) = values.shape[:2], first.shape[:2]
-    if (h, w) != (h0, w0):
-        raise DataError(f"{path}: {h}x{w} map, {first_path} is {h0}x{w0}")
-
-
 # ---------------------------------------------------------------------------
 # chunked loading
 # ---------------------------------------------------------------------------
 
-def _load_chunks(items, paths, kinds, labels: LabelSet):
+def _load_chunks(items, paths, kinds, labels: LabelSet | None):
     """Consecutive chunks of items whose maps have equal shapes, loaded and
-    checked as load_probability_map and load_label_map check them, one call
-    per check for the whole chunk. Yields (chunk items, maps): maps holds,
-    for each kind in kinds (PROBS or LABELS), the chunk's maps stacked into
-    one ProbabilityMap or LabelMap, with paths(item) giving each item's
-    files in the same order.
+    checked with one call per check for the whole chunk: the one reader of
+    map files. Yields (chunk items, maps): maps holds, for each kind in
+    kinds (PROBS or LABELS), the chunk's maps stacked into one
+    ProbabilityMap or LabelMap, with paths(item) giving each item's files
+    in the same order. A label map's labels are checked only when labels
+    is given.
 
     A chunk closes at a change of shape or once its stacks reach
     CHUNK_BUDGET bytes. Items are read one at a time, and an item's maps
@@ -388,7 +378,9 @@ def _load_chunks(items, paths, kinds, labels: LabelSet):
             for path, kind in zip(paths(item), kinds):
                 arrays.append(_read_map(path, kind, labels))
                 arrays[-1].flags.writeable = False  # so a stack of one is a frozen view
-                _check_same_size(path, arrays[-1], paths(item)[0], arrays[0])
+                (h, w), (h0, w0) = arrays[-1].shape[:2], arrays[0].shape[:2]
+                if (h, w) != (h0, w0):
+                    raise DataError(f"{path}: {h}x{w} map, {paths(item)[0]} is {h0}x{w0}")
         except Exception as exc:  # raised after the checks of the files before it
             return arrays, exc
         return arrays, None
@@ -397,7 +389,7 @@ def _load_chunks(items, paths, kinds, labels: LabelSet):
         for path, kind, arr in zip(paths(item), kinds, arrays):
             if kind == PROBS:
                 _check_probs(path, arr)
-            else:
+            elif labels is not None:
                 _check_labels(path, arr.astype(np.int32), labels)
 
     def close(chunk):
@@ -412,7 +404,7 @@ def _load_chunks(items, paths, kinds, labels: LabelSet):
             for s, kind in zip(stacks, kinds):
                 if kind == PROBS:
                     _check_probs("chunk", s)
-                else:
+                elif labels is not None:
                     _check_labels("chunk", s, labels)
         except DataError:  # name the first bad file
             for i, item in enumerate(chunk_items):

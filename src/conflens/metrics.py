@@ -127,14 +127,15 @@ def write_pgm(gray: np.ndarray, path: str | Path) -> None:
         fh.write(arr.tobytes())
 
 
-def render_matrix_heatmap(
-    matrix: np.ndarray,
-    path: str | Path,
-    gamma: float = 0.5,
-    block: int = 1,
-) -> None:
+def render_matrix_heatmap(matrix: np.ndarray, path: str | Path, gamma: float = 0.5,
+                          block: int = 1) -> None:
     """Render matrix entries in [0, 1] as grayscale cells of block x block
     pixels, intensity round-half-up of 255 * value ** gamma."""
+    write_pgm(_heatmap(matrix, gamma, block), path)
+
+
+def _heatmap(matrix: np.ndarray, gamma: float, block: int) -> np.ndarray:
+    """The image render_matrix_heatmap writes, its arguments checked."""
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise DataError(f"heatmap input must be 2-d, got {arr.shape}")
@@ -146,18 +147,23 @@ def render_matrix_heatmap(
     if rows * cols > MAX_RENDER_PIXELS:
         raise DataError(f"block {block} renders a {rows}x{cols} image, over the "
                         f"{MAX_RENDER_PIXELS}-pixel cap")
-    if not (float(arr.min()) >= 0.0 and float(arr.max()) <= 1.0):
-        raise DataError("heatmap entries must lie in [0, 1], not NaN")
+    if (outside := arr[~((arr >= 0.0) & (arr <= 1.0))]).size:
+        raise DataError(f"heatmap entry {float(outside[0])} lies outside [0, 1]")
     intensity = np.floor(255.0 * np.power(arr, gamma) + 0.5).astype(np.uint8)
     if block > 1:
         intensity = intensity.repeat(block, axis=0).repeat(block, axis=1)
-    write_pgm(intensity, path)
+    return intensity
 
 
 def render_matrix_file(matrix_path: str | Path, path: str | Path, gamma: float = 0.5,
                        block: int = 1) -> tuple[int, int]:
     """The render stage: render_matrix_heatmap of a matrix file (a 2-d
-    float32 SEGT file, every entry finite); returns the matrix shape."""
+    float32 SEGT file, every entry finite), which an error about its entries
+    or their image names; returns the matrix shape."""
     arr = _read_matrix(matrix_path)
-    render_matrix_heatmap(arr.astype(np.float64), path, gamma=gamma, block=block)
+    try:
+        image = _heatmap(arr, gamma, block)
+    except DataError as exc:
+        raise DataError(f"{matrix_path}: {exc}") from None
+    write_pgm(image, path)
     return arr.shape

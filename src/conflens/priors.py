@@ -22,10 +22,8 @@ from .data import (
     _frozen_array,
     _is_json_int,
     LABELS,
-    _check_same_size,
+    PROBS,
     _load_chunks,
-    load_label_map,
-    load_probability_map,
     load_with_sidecar,
     store_with_sidecar,
 )
@@ -605,10 +603,10 @@ def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
 
         rows, group, size = [], _SolveGroup(confusion.matrix), 0
         for idx, rec in enumerate(eval_records):
-            gt = load_label_map(rec.gt_path, labels).labels
-            probs = load_probability_map(rec.probs_path, labels).values
-            _check_same_size(rec.probs_path, probs, rec.gt_path, gt)
-            flat_gt = gt.ravel()
+            # a chunk of one image, so a solve holds no map
+            ((_, (gt, probs)),) = _load_chunks([rec], lambda r: (r.gt_path, r.probs_path),
+                                               (LABELS, PROBS), labels)
+            flat_gt = gt.labels.ravel()
             # fit on every annotated, classified site of the image; the
             # evaluation scores all pixels, so masked fitting skews the
             # solved weights off the image's true composition
@@ -619,7 +617,7 @@ def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
             # rows for as many padded images as the budget has room for
             padded = 8 * labels.size * max(sites.size, group.gt.shape[1])
             fits = min(-(-(SOLVE_BUDGET - size) // padded), len(ids) - idx)
-            group.add(flat_gt[sites], probs.reshape(-1, labels.size)[sites],
+            group.add(flat_gt[sites], probs.values.reshape(-1, labels.size)[sites],
                       len(group.counts) + fits)
             del gt, probs, flat_gt  # the image's maps go before its group is solved
             size += 8 * labels.size * sites.size

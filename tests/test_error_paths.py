@@ -3,9 +3,11 @@ malformed files, and CLI flag validation."""
 
 import dataclasses
 import json
+import math
 import os
 import random
 import shutil
+import struct
 import warnings
 from pathlib import Path
 
@@ -465,7 +467,8 @@ class TestStageFileChecks:
 
     @staticmethod
     def spoil(manifest, preds, split, file, defect):
-        """Spoil the last record of a split: its probs, gt or pred file."""
+        """Spoil the last record of a split: its probs, gt or pred file,
+        whose path is returned."""
         rec = manifest.split_records(split)[-1]
         path = {"probs": rec.probs_path, "gt": rec.gt_path,
                 "pred": preds / f"{rec.image_id}_pred.segt"}[file]
@@ -479,6 +482,7 @@ class TestStageFileChecks:
             values = values.copy()
             values[0, 0] = manifest.label_set.size
         store_tensor(path, values)
+        return path
 
     READ = {
         "confusion-channels": ("confusion", "estimation", "probs", "channels"),
@@ -488,18 +492,22 @@ class TestStageFileChecks:
         "histogram-label": ("prior-histogram", "evaluation", "gt", "label"),
         "unconstrained-channels": ("prior-unconstrained", "evaluation", "probs", "channels"),
         "unconstrained-shape": ("prior-unconstrained", "evaluation", "probs", "shape"),
+        "unconstrained-label": ("prior-unconstrained", "evaluation", "gt", "label"),
         "refine-channels": ("refine", "evaluation", "probs", "channels"),
         "labelbank-channels": ("labelbank", "evaluation", "probs", "channels"),
         "eval-shape": ("eval", "evaluation", "pred", "shape"),
     }
 
     @pytest.mark.parametrize("case", READ.values(), ids=READ.keys())
-    def test_bad_file_read_exits_2_and_publishes_nothing(self, data, tmp_path, case):
+    def test_bad_file_read_exits_2_and_publishes_nothing(self, data, tmp_path, capsys, case):
         stage, split, file, defect = case
         manifest, preds, argv = data
-        self.spoil(manifest, preds, split, file, defect)
+        path = self.spoil(manifest, preds, split, file, defect)
         out = tmp_path / "out" / ("run" if stage in ("refine", "labelbank") else "result.segt")
+        capsys.readouterr()
         assert main(argv(stage, out)) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {path}: "), line
         assert not (tmp_path / "out").exists()
 
     NOT_READ = {
@@ -1385,6 +1393,15 @@ class TestCliFlagValidation:
         assert main(["render", "--matrix", str(matrix), "--out", str(tmp_path / "x.pgm")]) == 2
         assert not (tmp_path / "x.pgm").exists()
 
+    def test_render_names_the_file_and_its_out_of_range_entry(self, tmp_path, capsys):
+        matrix = tmp_path / "m.segt"
+        store_tensor(matrix, np.array([[0.5, 2.0], [0.5, -1.0]], dtype=np.float32))
+        out = tmp_path / "x.pgm"
+        assert main(["render", "--matrix", str(matrix), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {matrix}: heatmap entry 2.0 lies outside [0, 1]"]
+        assert not out.exists()
+
     def test_render_rejects_nan_gamma(self, tmp_path):
         matrix = tmp_path / "m.segt"
         store_tensor(matrix, np.eye(2, dtype=np.float32))
@@ -1410,25 +1427,33 @@ class TestCliFlagValidation:
 
 
 class TestHostileRefineInput:
-    """Seeded mutations (a bit flip, a cut, appended bytes) of the inputs
-    each stage reads: an evaluation probability map and its ground truth, a
-    binary bank, the estimated confusion, their sidecars and the manifest.
-    They are fed to labelbank, to refine with the identity and the
-    estimated confusion, to confusion, to the unconstrained prior and to
-    eval: every run exits 0, 2 or 3 without a traceback, a failed run
-    publishes nothing, and a successful one publishes outputs that load."""
+    """Seeded mutations (a bit flip, a cut, appended bytes, and in a matrix
+    file a non-finite entry) of the inputs each stage reads: an evaluation
+    probability map and its ground truth, a binary bank, the estimated
+    confusion, their sidecars and the manifest. They are fed to labelbank,
+    to refine with the identity and the estimated confusion, to confusion,
+    to the unconstrained prior and to eval: every run exits 0, 2 or 3
+    without a traceback, a cut or extended tensor file and a non-finite
+    matrix entry exit 2, a failed run publishes nothing, and a successful
+    one publishes outputs that load."""
 
     RUNS = 420
 
     @staticmethod
-    def mutate(raw: bytes, rng: random.Random) -> bytes:
-        kind = rng.choice(["flip", "cut", "append"])
+    def mutate(raw: bytes, rng: random.Random, matrix: bool) -> tuple[str, bytes]:
+        """The kind of mutation and the mutated bytes; `matrix` says that raw
+        is a 2-d float32 tensor file, whose payload follows an 18-byte header."""
+        kind = rng.choice(["flip", "cut", "append"] + ["non-finite"] * matrix)
         if kind == "flip":
             at = rng.randrange(len(raw))
-            return raw[:at] + bytes([raw[at] ^ (1 << rng.randrange(8))]) + raw[at + 1:]
+            return kind, raw[:at] + bytes([raw[at] ^ (1 << rng.randrange(8))]) + raw[at + 1:]
         if kind == "cut":
-            return raw[:rng.randrange(len(raw))]
-        return raw + bytes(rng.randrange(256) for _ in range(rng.randint(1, 8)))
+            return kind, raw[:rng.randrange(len(raw))]
+        if kind == "non-finite":
+            at = 18 + 4 * rng.randrange((len(raw) - 18) // 4)
+            value = struct.pack("<f", rng.choice([math.inf, -math.inf, math.nan]))
+            return kind, raw[:at] + value + raw[at + 4:]
+        return kind, raw + bytes(rng.randrange(256) for _ in range(rng.randint(1, 8)))
 
     def test_mutated_inputs(self, small_dataset, tmp_path, capsys):
         spec, manifest, src = small_dataset
@@ -1471,7 +1496,9 @@ class TestHostileRefineInput:
         for run in range(self.RUNS):
             argv, reads, name, load = stages[run % len(stages)]
             target = rng.choice(reads)
-            target.write_bytes(self.mutate(originals[target], rng))
+            kind, mutated = self.mutate(originals[target], rng,
+                                        target.name in ("bank.segt", "conf.segt"))
+            target.write_bytes(mutated)
             out = tmp_path / f"out{run}"
             capsys.readouterr()
             code = main([*argv, "--manifest", str(manifest_path), "--out", str(out / name)])
@@ -1479,6 +1506,10 @@ class TestHostileRefineInput:
             target.write_bytes(originals[target])
             assert code in (0, 2, 3), (run, target.name, err)
             assert "Traceback" not in err, (run, target.name, err)
+            if kind == "non-finite":
+                assert (code, err) == (2, f"error: {target}: non-finite entry\n"), run
+            elif kind != "flip" and target.suffix == ".segt":
+                assert code == 2, (run, target.name, kind, err)
             if code:
                 assert not out.exists(), (run, target.name)
             else:

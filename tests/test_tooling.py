@@ -1,8 +1,10 @@
 """The names the benchmark harness (perfbench/) reads from conflens and from
 benchmarks/bench_kernels.py still exist, its workloads' solver options
 still parse, and its traced run still gives every per-layer metric, so
-breaking one fails here and not only in a benchmark run."""
+breaking one fails here and not only in a benchmark run. Also a scan of
+the package's source that keeps one map loader."""
 
+import ast
 import importlib.util
 import inspect
 import math
@@ -104,3 +106,28 @@ def test_traced_run_gives_every_metric(small_dataset, tmp_path, monkeypatch):
     (aggs,) = layers.aggregate(tracer.names, tracer.spans).values()
     metrics = layers.iteration_metrics(aggs)
     assert {k: v for k, v in metrics.items() if not math.isfinite(v)} == {}
+
+
+def test_load_chunks_is_the_one_map_loader():
+    """Only data._load_chunks reads or checks a map file: nothing else in
+    src/conflens names _read_map, _check_probs or _check_labels, not even
+    to import them, so a second load path fails here."""
+    guarded = {"_read_map", "_check_probs", "_check_labels"}
+    found = []
+
+    def scan(node, path, inside):
+        for child in ast.iter_child_nodes(node):
+            within = inside or (path.name == "data.py" and isinstance(child, ast.FunctionDef)
+                                and child.name == "_load_chunks")
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if isinstance(child, ast.alias):
+                name = child.name
+            if name in guarded and not within:
+                found.append(f"{path.name}:{child.lineno} {name}")
+            scan(child, path, within)
+
+    paths = sorted((ROOT / "src" / "conflens").glob("*.py"))
+    assert ROOT / "src" / "conflens" / "data.py" in paths
+    for path in paths:
+        scan(ast.parse(path.read_text(), filename=str(path)), path, False)
+    assert found == []
