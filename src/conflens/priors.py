@@ -564,6 +564,7 @@ def solve_unconstrained_prior(
     floor = np.where(np.arange(gt.shape[1]) < counts[:, None], EPSILON, 1.0)
     hist = np.stack([np.bincount(row[:c], minlength=n) for row, c in zip(gt, counts)])
     w, loss, iterations = _descend(matrix, gt, evidence, floor, hist / counts[:, None], opts)
+    w[w <= _ZERO_WEIGHT] = 0.0  # the descent's one zero rule, so a prior's support is exact
     total = w.sum(axis=1, keepdims=True)
     w = np.where(np.abs(total - 1.0) > 1e-12, w / total, w)
     if reports is not None:

@@ -133,6 +133,28 @@ class TestArtifacts:
                 a = (root / "refined_ident_bin" / name).read_bytes()
                 assert a == (root / "lb" / name).read_bytes(), name
 
+    def test_labelbank_of_unconstrained_bank_is_labelbank_of_binary_bank(self, small_dataset,
+                                                                         tmp_path):
+        """With a floored confusion a solved prior's support is exactly the
+        image's sampled labels, the binary prior's support, and labelbank
+        reads only the support: a weight the solver rounds to zero is stored
+        as 0, not as rounding residue that would unmask its label."""
+        _, _, data = small_dataset
+        manifest = str(data / "manifest.json")
+        conf = str(tmp_path / "conf.segt")
+        assert main(["confusion", "--manifest", manifest, "--out", conf]) == 0
+        solved = ["--confusion", conf]
+        for kind, flags in (("binary", []), ("unconstrained", solved)):
+            assert main(["prior", "--manifest", manifest, "--kind", kind, *flags,
+                         "--out", str(tmp_path / f"{kind}.segt")]) == 0
+            assert main(["labelbank", "--manifest", manifest, "--priors",
+                         str(tmp_path / f"{kind}.segt"), "--out", str(tmp_path / kind)]) == 0
+        names = sorted(p.name for p in (tmp_path / "binary").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "unconstrained").iterdir())
+        for name in names:
+            assert ((tmp_path / "unconstrained" / name).read_bytes()
+                    == (tmp_path / "binary" / name).read_bytes()), name
+
     def test_identity_binary_refined_maps_load(self, pipeline):
         """The binary priors here leave out classes, so the identity
         refinement matrices have zero columns; the maps are rescaled and
