@@ -100,8 +100,7 @@ def main():
             data["pred"], data["labels"], data["included"], n, -1)),
         ("apply_refinement", lambda: kernels.apply_refinement(data["matrix"], data["probs"])),
         ("loss_value (1e5 samples)", lambda: kernels.loss_value(*loss_args)),
-        ("loss_grad (1e5 samples)", lambda: kernels.loss_grad(*loss_args)),
-        ("loss_hessian (1e5 samples)", lambda: kernels.loss_hessian(*loss_args)),
+        ("loss_grad + Hessian (1e5 samples)", lambda: kernels.loss_grad(*loss_args)),
         ("nearest_seed (256 seeds)",
          lambda: kernels.nearest_seed(args.size, args.size, *data["seeds"])),
         ("map load check (_check_probs)", lambda: _check_probs("probs", data["probs"])),

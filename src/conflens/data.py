@@ -207,8 +207,11 @@ def validate_probability_map(probs: ProbabilityMap, tol: float) -> list[tuple[tu
     valid.
 
     The float64 deviation decides every site, but it is only computed for
-    the sites that a float32 screen of the channel sums cannot clear."""
+    the sites that a float32 screen of the channel sums cannot clear. A
+    stack of maps is a DataError."""
     values = probs.values
+    if values.ndim != 3:
+        raise DataError(f"validate_probability_map takes one HxWxC map, got {values.shape}")
     return _sum_failures(values, tol, nonnegative=bool(values.min() >= 0))
 
 
@@ -267,6 +270,8 @@ PROBS, LABELS = "probs", "labels"
 
 
 def save_probability_map(probs: ProbabilityMap, path: str | Path) -> None:
+    """Store one map; a stack, which no loader reads, is refused unwritten."""
+    _check_layout(path, PROBS, probs.values.dtype, probs.values.shape, None)
     segt.store_tensor(path, probs.values)
 
 
@@ -279,7 +284,9 @@ def load_probability_map(path: str | Path, labels: LabelSet | None = None) -> Pr
 
 
 def save_label_map(label_map: LabelMap, path: str | Path) -> None:
+    """Store one map as uint16; a stack, which no loader reads, is refused unwritten."""
     arr = label_map.labels
+    _check_layout(path, LABELS, np.dtype(np.uint16), arr.shape, None)
     if arr.min() < 0 or arr.max() > 0xFFFF:
         raise DataError("label map values outside u16 range")
     segt.store_tensor(path, arr.astype(np.uint16))

@@ -142,10 +142,10 @@ def sample_evidence(matrix, gt, probs):
 # weights (..., L), gt (..., N) and evidence (..., N, L), a view of
 # label-major (..., L, N) evidence like sample_evidence's, where gt's and
 # evidence's leading axes broadcast against weights'. So (B, L) weights take
-# one prior per image, and (B, K, L) weights with (B, 1, N) gt and
-# (B, 1, N, L) evidence try K priors on each image. Images with fewer samples
-# are padded with zero evidence, and eps is then an array of clamp floors,
-# broadcast like gt, that is 1 at the padding: a padded sample adds
+# one prior per image, and, in loss_value, (B, K, L) weights with (B, 1, N)
+# gt and (B, 1, N, L) evidence try K priors on each image. Images with fewer
+# samples are padded with zero evidence, and eps is then an array of clamp
+# floors, broadcast like gt, that is 1 at the padding: a padded sample adds
 # -log(1) = 0 to its image's loss and, never above its floor, nothing to the
 # gradient or Hessian. Every product of a prior, or of a per-image vector,
 # with a matrix runs per row through _rowwise, so an image's results have
@@ -159,11 +159,10 @@ def _rowwise(a, b):
     return np.matmul(a[..., None, :], b)[..., 0, :]
 
 
-def _scores(m, evidence, out=None):
+def _scores(m, evidence):
     """s = evidence @ (1 / m) per image, for the output marginals
     m = matrix @ weights."""
-    s = np.matmul(evidence, (1.0 / m)[..., None], out=None if out is None else out[..., None])
-    return s[..., 0]
+    return np.matmul(evidence, (1.0 / m)[..., None])[..., 0]
 
 
 def _flat_labels(gt, weights):
@@ -182,17 +181,17 @@ def _refined(weights, labels, s):
     return refined
 
 
-def loss_value(matrix, weights, gt, evidence, eps, scores=None):
+def loss_value(matrix, weights, gt, evidence, eps):
     """Negative log-loss of refined ground-truth probabilities.
 
     matrix[c, l] = P(C=c | l), weights = prior, gt = sample labels (N,),
     evidence = sample_evidence(matrix, gt, probs) (N, L). With the output
     marginal m = matrix @ weights, sample i's refined ground-truth
     probability is weights[gt_i] * s_i, where s = evidence @ (1 / m). Terms
-    below eps are clamped. A float64 (N,) `scores` buffer, when given,
-    receives s. Stacked images give an array of losses, one per prior.
+    below eps are clamped. Stacked images give an array of losses, one per
+    prior.
     """
-    s = _scores(_rowwise(weights, matrix.T), evidence, scores)
+    s = _scores(_rowwise(weights, matrix.T), evidence)
     refined = _refined(weights, _flat_labels(gt, weights), s)
     np.maximum(refined, eps, out=refined)
     np.log(refined, out=refined)
@@ -200,14 +199,13 @@ def loss_value(matrix, weights, gt, evidence, eps, scores=None):
     return float(loss) if loss.ndim == 0 else loss
 
 
-def _live_terms(matrix, weights, gt, evidence, eps, scores):
-    """What loss_grad and loss_hessian share: the output marginals m, the
-    live samples per label, where a sample is live if its refined
-    probability is above eps, and 1 / s on the live samples, 0 elsewhere.
-    `scores`, when given, holds s for these weights as filled in by
-    loss_value, and is not recomputed."""
+def _live_terms(matrix, weights, gt, evidence, eps):
+    """The output marginals m, the live samples per label, where a sample is
+    live if its refined probability is above eps, and 1 / s on the live
+    samples, 0 elsewhere. A function of its own, so that s and the flat
+    labels are freed before loss_grad forms the Hessian."""
     m = _rowwise(weights, matrix.T)
-    s = _scores(m, evidence) if scores is None else scores
+    s = _scores(m, evidence)
     labels = _flat_labels(gt, weights)
     inv_s = _refined(weights, labels, s)  # its buffer then holds 1 / s
     live = inv_s > eps
@@ -217,46 +215,43 @@ def _live_terms(matrix, weights, gt, evidence, eps, scores):
     return m, counts, inv_s
 
 
-def loss_grad(matrix, weights, gt, evidence, eps, scores=None):
-    """d(loss)/d(weights) of loss_value's loss, including the dependence of
-    the output marginal on the prior. Clamped samples contribute zero
-    gradient. `scores` as in _live_terms."""
-    m, counts, inv_s = _live_terms(matrix, weights, gt, evidence, eps, scores)
-    direct = counts / np.maximum(weights, 1e-300)
-    v = _rowwise(inv_s, evidence) / (m * m)
-    return -direct + _rowwise(v, matrix)
-
-
-# Elements of the scaled evidence A^T / s that loss_hessian forms at a
-# time, in blocks of whole images: 256 KiB of float64, so a group of stacked
+# Elements of the scaled evidence A^T / s that loss_grad forms at a time,
+# in blocks of whole images: 256 KiB of float64, so a group of stacked
 # images needs no temporary the size of its evidence.
 HESSIAN_BLOCK = 1 << 15
 
 
-def loss_hessian(matrix, weights, gt, evidence, eps, scores=None):
-    """Second derivative of the loss in the prior, an (L, L) matrix over the
-    live (unclamped) samples:
+def loss_grad(matrix, weights, gt, evidence, eps):
+    """The gradient and Hessian of loss_value's loss in the prior, including
+    the dependence of the output marginal on the prior, from one pass over
+    the samples: s, the live samples (those of _live_terms) and u are
+    computed once for both. Clamped samples contribute to neither.
+
+    With n the live samples per label, u = sum over live samples of A_i / s_i
+    and M = matrix, the gradient is -n / w + M^T (u / m^2), and the (L, L)
+    Hessian is
 
         H = diag(n / w^2) + Q^T Q - 2 M^T diag(v / m) M,
 
-    where n counts live samples per label (the diagonal term is 0 where
-    w = 0), Q[i, l] = sum_c A[i, c] M[c, l] / (s_i m_c^2) and v is the
-    vector loss_grad builds. With P = M^T / m^2 and B = A^T / s (live
-    samples only), Q^T = P @ B, so Q^T Q = P (B B^T) P^T: one O(N * L^2)
-    product on the label-major evidence, the rest is L x L. `scores` as in
-    _live_terms. The solver calls it once per Newton iteration, and (B, L)
-    weights on B stacked images give a (B, L, L) stack.
+    where the diagonal term is 0 where w = 0, Q[i, l] = sum_c A[i, c]
+    M[c, l] / (s_i m_c^2) and v = u / m^2. With P = M^T / m^2 and B = A^T / s
+    (live samples only), Q^T = P @ B, so Q^T Q = P (B B^T) P^T: one
+    O(N * L^2) product on the label-major evidence, the rest is L x L.
+    weights are (L,), giving an (L,) gradient and an (L, L) Hessian, or
+    (B, L) on B stacked images, giving (B, L) and (B, L, L). The solver
+    calls it once per Newton iteration.
     """
     single = weights.ndim == 1
     if single:  # a stack of one
         weights, gt, evidence = weights[None], gt[None], evidence[None]
-        scores = None if scores is None else scores[None]
     n_labels = weights.shape[-1]
-    m, counts, inv_s = _live_terms(matrix, weights, gt, evidence, eps, scores)
+    m, counts, inv_s = _live_terms(matrix, weights, gt, evidence, eps)
+    u = _rowwise(inv_s, evidence)
+    grad = -(counts / np.maximum(weights, 1e-300)) + _rowwise(u / (m * m), matrix)
     direct = np.divide(counts, weights * weights, out=np.zeros(weights.shape), where=weights > 0)
     inv_m2 = 1.0 / (m * m)
     p = matrix.T * inv_m2[:, None, :]
-    v = _rowwise(inv_s, evidence) * inv_m2
+    v = u * inv_m2
     gram = np.empty(weights.shape + (n_labels,))
     block = max(1, HESSIAN_BLOCK // evidence[0].size)
     for start in range(0, weights.shape[0], block):
@@ -265,7 +260,7 @@ def loss_hessian(matrix, weights, gt, evidence, eps, scores=None):
         np.matmul(scaled, np.swapaxes(scaled, 1, 2), out=gram[images])
     hess = p @ gram @ np.swapaxes(p, 1, 2) - 2.0 * ((matrix.T * (v / m)[:, None, :]) @ matrix)
     hess.reshape(len(hess), -1)[:, ::n_labels + 1] += direct
-    return hess[0] if single else hess
+    return (grad[0], hess[0]) if single else (grad, hess)
 
 
 # ---------------------------------------------------------------------------

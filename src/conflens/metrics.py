@@ -116,10 +116,14 @@ def evaluate_split(manifest: Manifest, pred_dir: str | Path, out: str | Path,
 # ---------------------------------------------------------------------------
 
 def write_pgm(gray: np.ndarray, path: str | Path) -> None:
-    """Binary PGM (P5), maxval 255."""
-    arr = np.asarray(gray, dtype=np.uint8)
+    """Binary PGM (P5), maxval 255, of a 2-d image; a value outside [0, 255],
+    NaN included, is a DataError raised before anything is published."""
+    arr = np.asarray(gray)
     if arr.ndim != 2:
         raise DataError(f"PGM image must be 2-d, got {arr.shape}")
+    if (outside := arr[~((arr >= 0) & (arr <= 255))]).size:
+        raise DataError(f"PGM value {outside[0]} lies outside [0, 255]")
+    arr = arr.astype(np.uint8)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
     path = Path(path)
     with publish(path.parent) as stage, open(stage(path.name), "wb") as fh:

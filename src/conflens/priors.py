@@ -287,7 +287,7 @@ def refinement_loss(prior, confusion: ConfusionModel, samples: SampleSet) -> flo
 
 def refinement_loss_gradient(prior, confusion: ConfusionModel, samples: SampleSet) -> np.ndarray:
     """d(loss)/d(prior), accounting for P(C=c) = sum_l P(C=c|l) P(l)."""
-    return kernels.loss_grad(*_loss_inputs(prior, confusion, samples), EPSILON)
+    return kernels.loss_grad(*_loss_inputs(prior, confusion, samples), EPSILON)[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -367,7 +367,8 @@ def _newton_directions(w, grad, hess):
     return direction, found
 
 
-# Bytes of rows that _partition copies at a time, loss_hessian's block.
+# Bytes of rows that _partition copies at a time, the block of loss_grad's
+# Hessian.
 _SWAP_BUDGET = 8 * kernels.HESSIAN_BLOCK
 
 
@@ -402,43 +403,37 @@ def _first_decrease(matrix, group, w, loss, direction, searching, carried):
     """Backtrack project_to_simplex(w + t * direction) for each row where
     `searching` is True, halving t from 1 while t >= _NEWTON_MIN_STEP, to
     the first strict decrease of the row's loss. A row that finds one takes
-    the step in place: its weights in w, their loss in loss, and their s in
-    the scores of `group` (gt, evidence, floor, scores), which the next
-    iteration's derivatives reuse. A row that finds none keeps its w and
-    loss; its scores may hold a rejected try's s, which the descent never
-    reads, since an image whose loss did not fall stops.
+    the step in place: its weights in w and their loss in loss. A row that
+    finds none keeps its w and loss.
 
     Each round first moves the searching rows to the front, in place, by
-    _partition, of every array given: the group's, the direction and
-    `carried`, the caller's other arrays with one row per image (no two
-    sharing memory, since a second swap of the same rows would undo the
-    first). So row i of every array still describes one image, and the
-    searching rows are tried as a prefix. They all start at t = 1 and each
-    round tries the same halvings on all of them, so they share one t. With
-    P rows searching, a round tries max(1, _TRIES // P) successive halvings
-    of every row at once (a lone row's next tries come almost free), and a
-    row takes the first that decreases; a round of one try writes s straight
-    into scores. The loss kernels compute each row on its own, so neither P
-    nor the number of tries changes a row's result."""
+    _partition, of every array given: the group's (gt, evidence, floor),
+    w, loss, the direction and `carried`, the caller's other arrays with one
+    row per image (no two sharing memory, since a second swap of the same
+    rows would undo the first). So row i of every array still describes one
+    image, and the searching rows are tried as a prefix. They all start at
+    t = 1 and each round tries the same halvings on all of them, so they
+    share one t. With P rows searching, a round tries max(1, _TRIES // P)
+    successive halvings of every row at once (a lone row's next tries come
+    almost free), and a row takes the first that decreases. The loss kernels
+    compute each row on its own, so neither P nor the number of tries
+    changes a row's result."""
     n = w.shape[0]
-    gt, evidence, floor, scores = group
+    gt, evidence, floor = group
     t = 1.0
     while t >= _NEWTON_MIN_STEP and (p := int(np.count_nonzero(searching))):
         _partition(searching, *group, w, loss, direction, *carried)
         tries = max(1, _TRIES // p)
-        out = scores[:p, None] if tries == 1 else np.empty((p, tries, gt.shape[1]))
         tried = t * 0.5 ** np.arange(tries)
         trial = project_to_simplex(w[:p, None] + tried[:, None] * direction[:p, None])
         trial_loss = kernels.loss_value(matrix, trial, gt[:p, None], evidence[:p, None],
-                                        floor[:p, None], out)
+                                        floor[:p, None])
         better = (trial_loss < loss[:p, None]) & (tried >= _NEWTON_MIN_STEP)
         hit = better.any(axis=1)
         if hit.any():
             won = hit.nonzero()[0]
             pick = (won, better[won].argmax(axis=1))
             w[won], loss[won] = trial[pick], trial_loss[pick]
-            if tries > 1:
-                scores[won] = out[pick]
         t = tried[-1] * 0.5
         searching = np.zeros(n, dtype=bool)
         searching[:p] = ~hit
@@ -450,44 +445,42 @@ def _descend(matrix, gt, evidence, floor, start, opts: SolverOptions):
     strictly lower, from uniform. A non-finite loss at start is a
     DataError.
 
-    Each iteration takes the gradient and Hessian at the image's weights,
-    then backtracks along the Newton direction from t = 1 down to 1e-6 and
-    writes an accepted step in place. An image stops when its loss falls by
-    less than _LOSS_TOLERANCE, which covers the cases where the search finds
-    no decrease or the image has no Newton direction (a drop of 0), or
-    after max_iters iterations.
+    Each iteration takes the gradient and Hessian at the image's weights
+    from one loss_grad call, then backtracks along the Newton direction from
+    t = 1 down to 1e-6 and writes an accepted step in place. An image stops
+    when its loss falls by less than _LOSS_TOLERANCE, which covers the cases
+    where the search finds no decrease or the image has no Newton direction
+    (a drop of 0), or after max_iters iterations.
 
     Row i of each array the descent works on describes one image: gt,
-    evidence, floor and scores, and the image's weights, loss and input
-    row. The running images are the first k rows of every array. Where
-    images stop, or the line search sets its searching images apart,
-    _partition reorders the arrays in place by the same swaps, so nothing
-    is copied. A stopped image stays behind the prefix with its final
-    weights and loss, and its iteration count is written at its input row.
+    evidence and floor, and the image's weights, loss and input row. The
+    running images are the first k rows of every array. Where images stop,
+    or the line search sets its searching images apart, _partition reorders
+    the arrays in place by the same swaps, so nothing is copied. A stopped
+    image stays behind the prefix with its final weights and loss, and its
+    iteration count is written at its input row.
     Returns the end weights (B, L), their losses (B,) and each image's
     Newton iterations (B,), in the input row order.
     """
     n = start.shape[0]
-    w, scores = start.copy(), np.empty(gt.shape)
-    loss = kernels.loss_value(matrix, w, gt, evidence, floor, scores)
+    w = start.copy()
+    loss = kernels.loss_value(matrix, w, gt, evidence, floor)
     if not np.isfinite(loss).all():
         raise DataError("non-finite loss at the solver's start")
-    uniform, uniform_scores = np.full(w.shape, 1.0 / w.shape[1]), np.empty(gt.shape)
-    uniform_loss = kernels.loss_value(matrix, uniform, gt, evidence, floor, uniform_scores)
+    uniform = np.full(w.shape, 1.0 / w.shape[1])
+    uniform_loss = kernels.loss_value(matrix, uniform, gt, evidence, floor)
     wins = uniform_loss < loss
-    w[wins], loss[wins], scores[wins] = uniform[wins], uniform_loss[wins], uniform_scores[wins]
-    del uniform_scores  # not held through the descent beside scores
-    every = (gt, evidence, floor, scores, w, loss, np.arange(n))
+    w[wins], loss[wins] = uniform[wins], uniform_loss[wins]
+    every = (gt, evidence, floor, w, loss, np.arange(n))
     iterations = np.full(n, opts.max_iters)
     k = n
     for it in range(opts.max_iters):
         rows = [arr[:k] for arr in every]
-        gt, evidence, floor, scores, w, loss, order = rows
-        grad = kernels.loss_grad(matrix, w, gt, evidence, floor, scores)
-        hess = kernels.loss_hessian(matrix, w, gt, evidence, floor, scores)
+        gt, evidence, floor, w, loss, order = rows
+        grad, hess = kernels.loss_grad(matrix, w, gt, evidence, floor)
         direction, newton = _newton_directions(w, grad, hess)
         before = loss.copy()
-        _first_decrease(matrix, rows[:4], w, loss, direction, newton, (before, order))
+        _first_decrease(matrix, rows[:3], w, loss, direction, newton, (before, order))
         going = before - loss >= _LOSS_TOLERANCE
         if not going.all():  # the stopped images keep w and loss, behind the prefix
             _partition(going, *rows)
@@ -495,7 +488,7 @@ def _descend(matrix, gt, evidence, floor, start, opts: SolverOptions):
             iterations[order[k:]] = it + 1
             if not k:
                 break
-    w, loss, order = every[4], every[5], every[6]
+    w, loss, order = every[3], every[4], every[5]
     inverse = np.argsort(order)
     return w[inverse], loss[inverse], iterations
 

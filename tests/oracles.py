@@ -84,7 +84,7 @@ def apply_refinement_loop(matrix, probs):
     return out
 
 
-def loss_value_loop(matrix, weights, gt, evidence, eps, scores=None):
+def loss_value_loop(matrix, weights, gt, evidence, eps):
     n_labels = weights.shape[0]
     n = gt.shape[0]
     m = np.zeros(n_labels)
@@ -98,8 +98,6 @@ def loss_value_loop(matrix, weights, gt, evidence, eps, scores=None):
         s = 0.0
         for c in range(n_labels):
             s += evidence[i, c] / m[c]
-        if scores is not None:
-            scores[i] = s
         refined = weights[gt[i]] * s
         if refined > eps:
             loss -= np.log(refined)
@@ -108,7 +106,7 @@ def loss_value_loop(matrix, weights, gt, evidence, eps, scores=None):
     return loss
 
 
-def loss_grad_loop(matrix, weights, gt, evidence, eps, scores=None):
+def loss_grad_loop(matrix, weights, gt, evidence, eps):
     n_labels = weights.shape[0]
     n = gt.shape[0]
     m = np.zeros(n_labels)
@@ -121,12 +119,9 @@ def loss_grad_loop(matrix, weights, gt, evidence, eps, scores=None):
     v = np.zeros(n_labels)
     for i in range(n):
         g = gt[i]
-        if scores is None:
-            s = 0.0
-            for c in range(n_labels):
-                s += evidence[i, c] / m[c]
-        else:
-            s = scores[i]
+        s = 0.0
+        for c in range(n_labels):
+            s += evidence[i, c] / m[c]
         if weights[g] * s > eps:
             counts[g] += 1.0
             for c in range(n_labels):
@@ -209,14 +204,13 @@ def newton_direction(w, grad, hess):
     return direction
 
 
-def first_decrease(matrix, gt, evidence, w, loss, direction, t, t_min, scores):
+def first_decrease(matrix, gt, evidence, w, loss, direction, t, t_min):
     """Backtrack project_to_simplex(w + t * direction), halving t from the
     given value while t >= t_min, to the first strict loss decrease.
-    Returns (candidate or None, its loss, the last t tried); `scores` keeps
-    the s of the last prior tried, the candidate's where there is one."""
+    Returns (candidate or None, its loss, the last t tried)."""
     while t >= t_min:
         cand = priors.project_to_simplex(w + t * direction)
-        cand_loss = kernels.loss_value(matrix, cand, gt, evidence, priors.EPSILON, scores)
+        cand_loss = kernels.loss_value(matrix, cand, gt, evidence, priors.EPSILON)
         if cand_loss < loss:
             return cand, cand_loss, t
         t *= 0.5
@@ -239,22 +233,20 @@ def descend(matrix, gt, evidence, start, opts):
     iterations.
     """
     w = start
-    scores = np.empty(gt.shape[0])
-    loss = kernels.loss_value(matrix, w, gt, evidence, priors.EPSILON, scores)
+    loss = kernels.loss_value(matrix, w, gt, evidence, priors.EPSILON)
     step = 1.0 / max(gt.shape[0], 1)
     iterations = 0
     for _ in range(opts.max_iters):
         iterations += 1
-        grad = kernels.loss_grad(matrix, w, gt, evidence, priors.EPSILON, scores)
-        hess = kernels.loss_hessian(matrix, w, gt, evidence, priors.EPSILON, scores)
+        grad, hess = kernels.loss_grad(matrix, w, gt, evidence, priors.EPSILON)
         direction = newton_direction(w, grad, hess)
         cand = None
         if direction is not None:
             cand, cand_loss, _ = first_decrease(matrix, gt, evidence, w, loss, direction,
-                                                1.0, priors._NEWTON_MIN_STEP, scores)
+                                                1.0, priors._NEWTON_MIN_STEP)
         if cand is None:
             cand, cand_loss, step = first_decrease(
-                matrix, gt, evidence, w, loss, -grad, step, GRADIENT_MIN_STEP, scores)
+                matrix, gt, evidence, w, loss, -grad, step, GRADIENT_MIN_STEP)
             if cand is None:
                 break
             step *= 2.0

@@ -118,10 +118,27 @@ class TestDataValidation:
         bad = validate_probability_map(ProbabilityMap(arr), 1e-4)
         assert [site for site, _ in bad] == [(1, 0)]
 
+    def test_validate_probability_map_rejects_a_stack_by_its_shape(self):
+        stack = ProbabilityMap(np.full((2, 3, 3, 2), 0.5, dtype=np.float32))
+        with pytest.raises(DataError, match=r"got \(2, 3, 3, 2\)$"):
+            validate_probability_map(stack, 1e-4)
+
     def test_save_label_map_rejects_negative(self, tmp_path):
         with pytest.raises(DataError):
             save_label_map(LabelMap(np.array([[-1]], dtype=np.int32)),
                            tmp_path / "x.segt")
+
+    def test_saving_a_stack_writes_nothing(self, tmp_path):
+        """A map file holds one map, so a stack is refused before it is
+        written as a file that its loader would then reject."""
+        from conflens import save_probability_map
+        path = tmp_path / "x.segt"
+        with pytest.raises(DataError, match="expected 2-d uint16 tensor$"):
+            save_label_map(LabelMap(np.zeros((2, 3, 3), dtype=np.int32)), path)
+        with pytest.raises(DataError, match="expected 3-d float32 tensor$"):
+            save_probability_map(ProbabilityMap(np.full((2, 3, 3, 2), 0.5, dtype=np.float32)),
+                                 path)
+        assert not path.exists()
 
     def test_load_label_map_wrong_dtype(self, tmp_path):
         path = tmp_path / "x.segt"
@@ -1031,6 +1048,19 @@ class TestMetricsValidation:
     def test_write_pgm_requires_2d(self, tmp_path):
         with pytest.raises(DataError):
             write_pgm(np.zeros((2, 2, 2), dtype=np.uint8), tmp_path / "x.pgm")
+
+    @pytest.mark.parametrize("gray, first", [
+        ([[300, -1]], "300"),
+        ([[0, -1]], "-1"),
+        ([[0.0, np.nan]], "nan"),
+        ([[np.inf, 0.0]], "inf"),
+    ], ids=["above", "below", "nan", "inf"])
+    def test_write_pgm_rejects_values_outside_a_byte(self, tmp_path, gray, first):
+        """A value a byte cannot hold is refused, not wrapped, and nothing
+        is published."""
+        with pytest.raises(DataError, match=rf"^PGM value {first} lies outside \[0, 255\]$"):
+            write_pgm(np.array(gray), tmp_path / "x.pgm")
+        assert not list(tmp_path.iterdir())
 
     def test_render_flag_validation(self, tmp_path):
         """The library takes the gammas `render --gamma` takes; an infinite

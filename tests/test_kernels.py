@@ -148,19 +148,9 @@ class TestLoopOracles:
             la = kernels.loss_value(matrix, weights, gt, evidence, 1e-10)
             lb = oracles.loss_value_loop(matrix, weights, gt, evidence, 1e-10)
             assert la == pytest.approx(lb, rel=1e-12)
-            ga = kernels.loss_grad(matrix, weights, gt, evidence, 1e-10)
+            ga = kernels.loss_grad(matrix, weights, gt, evidence, 1e-10)[0]
             gb = oracles.loss_grad_loop(matrix, weights, gt, evidence, 1e-10)
             np.testing.assert_allclose(ga, gb, rtol=1e-10, atol=1e-12)
-            scores = np.empty(count)
-            assert oracles.loss_value_loop(
-                matrix, weights, gt, evidence, 1e-10, scores) == pytest.approx(la, rel=1e-12)
-            gb3 = oracles.loss_grad_loop(matrix, weights, gt, evidence, 1e-10, scores)
-            np.testing.assert_allclose(gb3, ga, rtol=1e-10, atol=1e-12)
-            scores = np.empty(count)
-            assert kernels.loss_value(
-                matrix, weights, gt, evidence, 1e-10, scores) == pytest.approx(lb, rel=1e-12)
-            ga3 = kernels.loss_grad(matrix, weights, gt, evidence, 1e-10, scores)
-            np.testing.assert_allclose(ga3, gb, rtol=1e-10, atol=1e-12)
 
     def test_nearest_seed(self):
         rng = np.random.default_rng(95)
@@ -260,7 +250,7 @@ def loss_instances(seed, count=30, max_labels=7):
 
 class TestLossOracles:
     LOOPS = (oracles.loss_value_loop, oracles.loss_grad_loop)
-    NUMPY = (kernels.loss_value, kernels.loss_grad)
+    NUMPY = (kernels.loss_value, lambda *args: kernels.loss_grad(*args)[0])
 
     def test_sample_evidence_is_label_major(self):
         rng = np.random.default_rng(96)
@@ -292,20 +282,8 @@ class TestLossOracles:
             args = (matrix, weights, gt, evidence, 1e-10)
             assert oracles.loss_value_loop(*args) == pytest.approx(
                 kernels.loss_value(*args), rel=1e-12)
-            np.testing.assert_allclose(oracles.loss_grad_loop(*args), kernels.loss_grad(*args),
+            np.testing.assert_allclose(oracles.loss_grad_loop(*args), kernels.loss_grad(*args)[0],
                                        rtol=1e-10, atol=1e-10)
-
-    @pytest.mark.parametrize("impl", [LOOPS, NUMPY], ids=["loop", "numpy"])
-    def test_scores_from_loss_value_feed_loss_grad(self, impl):
-        value_fn, grad_fn = impl
-        for matrix, weights, gt, probs in loss_instances(99):
-            evidence = kernels.sample_evidence(matrix, gt, probs)
-            args = (matrix, weights, gt, evidence, 1e-10)
-            scores = np.full(gt.shape[0], np.nan)
-            loss = value_fn(*args, scores)
-            assert loss == value_fn(*args)
-            assert np.isfinite(scores).all()
-            np.testing.assert_array_equal(grad_fn(*args, scores), grad_fn(*args))
 
     def test_row_major_evidence_gives_same_result(self):
         for matrix, weights, gt, probs in loss_instances(100, count=10):
@@ -313,9 +291,9 @@ class TestLossOracles:
             dense = np.ascontiguousarray(evidence)
             assert kernels.loss_value(matrix, weights, gt, evidence, 1e-10) == pytest.approx(
                 kernels.loss_value(matrix, weights, gt, dense, 1e-10), rel=1e-12)
-            np.testing.assert_allclose(kernels.loss_grad(matrix, weights, gt, evidence, 1e-10),
-                                       kernels.loss_grad(matrix, weights, gt, dense, 1e-10),
-                                       rtol=1e-10, atol=1e-10)
+            for got, want in zip(kernels.loss_grad(matrix, weights, gt, evidence, 1e-10),
+                                 kernels.loss_grad(matrix, weights, gt, dense, 1e-10)):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
 def hessian_loop(matrix, weights, gt, evidence, eps):
@@ -350,7 +328,7 @@ class TestLossHessian:
         for matrix, weights, gt, probs in loss_instances(101, max_labels=20):
             evidence = kernels.sample_evidence(matrix, gt, probs)
             clamped += dense_loss_grad(matrix, weights, gt, probs, 1e-10)[2]
-            got = kernels.loss_hessian(matrix, weights, gt, evidence, 1e-10)
+            got = kernels.loss_grad(matrix, weights, gt, evidence, 1e-10)[1]
             want = hessian_loop(matrix, weights, gt, evidence, 1e-10)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
         assert clamped > 0
@@ -361,25 +339,16 @@ class TestLossHessian:
         the symmetry of H."""
         for matrix, weights, gt, probs in loss_instances(102, max_labels=20):
             evidence = kernels.sample_evidence(matrix, gt, probs)
-            hess = kernels.loss_hessian(matrix, weights, gt, evidence, 1e-10)
+            hess = kernels.loss_grad(matrix, weights, gt, evidence, 1e-10)[1]
             np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12 * np.abs(hess).max())
             for j in np.flatnonzero(weights):
                 h = 1e-6 * weights[j]
                 step = np.zeros_like(weights)
                 step[j] = h
-                up = kernels.loss_grad(matrix, weights + step, gt, evidence, 1e-10)
-                down = kernels.loss_grad(matrix, weights - step, gt, evidence, 1e-10)
+                up = kernels.loss_grad(matrix, weights + step, gt, evidence, 1e-10)[0]
+                down = kernels.loss_grad(matrix, weights - step, gt, evidence, 1e-10)[0]
                 np.testing.assert_allclose((up - down) / (2 * h), hess[:, j], rtol=1e-5,
                                            atol=1e-7 * np.abs(hess).max())
-
-    def test_scores_give_same_result(self):
-        for matrix, weights, gt, probs in loss_instances(103, max_labels=20):
-            evidence = kernels.sample_evidence(matrix, gt, probs)
-            args = (matrix, weights, gt, evidence, 1e-10)
-            scores = np.empty(gt.shape[0])
-            kernels.loss_value(*args, scores)
-            np.testing.assert_array_equal(kernels.loss_hessian(*args, scores),
-                                          kernels.loss_hessian(*args))
 
 
 class TestRowInvariance:
@@ -412,18 +381,15 @@ class TestRowInvariance:
     @pytest.mark.parametrize("seed", range(12))
     def test_each_row_is_the_row_alone(self, seed):
         matrix, weights, gt, evidence, floor = self.stack(200 + seed)
-        scores = np.empty(gt.shape)
-        loss = kernels.loss_value(matrix, weights, gt, evidence, floor, scores)
-        grad = kernels.loss_grad(matrix, weights, gt, evidence, floor, scores)
-        hess = kernels.loss_hessian(matrix, weights, gt, evidence, floor, scores)
+        loss = kernels.loss_value(matrix, weights, gt, evidence, floor)
+        grad, hess = kernels.loss_grad(matrix, weights, gt, evidence, floor)
         for i in range(len(weights)):
             one = slice(i, i + 1)
             args = (matrix, weights[one], gt[one], evidence[one], floor[one])
-            alone = np.empty((1, gt.shape[1]))
-            np.testing.assert_array_equal(kernels.loss_value(*args, alone), loss[one])
-            np.testing.assert_array_equal(alone, scores[one])
-            np.testing.assert_array_equal(kernels.loss_grad(*args, alone), grad[one])
-            np.testing.assert_array_equal(kernels.loss_hessian(*args, alone), hess[one])
+            np.testing.assert_array_equal(kernels.loss_value(*args), loss[one])
+            grad_alone, hess_alone = kernels.loss_grad(*args)
+            np.testing.assert_array_equal(grad_alone, grad[one])
+            np.testing.assert_array_equal(hess_alone, hess[one])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_each_try_is_the_try_alone(self, seed):

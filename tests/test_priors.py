@@ -601,16 +601,16 @@ class TestSolver:
 
     def test_report_counts_hessians(self, monkeypatch):
         """A single image's reported Newton iterations are its Hessian
-        evaluations, one per iteration; the reported loss is the returned
-        prior's."""
+        evaluations, one loss_grad call per iteration; the reported loss is
+        the returned prior's."""
         hessians = []
-        loss_hessian = kernels.loss_hessian
+        loss_grad = kernels.loss_grad
 
         def counting(*args):
             hessians.append(1)
-            return loss_hessian(*args)
+            return loss_grad(*args)
 
-        monkeypatch.setattr(kernels, "loss_hessian", counting)
+        monkeypatch.setattr(kernels, "loss_grad", counting)
         rng = np.random.default_rng(31)
         for opts in (SolverOptions(), SolverOptions(max_iters=1), SolverOptions(max_iters=3)):
             matrix = rng.dirichlet(np.full(5, 0.3), size=5).T + 1e-4
