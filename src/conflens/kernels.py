@@ -159,26 +159,19 @@ def _rowwise(a, b):
     return np.matmul(a[..., None, :], b)[..., 0, :]
 
 
-def _scores(m, evidence):
-    """s = evidence @ (1 / m) per image, for the output marginals
-    m = matrix @ weights."""
-    return np.matmul(evidence, (1.0 / m)[..., None])[..., 0]
-
-
-def _flat_labels(gt, weights):
-    """gt as indices into the flattened weights: label l of the prior at
-    flat position p is p * L + l."""
+def _forward(matrix, weights, gt, evidence):
+    """The output marginals m = matrix @ weights, the scores
+    s = evidence @ (1 / m), gt as indices into the flattened weights (label
+    l of the prior at flat position p is p * L + l), and the refined
+    ground-truth probabilities weights[gt] * s in a new (..., N) buffer that
+    the caller may overwrite."""
+    m = _rowwise(weights, matrix.T)
+    s = np.matmul(evidence, (1.0 / m)[..., None])[..., 0]
     n_labels = weights.shape[-1]
-    return gt + n_labels * np.arange(weights.size // n_labels).reshape(weights.shape[:-1] + (1,))
-
-
-def _refined(weights, labels, s):
-    """The refined ground-truth probabilities weights[gt] * s, from the flat
-    labels of _flat_labels, in a new (..., N) buffer that the caller may
-    overwrite."""
+    labels = gt + n_labels * np.arange(weights.size // n_labels).reshape(weights.shape[:-1] + (1,))
     refined = weights.take(labels)
     refined *= s
-    return refined
+    return m, s, labels, refined
 
 
 def loss_value(matrix, weights, gt, evidence, eps):
@@ -191,28 +184,28 @@ def loss_value(matrix, weights, gt, evidence, eps):
     below eps are clamped. Stacked images give an array of losses, one per
     prior.
     """
-    s = _scores(_rowwise(weights, matrix.T), evidence)
-    refined = _refined(weights, _flat_labels(gt, weights), s)
+    refined = _forward(matrix, weights, gt, evidence)[3]
     np.maximum(refined, eps, out=refined)
     np.log(refined, out=refined)
     loss = -refined.sum(axis=-1)
     return float(loss) if loss.ndim == 0 else loss
 
 
-def _live_terms(matrix, weights, gt, evidence, eps):
-    """The output marginals m, the live samples per label, where a sample is
-    live if its refined probability is above eps, and 1 / s on the live
-    samples, 0 elsewhere. A function of its own, so that s and the flat
-    labels are freed before loss_grad forms the Hessian."""
-    m = _rowwise(weights, matrix.T)
-    s = _scores(m, evidence)
-    labels = _flat_labels(gt, weights)
-    inv_s = _refined(weights, labels, s)  # its buffer then holds 1 / s
+def _gradient(matrix, weights, gt, evidence, eps):
+    """loss_grad's gradient at (B, L) stacked weights, and the terms its
+    Hessian reuses: the output marginals m, the live samples per label,
+    where a sample is live if its refined probability is above eps, 1 / s
+    on the live samples, 0 elsewhere, and u = (1 / s) @ evidence. s and the
+    flat labels are freed before u is formed, and before the Hessian."""
+    m, s, labels, inv_s = _forward(matrix, weights, gt, evidence)  # inv_s then holds 1 / s
     live = inv_s > eps
     counts = np.bincount(labels[live], minlength=weights.size).reshape(weights.shape)
     inv_s.fill(0.0)
     np.divide(1.0, s, out=inv_s, where=live)
-    return m, counts, inv_s
+    del s, labels, live
+    u = _rowwise(inv_s, evidence)
+    grad = -(counts / np.maximum(weights, 1e-300)) + _rowwise(u / (m * m), matrix)
+    return grad, m, counts, inv_s, u
 
 
 # Elements of the scaled evidence A^T / s that loss_grad forms at a time,
@@ -224,7 +217,7 @@ HESSIAN_BLOCK = 1 << 15
 def loss_grad(matrix, weights, gt, evidence, eps):
     """The gradient and Hessian of loss_value's loss in the prior, including
     the dependence of the output marginal on the prior, from one pass over
-    the samples: s, the live samples (those of _live_terms) and u are
+    the samples: s, the live samples (those of _gradient) and u are
     computed once for both. Clamped samples contribute to neither.
 
     With n the live samples per label, u = sum over live samples of A_i / s_i
@@ -245,9 +238,7 @@ def loss_grad(matrix, weights, gt, evidence, eps):
     if single:  # a stack of one
         weights, gt, evidence = weights[None], gt[None], evidence[None]
     n_labels = weights.shape[-1]
-    m, counts, inv_s = _live_terms(matrix, weights, gt, evidence, eps)
-    u = _rowwise(inv_s, evidence)
-    grad = -(counts / np.maximum(weights, 1e-300)) + _rowwise(u / (m * m), matrix)
+    grad, m, counts, inv_s, u = _gradient(matrix, weights, gt, evidence, eps)
     direct = np.divide(counts, weights * weights, out=np.zeros(weights.shape), where=weights > 0)
     inv_m2 = 1.0 / (m * m)
     p = matrix.T * inv_m2[:, None, :]

@@ -162,8 +162,8 @@ def _heatmap(matrix: np.ndarray, gamma: float, block: int) -> np.ndarray:
 def render_matrix_file(matrix_path: str | Path, path: str | Path, gamma: float = 0.5,
                        block: int = 1) -> tuple[int, int]:
     """The render stage: render_matrix_heatmap of a matrix file (a 2-d
-    float32 SEGT file, every entry finite), which an error about its entries
-    or their image names; returns the matrix shape."""
+    float32 SEGT file, every entry finite); an error about its entries or
+    their image starts with the file's name. Returns the matrix shape."""
     arr = _read_matrix(matrix_path)
     try:
         image = _heatmap(arr, gamma, block)

@@ -36,10 +36,10 @@ _LOSS_TOLERANCE = 1e-10
 _ZERO_WEIGHT = 1e-12
 PRIOR_KINDS = ("uniform", "global", "binary", "histogram", "unconstrained")
 DEFAULT_SUBSAMPLE = 100_000
-# Bytes of float64 sample classifier outputs, the size of their evidence,
-# that the prior stage cuts into one lockstep group before it solves them.
-# The stage loads one image's maps at a time and drops them before a solve,
-# so a solve holds the group's evidence, about this much, and no map.
+# Bytes of float64 evidence, its images padded to the widest, at which
+# solve_unconstrained_prior solves a lockstep group; the group's arrays are
+# sized for that many. The prior stage drops each image's maps and samples
+# once they are cut in, so a solve holds about this much.
 # Larger groups take fewer lockstep iterations: on the benchmark's
 # many_small workload (2-core VM), 2 MiB groups made the stage about 7%
 # faster than 1 MiB groups, and 4 MiB about 5% faster again, but 4 MiB
@@ -244,29 +244,22 @@ def histogram_prior(gt: LabelMap, labels: LabelSet) -> Prior:
 # ---------------------------------------------------------------------------
 
 def sample_set(gt: LabelMap, probs: ProbabilityMap, labels: LabelSet,
-               max_samples: int | None = None, rng: np.random.Generator | None = None) -> SampleSet:
-    """Collect (gt, classifier output) pairs from non-void pixels, optionally
-    subsampled without replacement to max_samples, which follows the prior
-    stage's subsample rule: None or an integer >= 1."""
+               max_samples: int | None = None,
+               rng: np.random.Generator | np.random.SeedSequence | None = None) -> SampleSet:
+    """Collect (gt, classifier output) pairs from non-void pixels in pixel
+    order, optionally subsampled without replacement to max_samples (the
+    prior stage's subsample rule: None or an integer >= 1) by rng, a
+    Generator or its seed (0 when None)."""
     if max_samples is not None:
         SolverOptions(subsample=max_samples)
     if gt.labels.shape != probs.values.shape[:2]:
         raise DataError(f"gt {gt.labels.shape} and probs {probs.values.shape[:2]} disagree")
-    idx = _sites(gt.labels.ravel(), labels, max_samples, rng)
-    flat_probs = probs.values.reshape(-1, probs.channels)
-    return SampleSet(gt=gt.labels.ravel()[idx], probs=flat_probs[idx])
-
-
-def _sites(flat_labels: np.ndarray, labels: LabelSet, max_samples: int | None,
-           rng: np.random.Generator | np.random.SeedSequence | None) -> np.ndarray:
-    """Ascending flat indices of the non-void pixels of a map, subsampled
-    without replacement to max_samples. rng is a Generator or the seed of
-    one, made only when there are more sites than max_samples."""
-    idx = np.flatnonzero(flat_labels != labels.void_sentinel)
+    flat_gt = gt.labels.ravel()
+    idx = np.flatnonzero(flat_gt != labels.void_sentinel)
     if max_samples is not None and idx.size > max_samples:
         rng = np.random.default_rng(0 if rng is None else rng)
         idx = np.sort(rng.choice(idx, size=max_samples, replace=False))
-    return idx
+    return SampleSet(gt=flat_gt[idx], probs=probs.values.reshape(-1, probs.channels)[idx])
 
 
 def _loss_inputs(prior, confusion: ConfusionModel, samples: SampleSet):
@@ -286,8 +279,11 @@ def refinement_loss(prior, confusion: ConfusionModel, samples: SampleSet) -> flo
 
 
 def refinement_loss_gradient(prior, confusion: ConfusionModel, samples: SampleSet) -> np.ndarray:
-    """d(loss)/d(prior), accounting for P(C=c) = sum_l P(C=c|l) P(l)."""
-    return kernels.loss_grad(*_loss_inputs(prior, confusion, samples), EPSILON)[0]
+    """d(loss)/d(prior), accounting for P(C=c) = sum_l P(C=c|l) P(l): the
+    gradient of kernels.loss_grad, without its Hessian."""
+    matrix, *image = _loss_inputs(prior, confusion, samples)
+    # a stack of one, as loss_grad passes it, so the bits are loss_grad's
+    return kernels._gradient(matrix, *(arr[None] for arr in image), EPSILON)[0][0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -495,75 +491,119 @@ def _descend(matrix, gt, evidence, floor, start, opts: SolverOptions):
 
 class _SolveGroup:
     """The arrays a lockstep solve reads, cut in one image at a time: the
-    float64 evidence M[:, g] * p of each sample in label-major (B, L, N)
-    zeros, and gt (B, N), zero where padded. N is the largest of the
-    images' sample counts. Where an image needs more rows or columns than
-    the arrays have, they grow by a copy."""
+    float64 evidence M[:, g] * p of each sample, label-major (B, L, N), and
+    gt (B, N), zero where padded to N, the most samples of an image. At the
+    first image, and at a wider one, they are allocated anew by a copy, with
+    rows for as many images of the new width as SOLVE_BUDGET has room for,
+    but at most `limit`, the images left to cut in."""
 
-    def __init__(self, matrix: np.ndarray, rows: int = 0, width: int = 0):
-        self.matrix, self.counts = matrix, []
-        self.evidence = np.zeros((rows, matrix.shape[0], width))
+    def __init__(self, matrix: np.ndarray, limit: int, rows: int = 0, width: int = 0):
+        self.matrix, self.limit, self.counts = matrix, limit, []
+        self.evidence = np.zeros((rows, len(matrix), width))
         self.gt = np.zeros((rows, width), dtype=np.int64)
 
-    def add(self, gt: np.ndarray, probs: np.ndarray, rows: int = 0) -> None:
-        """Cut in one image's samples, gt (n,) and probs (n, L); full arrays
-        grow to n columns and `rows` rows, or one more than they fill."""
+    def add(self, gt: np.ndarray, probs: np.ndarray) -> None:
+        """Cut in one image's samples, gt (n,) and probs (n, L)."""
         b, n, (had, width) = len(self.counts), len(gt), self.gt.shape
         if b == had or n > width:
-            grown = _SolveGroup(self.matrix, max(rows, b + 1), max(n, width))
+            rows = max(b + 1, -(-SOLVE_BUDGET // (8 * len(self.matrix) * max(n, width))))
+            grown = _SolveGroup(self.matrix, self.limit, min(rows, self.limit), max(n, width))
             grown.evidence[:b, :, :width], grown.gt[:b, :width] = self.evidence[:b], self.gt[:b]
             self.evidence, self.gt = grown.evidence, grown.gt
         np.multiply(self.matrix[:, gt], probs.T, out=self.evidence[b, :, :n])
         self.gt[b, :n] = gt
         self.counts.append(n)
 
+    def full(self, n: int) -> bool:
+        """Whether the images, padded to a next one of n samples, reach SOLVE_BUDGET."""
+        return len(self.counts) * max(n, self.gt.shape[1]) * 8 * len(self.matrix) >= SOLVE_BUDGET
+
+    def close(self, solved: list[Prior], opts: SolverOptions,
+              reports: list[SolveReport] | None) -> _SolveGroup:
+        """Solve the images in lockstep, onto `solved` in order; return the next group."""
+        matrix, counts = self.matrix, np.array(self.counts)
+        evidence, gt = np.swapaxes(self.evidence[:counts.size], 1, 2), self.gt[:counts.size]
+        floor = np.where(np.arange(gt.shape[1]) < counts[:, None], EPSILON, 1.0)
+        hist = np.stack([np.bincount(row[:c], minlength=len(matrix)) for row, c in zip(gt, counts)])
+        w, loss, iterations = _descend(matrix, gt, evidence, floor, hist / counts[:, None], opts)
+        w[w <= _ZERO_WEIGHT] = 0.0  # the descent's one zero rule, so a prior's support is exact
+        total = w.sum(axis=1, keepdims=True)
+        w = np.where(np.abs(total - 1.0) > 1e-12, w / total, w)
+        if reports is not None:
+            reports.extend(SolveReport(int(i), float(value)) for i, value in zip(iterations, loss))
+        solved.extend(Prior(row) for row in w)
+        return _SolveGroup(matrix, self.limit - counts.size)
+
 
 def solve_unconstrained_prior(
     confusion: ConfusionModel,
-    samples: SampleSet | Sequence[SampleSet] | _SolveGroup,
+    samples: SampleSet | Sequence[SampleSet],
     opts: SolverOptions = SolverOptions(),
     reports: list[SolveReport] | None = None,
 ) -> Prior | list[Prior]:
     """Minimize the refinement log-loss over the simplex.
 
     `samples` is one SampleSet, giving one Prior, or a sequence of them,
-    solved together in lockstep and giving a list of Priors in order; the
-    prior stage passes the images' samples already cut into a _SolveGroup.
-    The loss clamps each sample's refined gt probability at EPSILON. Each
-    image descends once, from the better of its sample histogram and the
-    uniform prior (the histogram where they tie), and the descent is
+    read one at a time (so its items may be made as they are read), giving a
+    list of Priors in order. They are solved in lockstep groups: a group of
+    b images N wide is solved once b * N * 8 * L reaches SOLVE_BUDGET, or
+    before an image of n > N samples joins if b * n * 8 * L would; with
+    equal sample counts a group holds ceil(SOLVE_BUDGET / image bytes)
+    images. The loss clamps each sample's refined gt probability at EPSILON.
+    Each image descends once, from the better of its sample histogram and
+    the uniform prior (the histogram where they tie), and the descent is
     monotone, so a result never loses to the histogram prior or the uniform
     prior. Only opts.max_iters applies here: the samples are passed in, so
     opts.subsample and opts.seed have nothing to cut. `reports`, when a
-    list, receives one SolveReport per image.
+    list, receives one SolveReport per image. Items are checked as they are
+    read: a bad one raises DataError once the groups before it are solved
+    and in `reports`.
     """
     n, matrix = confusion.n_labels, confusion.matrix
     single = isinstance(samples, SampleSet)
-    group = samples
-    if not isinstance(group, _SolveGroup):
-        sample_sets = [samples] if single else list(samples)
-        if not sample_sets:
-            raise DataError("no sample sets to solve")
-        for item in sample_sets:
-            if len(item) == 0:
-                raise DataError("empty sample set")
-            if item.probs.shape[1] != n:
-                raise DataError(f"samples have {item.probs.shape[1]} labels, confusion {n}")
-        group = _SolveGroup(matrix, len(sample_sets), max(len(item) for item in sample_sets))
-        for item in sample_sets:
-            group.add(item.gt, item.probs)
-    counts = np.array(group.counts)
-    evidence, gt = np.swapaxes(group.evidence[:counts.size], 1, 2), group.gt[:counts.size]
-    floor = np.where(np.arange(gt.shape[1]) < counts[:, None], EPSILON, 1.0)
-    hist = np.stack([np.bincount(row[:c], minlength=n) for row, c in zip(gt, counts)])
-    w, loss, iterations = _descend(matrix, gt, evidence, floor, hist / counts[:, None], opts)
-    w[w <= _ZERO_WEIGHT] = 0.0  # the descent's one zero rule, so a prior's support is exact
-    total = w.sum(axis=1, keepdims=True)
-    w = np.where(np.abs(total - 1.0) > 1e-12, w / total, w)
-    if reports is not None:
-        reports.extend(SolveReport(int(i), float(value)) for i, value in zip(iterations, loss))
-    priors = [Prior(row) for row in w]
-    return priors[0] if single else priors
+    items = [samples] if single else samples
+    solved, group = [], _SolveGroup(matrix, len(items))
+    for item in items:  # no enumerate: its cached result tuple would hold the last item
+        if len(item) == 0:
+            raise DataError("empty sample set")
+        if item.probs.shape[1] != n:
+            raise DataError(f"samples have {item.probs.shape[1]} labels, confusion {n}")
+        if group.full(len(item)):  # only for a wider item: a group full at its width closed below
+            group = group.close(solved, opts, reports)
+        group.add(item.gt, item.probs)
+        del item  # its samples are in the group's arrays, and a solve need not hold them twice
+        if group.full(0):
+            group = group.close(solved, opts, reports)
+    if group.counts:
+        group.close(solved, opts, reports)
+    if not solved:
+        raise DataError("no sample sets to solve")
+    return solved[0] if single else solved
+
+
+class _ImageSamples:
+    """The sample_set of each of `records`, made as it is read from the
+    image's maps, loaded as a chunk of one and dropped before it returns."""
+
+    def __init__(self, records, labels: LabelSet, opts: SolverOptions):
+        self.records, self.labels, self.opts = records, labels, opts
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, idx: int) -> SampleSet:  # plain iteration keeps no item it read
+        rec = self.records[idx]  # an IndexError past the end ends the iteration
+        ((_, (gt, probs)),) = _load_chunks([rec], lambda r: (r.gt_path, r.probs_path),
+                                           (LABELS, PROBS), self.labels)
+        # fit on every annotated, classified site of the image; the
+        # evaluation scores all pixels, so masked fitting skews the solved
+        # weights off the image's true composition
+        samples = sample_set(LabelMap(gt.labels[0]), ProbabilityMap(probs.values[0]), self.labels,
+                             self.opts.subsample,
+                             np.random.SeedSequence(self.opts.seed, spawn_key=(idx,)))
+        if not len(samples):
+            raise DataError(f"{rec.image_id}: no usable solver samples")
+        return samples
 
 
 def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
@@ -571,10 +611,11 @@ def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
                      opts: SolverOptions = SolverOptions()) -> PriorBank:
     """The prior stage: publish a bank of one `kind` prior per evaluation
     image at out, and return it. The unconstrained kind needs `confusion`;
-    it loads one image's maps at a time, cuts from each image up to
-    opts.subsample sites drawn with opts.seed and the image's index, solves
-    the images in lockstep groups that close once their samples reach
-    SOLVE_BUDGET bytes, and records opts in the sidecar."""
+    it loads one image's maps at a time, takes its sample_set of up to
+    opts.subsample sites drawn with opts.seed and the image's index, drops
+    the maps, and hands the sample sets, made as they are read, to one
+    solve_unconstrained_prior call, which forms the lockstep groups; it
+    records opts in the sidecar."""
     if kind not in PRIOR_KINDS:
         raise DataError(f"unknown prior kind {kind!r}")
     labels = manifest.label_set
@@ -594,33 +635,8 @@ def build_prior_bank(manifest: Manifest, kind: str, out: str | Path,
             raise DataError("the unconstrained prior needs a confusion model")
         if confusion.n_labels != labels.size:
             raise DataError(f"confusion has {confusion.n_labels} labels, manifest {labels.size}")
-
-        rows, group, size = [], _SolveGroup(confusion.matrix), 0
-        for idx, rec in enumerate(eval_records):
-            # a chunk of one image, so a solve holds no map
-            ((_, (gt, probs)),) = _load_chunks([rec], lambda r: (r.gt_path, r.probs_path),
-                                               (LABELS, PROBS), labels)
-            flat_gt = gt.labels.ravel()
-            # fit on every annotated, classified site of the image; the
-            # evaluation scores all pixels, so masked fitting skews the
-            # solved weights off the image's true composition
-            sites = _sites(flat_gt, labels, opts.subsample,
-                           np.random.SeedSequence(opts.seed, spawn_key=(idx,)))
-            if not sites.size:
-                raise DataError(f"{rec.image_id}: no usable solver samples")
-            # rows for as many padded images as the budget has room for
-            padded = 8 * labels.size * max(sites.size, group.gt.shape[1])
-            fits = min(-(-(SOLVE_BUDGET - size) // padded), len(ids) - idx)
-            group.add(flat_gt[sites], probs.values.reshape(-1, labels.size)[sites],
-                      len(group.counts) + fits)
-            del gt, probs, flat_gt  # the image's maps go before its group is solved
-            size += 8 * labels.size * sites.size
-            # a group closes where its samples reach the budget; where
-            # groups close moves the bank's bytes only through padding
-            if size >= SOLVE_BUDGET or idx == len(ids) - 1:
-                rows += [p.weights for p in solve_unconstrained_prior(confusion, group, opts)]
-                group, size = _SolveGroup(confusion.matrix), 0
-        weights = np.stack(rows)
+        samples = _ImageSamples(eval_records, labels, opts)
+        weights = np.stack([p.weights for p in solve_unconstrained_prior(confusion, samples, opts)])
         solver_meta = asdict(opts)
 
     bank = PriorBank(kind=kind, ids=ids, weights=weights, solver=solver_meta)

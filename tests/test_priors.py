@@ -369,6 +369,33 @@ class TestGradient:
                 rel = abs(grad[l] - fd) / max(abs(fd), 1e-8)
                 assert rel <= 1e-5
 
+    def test_is_the_loss_grad_gradient_without_its_hessian(self, monkeypatch):
+        """The bits of loss_grad's gradient, with some samples clamped and
+        some weights 0, from a call that never reaches loss_grad."""
+        rng = np.random.default_rng(47)
+        cases = []
+        for _ in range(20):
+            n, count = int(rng.integers(2, 9)), int(rng.integers(1, 300))
+            confusion = ConfusionModel(matrix=mixed_confusion(n), floor=1e-4)
+            samples = SampleSet(gt=rng.integers(0, n, size=count),
+                                probs=rng.dirichlet(np.full(n, 0.2), size=count))
+            weights = rng.dirichlet(np.full(n, 0.5))
+            weights[rng.random(n) < 0.3] = 0.0
+            weights = weights / weights.sum() if weights.sum() else np.full(n, 1.0 / n)
+            evidence = kernels.sample_evidence(confusion.matrix, samples.gt, samples.probs)
+            want = kernels.loss_grad(confusion.matrix, weights, samples.gt, evidence,
+                                     priors.EPSILON)[0]
+            cases.append((weights, confusion, samples, want))
+
+        def no_hessian(*args):
+            raise AssertionError("refinement_loss_gradient formed a Hessian")
+
+        monkeypatch.setattr(kernels, "loss_grad", no_hessian)
+        for weights, confusion, samples, want in cases:
+            got = refinement_loss_gradient(weights, confusion, samples)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestSimplexProjection:
     def test_already_on_simplex(self):
@@ -801,12 +828,25 @@ class TestBatchedSolver:
             solve_unconstrained_prior(
                 confusion, [good, SampleSet(gt=np.array([0]), probs=np.full((1, 4), 0.25))])
 
+    def test_a_bad_set_raises_after_the_groups_before_it(self, monkeypatch):
+        """Sets are checked as they are read: with one image per group, the
+        two good sets before an empty one are solved and reported first."""
+        monkeypatch.setattr(priors, "SOLVE_BUDGET", 1)
+        confusion = ConfusionModel(matrix=mixed_confusion(3), floor=1e-4)
+        good = SampleSet(gt=np.array([0, 1]), probs=np.full((2, 3), 1 / 3))
+        empty = SampleSet(gt=np.zeros(0, np.int64), probs=np.zeros((0, 3)))
+        reports = []
+        with pytest.raises(DataError, match="empty"):
+            solve_unconstrained_prior(confusion, [good, good, empty, good], SolverOptions(),
+                                      reports)
+        assert len(reports) == 2
+
 
     def test_stage_bank_is_the_library_solve_of_its_groups(self, tmp_path, monkeypatch):
-        """The prior stage cuts each image's samples straight into its
-        group's arrays, which grow where an image has more samples than the
-        group's first, or the group more images than the first promised.
-        Its bank holds the bytes of solving the same groups' sample_sets."""
+        """The prior stage streams each image's sample_set to one library
+        solve, whose groups grow where an image has more samples than the
+        group's first. Its bank holds the bytes of one library call on the
+        same sample_sets."""
         n, void, cap, budget, seed = 4, 255, 100, 6000, 3
         labels = LabelSet(size=n, void_id=void)
         monkeypatch.setattr(priors, "SOLVE_BUDGET", budget)
@@ -828,13 +868,10 @@ class TestBatchedSolver:
         opts = SolverOptions(max_iters=20, subsample=cap, seed=seed)
         bank = priors.build_prior_bank(Manifest(labels, tuple(records)), "unconstrained",
                                        tmp_path / "u.segt", confusion, opts)
-        want, group = [], []
-        for idx, (gt, probs) in enumerate(maps):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-            group.append(sample_set(gt, probs, labels, cap, rng))
-            if sum(map(len, group)) * n * 8 >= budget or idx == len(maps) - 1:
-                want += [p.weights for p in solve_unconstrained_prior(confusion, group, opts)]
-                group = []
+        sets = [sample_set(gt, probs, labels, cap,
+                           np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,))))
+                for idx, (gt, probs) in enumerate(maps)]
+        want = [p.weights for p in solve_unconstrained_prior(confusion, sets, opts)]
         assert len(want) == len(records)
         np.testing.assert_array_equal(bank.weights, np.stack(want))
 

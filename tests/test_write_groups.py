@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from conflens import (
+    ConfusionModel,
+    LabelMap,
     LabelSet,
+    Manifest,
+    ManifestRecord,
+    ProbabilityMap,
     SynthSpec,
     data,
     generate_dataset,
@@ -20,6 +25,8 @@ from conflens import (
     load_manifest,
     load_probability_map,
     save_confusion,
+    save_label_map,
+    save_probability_map,
 )
 from conflens import priors
 from conflens.cli import main
@@ -208,16 +215,17 @@ class TestSolveGroups:
                 "--confusion", str(root / "c.segt"), "--out", str(root / "prior.segt")]
 
     def test_groups_give_identical_banks_on_rerun(self, tmp_path, monkeypatch):
-        """Several groups, and the same bytes when run again."""
+        """Several groups, each one descent, and the same bytes when run
+        again."""
         monkeypatch.setattr(priors, "SOLVE_BUDGET", 3 * 20 * 20 * 4 * 8)
         solves = []
-        solve = priors.solve_unconstrained_prior
+        descend = priors._descend
 
         def counted(*args, **kwargs):
             solves.append(1)
-            return solve(*args, **kwargs)
+            return descend(*args, **kwargs)
 
-        monkeypatch.setattr(priors, "solve_unconstrained_prior", counted)
+        monkeypatch.setattr(priors, "_descend", counted)
         argv = self.prior_argv(tmp_path, 10)
         digests = set()
         for _ in range(2):
@@ -239,6 +247,57 @@ class TestSolveGroups:
             argv = self.prior_argv(tmp_path / str(n), n)
             peaks[n] = traced_peak(lambda: main(argv))
         assert peaks[32] - peaks[8] < 24 * samples / 4, peaks
+
+
+    def test_a_wide_image_after_narrow_ones_is_not_padded_into_their_group(
+            self, tmp_path, monkeypatch):
+        """40 8x8 maps, then one 64x64 map: the narrow images fill less than
+        one group, and the wide one would pad it to 41 of its width. The
+        stage solves the narrow images and then the wide one alone, so it
+        holds about the budget, the wide image's samples and its maps, and
+        a library call on the same sample_sets is bounded the same way and
+        gives the stage's bank. A lone image's line search tries 8 steps at
+        once, in per-sample buffers of 8 times its sample count, so its
+        solve holds about 8 times its samples. Padding the wide image into
+        the narrow ones' group held about 12 MB, 7 times the bound."""
+        n_labels, narrow, wide, n_narrow = 4, 8, 64, 40
+        labels = LabelSet(size=n_labels)
+        budget = n_narrow * narrow * narrow * n_labels * 8 + 1
+        wide_samples = wide * wide * n_labels * 8
+        wide_maps = wide * wide * (n_labels + 1) * 4
+        monkeypatch.setattr(priors, "SOLVE_BUDGET", budget)
+        rng = np.random.default_rng(12)
+        records, maps = [], []
+        for k, side in enumerate([narrow] * n_narrow + [wide]):
+            gt = LabelMap(rng.integers(0, n_labels, size=(side, side)).astype(np.int32))
+            probs = rng.dirichlet(np.full(n_labels, 0.5), size=(side, side)).astype(np.float32)
+            probs = ProbabilityMap(probs / probs.sum(axis=2, keepdims=True))
+            rec = ManifestRecord(f"img{k}", tmp_path / f"p{k}.segt", tmp_path / f"g{k}.segt",
+                                 "evaluation")
+            save_label_map(gt, rec.gt_path)
+            save_probability_map(probs, rec.probs_path)
+            records.append(rec)
+            maps.append((gt, probs))
+        manifest = Manifest(labels, tuple(records))
+        confusion = ConfusionModel(matrix=mixed_confusion(n_labels), floor=1e-4)
+        opts = priors.SolverOptions(max_iters=20)
+        sets = [priors.sample_set(gt, probs, labels, opts.subsample,
+                                  np.random.SeedSequence(opts.seed, spawn_key=(idx,)))
+                for idx, (gt, probs) in enumerate(maps)]
+        del maps
+        bound = budget + 12 * wide_samples + wide_maps
+
+        def stage():
+            return priors.build_prior_bank(manifest, "unconstrained", tmp_path / "u.segt",
+                                           confusion, opts)
+
+        bank = stage()  # first-call allocations
+        stage_peak = traced_peak(stage)
+        library_peak = traced_peak(lambda: priors.solve_unconstrained_prior(confusion, sets, opts))
+        assert stage_peak < bound, (stage_peak, bound)
+        assert library_peak < bound, (library_peak, bound)
+        want = [p.weights for p in priors.solve_unconstrained_prior(confusion, sets, opts)]
+        np.testing.assert_array_equal(bank.weights, np.stack(want))
 
 
 class TestProducerPeaks:
